@@ -2,10 +2,8 @@
 
 Runs are described by a versioned JSON file; every semantic field is
 hashed into the manifest so reruns can be matched to their inputs.  All
-file writes happen here, never inside the numerical layers.  The
---threads flag is recorded for bookkeeping only: the computation is a
-fixed-order vectorized batch, so results are byte-identical no matter
-how many threads the host offers.
+file writes happen here, never inside the numerical layers: simulate
+hands the engine a per-step callback that writes its snapshots.
 """
 
 from __future__ import annotations
@@ -17,8 +15,6 @@ import sys
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
-
-import numpy as np
 
 from . import __version__
 from . import datagen as dg
@@ -73,7 +69,6 @@ class RunManifest:
     study: str
     outputs: dict
     timings: dict
-    threads: int | None = None
 
     def to_json_dict(self) -> dict:
         return vars(self)
@@ -109,14 +104,11 @@ def config_from_dict(raw: dict) -> RunConfig:
             raise ConfigError(f"config {section}: {err}") from err
 
     p = _merge_section(raw, "potential")
-    if p["kind"] == "logarithmic" and p["K"] is None:
-        p["K"] = pot.default_offset(p["c"]) if p["c"] > 1.0 else None
-    if p["kind"] == "polynomial":
-        potential = build("potential", pot.polynomial_params)
-    else:
-        if not isinstance(p["c"], (int, float)) or not p["c"] > 1.0:
-            raise ConfigError(f"config potential: c must be > 1 for the logarithmic potential, got {p['c']}")
-        potential = build("potential", pot.PotentialParams, kind=p["kind"], c=float(p["c"]), K=float(p["K"]))
+    if not isinstance(p["c"], (int, float)) or not p["c"] > 1.0:
+        raise ConfigError(f"config potential: c must be > 1 for the logarithmic potential, got {p['c']}")
+    if p["K"] is None:
+        p["K"] = pot.default_offset(p["c"])
+    potential = build("potential", pot.PotentialParams, kind=p["kind"], c=float(p["c"]), K=float(p["K"]))
 
     n = _merge_section(raw, "noise")
     noise = build(
@@ -237,44 +229,35 @@ def _write_report(report: ex.EstimateReport, cfg: RunConfig, out_dir: Path, wall
 
 
 def _run_simulate(cfg: RunConfig, out_dir: Path) -> tuple[dict, list[str]]:
+    """One path (replicate 0) at the smallest level: one lane of one replicate."""
     e = cfg.ensemble
-    level = pot.YosidaLevel(e.lambda_levels[-1])
-    u0 = dg.make_u0(e.u0, e.grid, e.seed, replicate=0)
-    g_field = dg.make_g(e.g, e.grid)
+    lam = e.lambda_levels[-1]
     snap_dir = out_dir / "snapshots"
+    on_step = None
     if cfg.snapshot_stride > 0:
         snap_dir.mkdir(parents=True, exist_ok=True)
-    state, stats = st.simulate(
-        u0,
-        g_field,
-        level,
-        e.noise,
-        e.stepper,
-        e.grid,
-        e.potential,
-        seed=e.seed,
-        replicates=np.asarray(0),
-        snapshot_stride=cfg.snapshot_stride,
-        snapshot_dir=str(snap_dir) if cfg.snapshot_stride > 0 else None,
-    )
-    gr.save_field(out_dir / "final.acf", e.grid, state.u)
+
+        def on_step(m, u):
+            if m % cfg.snapshot_stride == 0:
+                gr.save_field(snap_dir / f"step_{m:06d}.acf", e.grid, u[0, 0])
+
+    lane = ex.Lane(lam, dg.make_u0_batch(e.u0, e.grid, e.seed, 1), dg.make_g(e.g, e.grid))
+    out = ex._run_lanes([lane], e.noise, e.stepper, e.grid, e.potential, e.seed, on_step=on_step)
+    gr.save_field(out_dir / "final.acf", e.grid, out["final"][0, 0])
+    stats = ("sup_h_sq", "sup_grad_sq", "int_grad_sq", "int_f1_sq", "int_beta_sq")
     summary = {
-        "t_final": state.t,
-        "steps": state.step_index,
-        "lambda": level.lam,
-        "sup_h_sq": float(stats.sup_h_sq),
-        "sup_grad_sq": float(stats.sup_grad_sq),
-        "int_grad_sq": float(stats.int_grad_sq),
-        "int_f1_sq": float(stats.int_f1_sq),
-        "int_beta_sq": float(stats.int_beta_sq),
-        "excursion_fraction": float(stats.excursion_fraction),
-        "increments_digest": stats.increments_digest,
+        "t_final": out["n_steps"] * e.stepper.dt,
+        "steps": out["n_steps"],
+        "lambda": lam,
+        **{q: float(out["stats"][q][0, 0]) for q in stats},
+        "excursion_fraction": float(out["excursion_fraction"][0, 0]),
+        "increments_digest": out["increments_digest"],
     }
     (out_dir / "simulate.json").write_text(json.dumps(summary, indent=2, default=float) + "\n")
     return {"json": str(out_dir / "simulate.json"), "final_field": str(out_dir / "final.acf")}, []
 
 
-def run(command: str, cfg: RunConfig, seed_override: int | None = None, threads: int | None = None) -> int:
+def run(command: str, cfg: RunConfig, seed_override: int | None = None) -> int:
     """Execute one study command; returns the process exit status."""
     if command not in COMMANDS:
         print(f"unknown command {command!r}; expected one of {COMMANDS}", file=sys.stderr)
@@ -316,7 +299,6 @@ def run(command: str, cfg: RunConfig, seed_override: int | None = None, threads:
         study=command,
         outputs=outputs,
         timings={"wall_time_s": time.perf_counter() - t0},
-        threads=threads,
     )
     (out_dir / "manifest.json").write_text(json.dumps(manifest.to_json_dict(), indent=2, default=float) + "\n")
     if failures:
@@ -332,7 +314,6 @@ def main(argv=None) -> int:
     parser.add_argument("--config", type=str, default=None, help="JSON run configuration (defaults used if omitted)")
     parser.add_argument("--seed", type=int, default=None, help="override the ensemble seed")
     parser.add_argument("--out", type=str, default=None, help="override the output directory")
-    parser.add_argument("--threads", type=int, default=None, help="recorded only; results never depend on it")
     parser.add_argument("--snapshot-stride", type=int, default=None, help="emit a field snapshot every N steps")
     args = parser.parse_args(argv)
 
@@ -345,4 +326,4 @@ def main(argv=None) -> int:
         cfg = replace(cfg, output_dir=args.out)
     if args.snapshot_stride is not None:
         cfg = replace(cfg, snapshot_stride=args.snapshot_stride)
-    return run(args.command, cfg, seed_override=args.seed, threads=args.threads)
+    return run(args.command, cfg, seed_override=args.seed)

@@ -1,11 +1,13 @@
 """Monte Carlo studies that turn the scheme's a-priori bounds into checks.
 
+Every path, from a Monte Carlo ensemble down to one deterministic oracle
+run or the simulate command, is integrated by _run_lanes: lanes (levels
+or perturbed data) x replicates, stepped in lockstep by stepper.step.
 Every study is a pure function of (EnsembleConfig, seed): replicates are
 integrated as one vectorized batch in a fixed order, noise increments come
 from counter streams keyed (seed, replicate, step, mode), and coupled
-comparisons (regularization levels, perturbed data) run in lockstep on the
-identical increments.  Reruns therefore produce identical bytes no matter
-how many threads the host gives numpy.
+comparisons run on the identical increments, so reruns produce identical
+bytes.
 
 Expectations are empirical means over the replicates; spreads are reported
 as replicate standard errors with normal-approximation 95% intervals.
@@ -53,8 +55,6 @@ class EnsembleConfig:
             raise ValueError(f"lambda levels must lie in (0, 1), got {self.lambda_levels}")
         if any(a <= b for a, b in zip(self.lambda_levels, self.lambda_levels[1:])):
             raise ValueError(f"lambda levels must be strictly decreasing, got {self.lambda_levels}")
-        if self.potential.kind != pot.LOGARITHMIC:
-            raise ValueError("ensemble studies run the logarithmic dynamics")
 
 
 @dataclass(frozen=True)
@@ -117,7 +117,7 @@ def _mc_row(quantity: str, lam: float, values) -> ReportRow:
 class Lane:
     """One coupled integration lane: a Yosida level plus its data."""
 
-    lam: float
+    lam: float | None
     u0: np.ndarray  # (replicates, *grid shape)
     g: np.ndarray | None
 
@@ -126,18 +126,38 @@ def _lane_u0(cfg: EnsembleConfig) -> np.ndarray:
     return dg.make_u0_batch(cfg.u0, cfg.grid, cfg.seed, cfg.replicates)
 
 
+def _gauge_slice(g: gr.Grid, gauge: pot.GaugeOrder, u):
+    """(masked integral of G_n, masked integral of |G_n'|).
+
+    G_n is evaluated only where |u| < 1; samples outside are left out.
+    """
+    inside = np.abs(u) < 1.0
+    Gn, Gnp = pot.gauge_eval(gauge, np.where(inside, u, 0.0))
+    axes = tuple(range(u.ndim - g.dim, u.ndim))
+    ig = np.sum(np.where(inside, Gn, 0.0), axis=axes) * g.cell_volume
+    igp = np.sum(np.where(inside, np.abs(Gnp), 0.0), axis=axes) * g.cell_volume
+    return ig, igp
+
+
 def _run_lanes(
     lanes: list[Lane],
     spec: nz.NoiseSpec,
     scfg: st.StepperConfig,
     g: gr.Grid,
-    params: pot.PotentialParams,
+    params: pot.PotentialParams | None,
     seed: int,
     *,
     gauge: pot.GaugeOrder | None = None,
     pairs: tuple[tuple[int, int], ...] = (),
+    on_step=None,
 ) -> dict:
-    """Lockstep integration of several lanes on shared noise increments."""
+    """Lockstep integration of several lanes on shared noise increments.
+
+    This is the package's one time loop; a single path is one lane of one
+    replicate.  params=None drops the potential (c = 0), which needs every
+    lane at lam=None.  on_step(m, u), when given, sees the state batch
+    after m steps, m = 0..n_steps.
+    """
     n_lanes = len(lanes)
     reps = lanes[0].u0.shape[0]
     dim = g.dim
@@ -147,15 +167,19 @@ def _run_lanes(
     u = np.stack([ln.u0 for ln in lanes]).astype(float)
     if np.any(np.abs(u) >= 1.0):
         raise ValueError("lane initial data must satisfy ||u0||_inf < 1")
-    lam = np.array([ln.lam for ln in lanes]).reshape((n_lanes,) + (1,) * (1 + dim))
+    if params is None:
+        lam, c = None, 0.0
+        beta_u = np.zeros_like(u)
+    else:
+        lam = np.array([ln.lam for ln in lanes]).reshape((n_lanes,) + (1,) * (1 + dim))
+        c = params.c
+        beta_u, _ = pot.yosida_pair(lam, u)
     if any(ln.g is not None for ln in lanes):
         g_force = np.stack([np.zeros(g.shape) if ln.g is None else np.asarray(ln.g, dtype=float) for ln in lanes])
         g_force = g_force[:, None]
     else:
         g_force = None
-    c = params.c
 
-    beta_u, _ = pot.yosida_pair(lam, u)
     hsq, gsq, _ = gr.norms(g, u)
     zeros = np.zeros((n_lanes, reps))
     acc = {
@@ -180,9 +204,11 @@ def _run_lanes(
     }
     gauge_series = None
     if gauge is not None:
-        ig0, _, _ = st._gauge_slice(g, gauge, u)
+        ig0, _ = _gauge_slice(g, gauge, u)
         gauge_series = [ig0]
     hasher = hashlib.sha256()
+    if on_step is not None:
+        on_step(0, u)
 
     for m in range(n_steps):
         # left-endpoint quadratures at the current state
@@ -191,35 +217,31 @@ def _run_lanes(
         acc["int_f1_sq"] += dt * gr.h_norm_sq(g, beta_u - 2.0 * c * u)
         acc["int_lap_sq"] += dt * gr.h_norm_sq(g, gr.laplacian_neumann(g, u))
         if gauge is not None:
-            _, igp, _ = st._gauge_slice(g, gauge, u)
+            _, igp = _gauge_slice(g, gauge, u)
             acc["int_abs_gauge_prime"] += dt * igp
         for (i, j), pa in pair_acc.items():
             d = u[i] - u[j]
             pa["int_diff_h_sq"] += dt * gr.h_norm_sq(g, d)
             pa["int_diff_grad_sq"] += dt * gr.grad_norm_sq(g, d)
 
+        dw = None
         if spec.modes > 0:
             dw = nz.sample_increment_block(seed, reps, m, spec, dt)
             hasher.update(np.ascontiguousarray(dw).tobytes())
-            v = pot.resolvent_map(lam, u)
-            noise_field = nz.mix_modes(spec, v, np.broadcast_to(dw, (n_lanes, reps, spec.modes)), dim)
-        else:
-            noise_field = 0.0
-
-        rhs = u + dt * (2.0 * c) * u + noise_field
-        if g_force is not None:
-            rhs = rhs + dt * g_force
-        u, beta_u = st._monotone_solve(g, lam, rhs, dt, scfg, w0=u)
+            dw = np.broadcast_to(dw, (n_lanes, reps, spec.modes))
+        u, beta_u = st.step(g, lam, c, spec, u, dw, g_force, scfg)
 
         hsq, gsq, _ = gr.norms(g, u)
         acc["sup_h_sq"] = np.maximum(acc["sup_h_sq"], hsq)
         acc["sup_grad_sq"] = np.maximum(acc["sup_grad_sq"], gsq)
         acc["excursion_count"] += np.sum(np.abs(u) >= 1.0, axis=field_axes)
         if gauge is not None:
-            ig, _, _ = st._gauge_slice(g, gauge, u)
+            ig, _ = _gauge_slice(g, gauge, u)
             gauge_series.append(ig)
         for (i, j), pa in pair_acc.items():
             pa["sup_diff_h_sq"] = np.maximum(pa["sup_diff_h_sq"], gr.h_norm_sq(g, u[i] - u[j]))
+        if on_step is not None:
+            on_step(m + 1, u)
 
     total_samples = (n_steps + 1) * int(np.prod(g.shape))
     return {
@@ -473,16 +495,20 @@ def heat_and_ode_oracles(cfg: EnsembleConfig) -> EstimateReport:
     quiet = nz.NoiseSpec(family=nz.SINE, modes=0, decay_exponent=2.0, amplitude=0.0)
     T = 0.1
 
+    def final_state(u0, lam, scfg, g, params):
+        # one noiseless path: one lane of one replicate
+        out = _run_lanes([Lane(lam, u0[None], None)], quiet, scfg, g, params, seed=0)
+        return out["final"][0, 0]
+
     # spatial refinement, dt tied to h^2
     spatial_errors = []
     for N, dt in ((16, 8e-4), (32, 2e-4), (64, 5e-5)):
         g = gr.Grid(extent=(1.0,), cells=(N,))
         x = g.cell_centers()
         u0 = 0.5 * np.cos(np.pi * x)
-        scfg = st.StepperConfig(dt=dt, t_end=T)
-        state, _ = st.simulate(u0, None, None, quiet, scfg, g, None, seed=0)
+        u = final_state(u0, None, st.StepperConfig(dt=dt, t_end=T), g, None)
         exact = 0.5 * math.exp(-np.pi**2 * T) * np.cos(np.pi * x)
-        err = float(np.max(np.abs(state.u - exact)))
+        err = float(np.max(np.abs(u - exact)))
         spatial_errors.append(err)
         rows.append(ReportRow(f"heat_spatial_err[N={N}]", math.nan, err, 0.0, err, err))
     spatial_orders = _observed_orders(spatial_errors)
@@ -496,10 +522,9 @@ def heat_and_ode_oracles(cfg: EnsembleConfig) -> EstimateReport:
     u0 = 0.5 * np.cos(np.pi * (np.arange(N) + 0.5) / N)
     temporal_errors = []
     for dt in (4e-3, 2e-3, 1e-3):
-        scfg = st.StepperConfig(dt=dt, t_end=T)
-        state, _ = st.simulate(u0, None, None, quiet, scfg, g, None, seed=0)
+        u = final_state(u0, None, st.StepperConfig(dt=dt, t_end=T), g, None)
         exact = math.exp(mu * T) * u0
-        err = float(np.max(np.abs(state.u - exact)))
+        err = float(np.max(np.abs(u - exact)))
         temporal_errors.append(err)
         rows.append(ReportRow(f"heat_temporal_err[dt={dt:g}]", math.nan, err, 0.0, err, err))
     temporal_orders = _observed_orders(temporal_errors)
@@ -522,9 +547,8 @@ def heat_and_ode_oracles(cfg: EnsembleConfig) -> EstimateReport:
     ref_val = float(ref.y[0, -1])
     ode_errors = []
     for dt in (4e-3, 2e-3, 1e-3):
-        scfg = st.StepperConfig(dt=dt, t_end=T0)
-        state, _ = st.simulate(np.full(g0.shape, u_init), None, level, quiet, scfg, g0, params, seed=0)
-        err = abs(float(state.u[0]) - ref_val)
+        u = final_state(np.full(g0.shape, u_init), lam, st.StepperConfig(dt=dt, t_end=T0), g0, params)
+        err = abs(float(u[0]) - ref_val)
         ode_errors.append(err)
         rows.append(ReportRow(f"ode_err[dt={dt:g}]", lam, err, 0.0, err, err))
     ode_orders = _observed_orders(ode_errors)

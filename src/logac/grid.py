@@ -144,19 +144,15 @@ def norms(grid: Grid, u):
 def energy(grid: Grid, params: pot.PotentialParams | None, level: pot.YosidaLevel | None, u):
     """Free energy 1/2 ||grad u||^2 + integral of the (regularized) potential.
 
-    level=None evaluates the sharp potential, which for the logarithmic
-    kind requires ||u||_inf < 1; a given level substitutes the Yosida
-    regularization, which never exceeds the sharp energy on (-1, 1).
+    level=None evaluates the sharp potential, which requires
+    ||u||_inf < 1; a given level substitutes the Yosida regularization,
+    which never exceeds the sharp energy on (-1, 1).
     """
     u = _check_field(grid, u)
     gsq = grad_norm_sq(grid, u)
     if params is None:
         return 0.5 * gsq
-    if params.kind == pot.POLYNOMIAL:
-        if level is not None:
-            raise ValueError("the polynomial potential is not regularized; pass level=None")
-        F, _, _ = pot.potential_eval(params, u)
-    elif level is None:
+    if level is None:
         if np.any(sup_norm(grid, u) >= 1.0):
             raise ValueError("sharp logarithmic energy requires ||u||_inf < 1; pass a Yosida level instead")
         F, _, _ = pot.potential_eval(params, u)
@@ -167,8 +163,6 @@ def energy(grid: Grid, params: pot.PotentialParams | None, level: pot.YosidaLeve
 
 def drift_apply(grid: Grid, params: pot.PotentialParams, level: pot.YosidaLevel, u, g_force=None):
     """A_lam(u) = -lap(u) + beta_lam(u) - 2c u - g, pointwise on the mesh."""
-    if params.kind != pot.LOGARITHMIC:
-        raise ValueError("drift_apply is defined for the logarithmic potential")
     u = _check_field(grid, u)
     beta_l, _, _ = pot.yosida_eval(level, u)
     out = -laplacian_neumann(grid, u) + beta_l - 2.0 * params.c * u

@@ -55,13 +55,6 @@ class NoiseSpec:
             raise ValueError(f"noise flatness must be an integer >= 1, got {self.flatness}")
 
 
-@dataclass(frozen=True)
-class NoiseIncrement:
-    """One step's worth of mode increments, each ~ Normal(0, dt)."""
-
-    dw: np.ndarray
-
-
 def _sinpi(y):
     # sin(pi*y) with exact zeros at integer y
     y = np.asarray(y, dtype=float)
@@ -155,16 +148,11 @@ def counter_normals(seed: int, purpose: int, index_a: int, index_b: int, n: int)
     return ndtri(u)
 
 
-def sample_increments(seed: int, replicate: int, step: int, spec: NoiseSpec, dt: float) -> NoiseIncrement:
-    """Mode increments ~ Normal(0, dt), keyed by (seed, replicate, step, mode)."""
-    if not dt > 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    z = counter_normals(seed, CTR_INCREMENTS, step, replicate, spec.modes)
-    return NoiseIncrement(dw=np.sqrt(dt) * z)
-
-
 def sample_increment_block(seed: int, replicates: int, step: int, spec: NoiseSpec, dt: float) -> np.ndarray:
-    """Increments for replicates 0..M-1 at one step, shape (M, modes)."""
+    """Increments ~ Normal(0, dt) for replicates 0..M-1 at one step, shape (M, modes).
+
+    Row rep holds modes 1..K of the stream keyed (seed, rep, step).
+    """
     if not dt > 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
     out = np.empty((replicates, spec.modes))
@@ -183,7 +171,7 @@ def _mapped_state(spec: NoiseSpec, u, level: YosidaLevel | None):
 
 
 def mix_modes(spec: NoiseSpec, v, dw, field_ndim: int):
-    """sum_k h_k(v) dW_k for an already-mapped state v.
+    """sum_k h_k(v) dW_k for an already-mapped state v (the scheme uses v = J_lam(u)).
 
     dw must have shape v.shape[:-field_ndim] + (modes,): one increment
     vector per leading batch entry, broadcast over the field axes.
@@ -195,22 +183,6 @@ def mix_modes(spec: NoiseSpec, v, dw, field_ndim: int):
     w = np.moveaxis(np.asarray(dw, dtype=float), -1, 0)
     w = w.reshape(w.shape + (1,) * field_ndim)
     return np.sum(h * w, axis=0)
-
-
-def diffusion_apply(spec: NoiseSpec, u, dw, level: YosidaLevel | None, field_ndim: int):
-    """sum_k h_k(v) dW_k with v = J_lam(u) (level given) or v = u."""
-    u = np.asarray(u, dtype=float)
-    if spec.modes == 0:
-        return np.zeros_like(u)
-    return mix_modes(spec, _mapped_state(spec, u, level), dw, field_ndim)
-
-
-def diffusion_field(spec: NoiseSpec, u, inc: NoiseIncrement, level: YosidaLevel | None = None):
-    """Single-trajectory diffusion field: pointwise sum_k h_k(v(x)) dW_k."""
-    u = np.asarray(u, dtype=float)
-    if len(inc.dw) != spec.modes:
-        raise ValueError(f"increment has {len(inc.dw)} modes, spec expects {spec.modes}")
-    return diffusion_apply(spec, u, inc.dw, level, field_ndim=u.ndim)
 
 
 def hs_norm_sq(spec: NoiseSpec, grid, u, level: YosidaLevel | None = None):

@@ -22,7 +22,6 @@ import numpy as np
 from scipy.optimize import brentq
 
 LOGARITHMIC = "logarithmic"
-POLYNOMIAL = "polynomial"
 
 # Graph endpoints representable strictly inside (-1, 1).
 _R_HI = np.nextafter(1.0, 0.0)
@@ -31,11 +30,9 @@ _R_LO = np.nextafter(-1.0, 0.0)
 
 @dataclass(frozen=True)
 class PotentialParams:
-    """Double-well potential choice.
+    """The logarithmic double well on (-1, 1): c > 1 and a nonnegativity offset K.
 
-    kind: "logarithmic" (domain (-1,1), needs c > 1 and nonnegativity
-    offset K) or "polynomial" ((1-r^2)^2/4 on all of R; c and K unused
-    and fixed to 0).
+    kind is always "logarithmic"; it is kept so configs name the potential.
     """
 
     kind: str
@@ -43,19 +40,18 @@ class PotentialParams:
     K: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in (LOGARITHMIC, POLYNOMIAL):
-            raise ValueError(f"potential kind must be 'logarithmic' or 'polynomial', got {self.kind!r}")
-        if self.kind == LOGARITHMIC:
-            if not self.c > 1.0:
-                raise ValueError(f"potential c must be > 1 for the logarithmic kind, got {self.c}")
-            if not self.K >= 0.0:
-                raise ValueError(f"potential K must be >= 0, got {self.K}")
-            # K must dominate the well depth; the minimum of beta_hat - c r^2
-            # is attained at the positive root of beta(r) = 2 c r.
-            if self.K < default_offset(self.c) - 1e-9:
-                raise ValueError(
-                    f"potential K={self.K} leaves F negative; need K >= {default_offset(self.c):.12g} for c={self.c}"
-                )
+        if self.kind != LOGARITHMIC:
+            raise ValueError(f"potential kind must be 'logarithmic', got {self.kind!r}")
+        if not self.c > 1.0:
+            raise ValueError(f"potential c must be > 1 for the logarithmic kind, got {self.c}")
+        if not self.K >= 0.0:
+            raise ValueError(f"potential K must be >= 0, got {self.K}")
+        # K must dominate the well depth; the minimum of beta_hat - c r^2
+        # is attained at the positive root of beta(r) = 2 c r.
+        if self.K < default_offset(self.c) - 1e-9:
+            raise ValueError(
+                f"potential K={self.K} leaves F negative; need K >= {default_offset(self.c):.12g} for c={self.c}"
+            )
 
 
 def default_offset(c: float) -> float:
@@ -68,10 +64,6 @@ def logarithmic_params(c: float = 2.0, K: float | None = None) -> PotentialParam
     if K is None:
         K = default_offset(c)
     return PotentialParams(kind=LOGARITHMIC, c=c, K=K)
-
-
-def polynomial_params() -> PotentialParams:
-    return PotentialParams(kind=POLYNOMIAL)
 
 
 @dataclass(frozen=True)
@@ -132,11 +124,7 @@ def beta_family_eval(r):
 
 
 def potential_eval(params: PotentialParams, r):
-    """Return (F, F', F'') at r for the chosen potential."""
-    if params.kind == POLYNOMIAL:
-        r = np.asarray(r, dtype=float)
-        one_m = 1.0 - r * r
-        return 0.25 * one_m * one_m, r**3 - r, 3.0 * r * r - 1.0
+    """Return (F, F', F'') at r, |r| < 1 strictly."""
     beta, beta_prime, beta_hat = beta_family_eval(r)
     r = np.asarray(r, dtype=float)
     F = beta_hat - params.c * r * r + params.K
@@ -242,9 +230,7 @@ def yosida_eval(level: YosidaLevel, x):
 
 
 def regularized_potential_eval(params: PotentialParams, level: YosidaLevel, r):
-    """Return (F_lam, F_lam', F_lam'') at r; logarithmic kind only."""
-    if params.kind != LOGARITHMIC:
-        raise ValueError("regularized potentials are defined for the logarithmic kind only")
+    """Return (F_lam, F_lam', F_lam'') at r, defined on all of R."""
     r = np.asarray(r, dtype=float)
     beta_l, beta_l_prime, beta_hat_l = yosida_eval(level, r)
     Fl = params.K + beta_hat_l - params.c * r * r

@@ -14,16 +14,17 @@ The nonlinear solve is a damped Newton iteration whose SPD Jacobian
 systems go to conjugate gradients preconditioned by the exact heat
 operator (I - dt*lap)^(-1), applied spectrally.
 
-Fields may carry leading batch axes (replicates, coupled lanes); the
-whole pipeline broadcasts over them and per-member noise increments are
-drawn from counter streams keyed (seed, replicate, step, mode).
+Fields may carry leading batch axes (replicates, coupled lanes) and
+everything here broadcasts over them.  This module holds one step; the
+time loop, the noise draws and the path statistics live in
+experiments._run_lanes, the package's only integration engine.  The
+weak-form and Gateaux diagnostics check the scheme and the potential.
 """
 
 from __future__ import annotations
 
-import hashlib
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -142,307 +143,43 @@ def _monotone_solve(g: gr.Grid, lam, rhs, dt: float, cfg: StepperConfig, w0=None
             if not np.any(bad):
                 break
             damp = np.where(bad, 0.5 * damp, damp)
+        else:
+            raise RuntimeError(
+                f"implicit step failed: backtracking exhausted, 12 dampings all raise residual {float(np.max(res)):.3e}"
+            )
         w, F, bl, blp, res = w_try, F_try, bl_try, blp_try, res_try
     raise RuntimeError(
         f"implicit step failed: residual {float(np.max(res)):.3e} after {cfg.outer_newton_max} Newton iterations"
     )
 
 
-def implicit_solve(g: gr.Grid, params, level: pot.YosidaLevel | None, rhs, dt: float, cfg: StepperConfig, w0=None):
-    """Public implicit-stage solve; see _monotone_solve for the equation."""
-    rhs = np.asarray(rhs, dtype=float)
-    if params is not None and params.kind == pot.POLYNOMIAL:
-        raise ValueError("the time stepper integrates the logarithmic (or potential-free) dynamics")
-    lam = None if (params is None or level is None) else level.lam
-    w, _ = _monotone_solve(g, lam, rhs, dt, cfg, w0=w0)
-    return w
+def step(g: gr.Grid, lam, c: float, spec: nz.NoiseSpec, u, dw, g_force, cfg: StepperConfig):
+    """One scheme step from u; returns (u_next, beta_lam(u_next)).
 
-
-@dataclass
-class TrajectoryState:
-    """One stochastic path (or a batch of them) plus running diagnostics."""
-
-    t: float
-    step_index: int
-    u: np.ndarray
-    replicates: np.ndarray  # replicate key per batch row (scalar array for a single path)
-    beta_of_u: np.ndarray  # cached beta_lam(u), reused by the left-endpoint quadratures
-    stoch_integral: np.ndarray  # running sum of the diffusion fields
-    sup_h_sq: np.ndarray
-    sup_grad_sq: np.ndarray
-    int_grad_sq: np.ndarray
-    int_f1_sq: np.ndarray
-    int_beta_sq: np.ndarray
-    int_lap_sq: np.ndarray
-    int_abs_gauge_prime: np.ndarray
-    excursion_count: np.ndarray
-    sample_count: int
-    first_excursion_time: np.ndarray
-    hasher: "hashlib._Hash"
-
-
-@dataclass
-class PathStats:
-    """Pathwise functionals: running sups and left-endpoint time integrals."""
-
-    sup_h_sq: np.ndarray
-    sup_grad_sq: np.ndarray
-    int_grad_sq: np.ndarray
-    int_f1_sq: np.ndarray
-    int_beta_sq: np.ndarray
-    int_lap_sq: np.ndarray
-    int_gauge: np.ndarray | None
-    int_abs_gauge_prime: np.ndarray | None
-    gauge_series: np.ndarray | None  # spatial integral of G_n at every output time
-    excursion_fraction: np.ndarray
-    first_excursion_time: np.ndarray
-    increments_digest: str
-    path: "TrajectoryRecord | None" = None
+    The explicit part is the concave term 2c*u, the forcing and the noise
+    sum_k h_k(J_lam(u)) dW_k; dw holds the mode increments with shape
+    u's batch axes + (modes,) and is ignored when spec has no modes.
+    lam=None with c=0 integrates the plain heat equation.
+    """
+    dt = cfg.dt
+    noise_field = nz.mix_modes(spec, pot.resolvent_map(lam, u), dw, g.dim) if spec.modes > 0 else 0.0
+    rhs = u + dt * (2.0 * c) * u + noise_field
+    if g_force is not None:
+        rhs = rhs + dt * g_force
+    return _monotone_solve(g, lam, rhs, dt, cfg, w0=u)
 
 
 @dataclass
 class TrajectoryRecord:
-    """Full path storage for after-the-fact weak-form checks."""
+    """A stored path for after-the-fact weak-form checks."""
 
     grid: gr.Grid
     params: pot.PotentialParams | None
     level: pot.YosidaLevel | None
     dt: float
-    times: np.ndarray
     states: np.ndarray  # (n_steps+1, *field shape)
-    stoch_integral: np.ndarray
+    stoch_integral: np.ndarray  # sum of the noise fields over the steps
     g_force: np.ndarray | None
-
-
-def _gauge_slice(g: gr.Grid, gauge: pot.GaugeOrder, u):
-    """(masked integral of G_n, masked integral of |G_n'|, excursion count).
-
-    G_n is evaluated only where |u| < 1; samples outside count as excursions.
-    """
-    inside = np.abs(u) < 1.0
-    safe = np.where(inside, u, 0.0)
-    Gn, Gnp = pot.gauge_eval(gauge, safe)
-    axes = tuple(range(u.ndim - g.dim, u.ndim))
-    ig = np.sum(np.where(inside, Gn, 0.0), axis=axes) * g.cell_volume
-    igp = np.sum(np.where(inside, np.abs(Gnp), 0.0), axis=axes) * g.cell_volume
-    count = np.sum(~inside, axis=axes)
-    return ig, igp, count
-
-
-def init_state(g: gr.Grid, params, level, u0, replicates=None) -> TrajectoryState:
-    u0 = np.array(np.asarray(u0, dtype=float), copy=True)
-    batch = u0.shape[: u0.ndim - g.dim]
-    if replicates is None:
-        replicates = np.arange(batch[-1]) if batch else np.asarray(0)
-    replicates = np.asarray(replicates)
-    if params is not None and level is not None:
-        beta0, _, _ = pot.yosida_eval(level, u0)
-    else:
-        beta0 = np.zeros_like(u0)
-    hsq, gsq, _ = gr.norms(g, u0)
-    zeros = np.zeros(batch)
-    return TrajectoryState(
-        t=0.0,
-        step_index=0,
-        u=u0,
-        replicates=replicates,
-        beta_of_u=beta0,
-        stoch_integral=np.zeros_like(u0),
-        sup_h_sq=np.asarray(hsq, dtype=float).copy(),
-        sup_grad_sq=np.asarray(gsq, dtype=float).copy(),
-        int_grad_sq=zeros.copy(),
-        int_f1_sq=zeros.copy(),
-        int_beta_sq=zeros.copy(),
-        int_lap_sq=zeros.copy(),
-        int_abs_gauge_prime=zeros.copy(),
-        excursion_count=np.sum(np.abs(u0) >= 1.0, axis=tuple(range(u0.ndim - g.dim, u0.ndim))).astype(float),
-        sample_count=int(np.prod(g.shape)),
-        first_excursion_time=np.where(np.max(np.abs(u0), axis=tuple(range(u0.ndim - g.dim, u0.ndim))) >= 1.0, 0.0, np.inf),
-        hasher=hashlib.sha256(),
-    )
-
-
-def step(
-    state: TrajectoryState,
-    g: gr.Grid,
-    params: pot.PotentialParams | None,
-    level: pot.YosidaLevel | None,
-    spec: nz.NoiseSpec,
-    g_force,
-    cfg: StepperConfig,
-    seed: int,
-    increments=None,
-    gauge: pot.GaugeOrder | None = None,
-) -> TrajectoryState:
-    """Advance one time step, accumulating the left-endpoint quadratures at u_m."""
-    u = state.u
-    dt = cfg.dt
-    dim = g.dim
-    batch = u.shape[: u.ndim - dim]
-
-    if increments is not None:
-        dw = np.asarray(increments, dtype=float)
-    elif spec.modes > 0:
-        reps = np.atleast_1d(state.replicates)
-        dw = np.empty(reps.shape + (spec.modes,))
-        flat = dw.reshape(-1, spec.modes)
-        for i, rep in enumerate(reps.reshape(-1)):
-            flat[i] = nz.counter_normals(seed, nz.CTR_INCREMENTS, state.step_index, int(rep), spec.modes)
-        dw *= np.sqrt(dt)
-        if state.replicates.ndim == 0:
-            dw = dw[0]
-        if dw.shape[:-1] != batch:
-            dw = np.broadcast_to(dw, batch + (spec.modes,))
-    else:
-        dw = np.zeros(batch + (0,))
-
-    if spec.modes > 0:
-        noise_field = nz.diffusion_apply(spec, u, dw, level, dim)
-    else:
-        noise_field = np.zeros_like(u)
-
-    # left-endpoint quadrature contributions at u_m
-    int_grad_sq = state.int_grad_sq + dt * gr.grad_norm_sq(g, u)
-    int_beta_sq = state.int_beta_sq + dt * gr.h_norm_sq(g, state.beta_of_u)
-    if params is not None:
-        f1 = state.beta_of_u - 2.0 * params.c * u
-        int_f1_sq = state.int_f1_sq + dt * gr.h_norm_sq(g, f1)
-    else:
-        int_f1_sq = state.int_f1_sq
-    int_lap_sq = state.int_lap_sq + dt * gr.h_norm_sq(g, gr.laplacian_neumann(g, u))
-    if gauge is not None:
-        _, igp, _ = _gauge_slice(g, gauge, u)
-        int_abs_gauge_prime = state.int_abs_gauge_prime + dt * igp
-    else:
-        int_abs_gauge_prime = state.int_abs_gauge_prime
-
-    rhs = u + dt * (2.0 * params.c * u if params is not None else 0.0) + noise_field
-    if g_force is not None:
-        rhs = rhs + dt * g_force
-    lam = None if (params is None or level is None) else level.lam
-    w, beta_w = _monotone_solve(g, lam, rhs, dt, cfg, w0=u)
-
-    hsq, gsq, supn = gr.norms(g, w)
-    t_new = state.t + dt
-    excursions_now = np.sum(np.abs(w) >= 1.0, axis=tuple(range(w.ndim - dim, w.ndim)))
-    first_exc = np.where(
-        np.isinf(state.first_excursion_time) & (supn >= 1.0), t_new, state.first_excursion_time
-    )
-    hasher = state.hasher
-    hasher.update(np.ascontiguousarray(dw).tobytes())
-
-    return replace(
-        state,
-        t=t_new,
-        step_index=state.step_index + 1,
-        u=w,
-        beta_of_u=beta_w,
-        stoch_integral=state.stoch_integral + noise_field,
-        sup_h_sq=np.maximum(state.sup_h_sq, hsq),
-        sup_grad_sq=np.maximum(state.sup_grad_sq, gsq),
-        int_grad_sq=int_grad_sq,
-        int_f1_sq=int_f1_sq,
-        int_beta_sq=int_beta_sq,
-        int_lap_sq=int_lap_sq,
-        int_abs_gauge_prime=int_abs_gauge_prime,
-        excursion_count=state.excursion_count + excursions_now,
-        first_excursion_time=first_exc,
-        hasher=hasher,
-    )
-
-
-def simulate(
-    u0,
-    g_force,
-    level: pot.YosidaLevel | None,
-    spec: nz.NoiseSpec,
-    cfg: StepperConfig,
-    g: gr.Grid,
-    params: pot.PotentialParams | None,
-    seed: int = 0,
-    *,
-    replicates=None,
-    gauge: pot.GaugeOrder | None = None,
-    keep_path: bool = False,
-    increments=None,
-    snapshot_stride: int = 0,
-    snapshot_dir: str | None = None,
-) -> tuple[TrajectoryState, PathStats]:
-    """Run ceil(t_end/dt) steps from u0 and collect PathStats.
-
-    u0 may be a single field or a (replicates, ...) batch; increments, when
-    given, override the counter streams and must have shape
-    (n_steps, ...batch..., modes).  A positive snapshot_stride writes the
-    (single-path) field to snapshot_dir every that-many steps.
-    """
-    u0 = np.asarray(u0, dtype=float)
-    if not np.all(np.isfinite(u0)):
-        raise ValueError("u0 must be finite")
-    if params is not None and params.kind == pot.LOGARITHMIC:
-        if level is None:
-            raise ValueError("logarithmic dynamics require a Yosida level")
-        if np.any(np.abs(u0) >= 1.0):
-            raise ValueError("u0 must satisfy ||u0||_inf < 1 so the initial energy is finite")
-    state = init_state(g, params, level, u0, replicates=replicates)
-    n_steps = cfg.n_steps
-
-    if snapshot_stride > 0:
-        if u0.shape != g.shape:
-            raise ValueError("snapshots are emitted for single-path runs only")
-        if snapshot_dir is None:
-            raise ValueError("snapshot_stride > 0 needs a snapshot_dir")
-
-    def emit(st_):
-        if snapshot_stride > 0 and st_.step_index % snapshot_stride == 0:
-            gr.save_field(f"{snapshot_dir}/step_{st_.step_index:06d}.acf", g, st_.u)
-
-    gauge_series = None
-    if gauge is not None:
-        ig0, _, _ = _gauge_slice(g, gauge, state.u)
-        gauge_series = [ig0]
-    states = [state.u.copy()] if keep_path else None
-    emit(state)
-
-    for m in range(n_steps):
-        inc_m = None if increments is None else increments[m]
-        state = step(state, g, params, level, spec, g_force, cfg, seed, increments=inc_m, gauge=gauge)
-        if gauge is not None:
-            ig, _, _ = _gauge_slice(g, gauge, state.u)
-            gauge_series.append(ig)
-        if keep_path:
-            states.append(state.u.copy())
-        emit(state)
-
-    total_samples = (n_steps + 1) * state.sample_count
-    stats = PathStats(
-        sup_h_sq=state.sup_h_sq,
-        sup_grad_sq=state.sup_grad_sq,
-        int_grad_sq=state.int_grad_sq,
-        int_f1_sq=state.int_f1_sq,
-        int_beta_sq=state.int_beta_sq,
-        int_lap_sq=state.int_lap_sq,
-        int_gauge=None,
-        int_abs_gauge_prime=state.int_abs_gauge_prime if gauge is not None else None,
-        gauge_series=np.asarray(gauge_series) if gauge is not None else None,
-        excursion_fraction=state.excursion_count / total_samples,
-        first_excursion_time=state.first_excursion_time,
-        increments_digest=state.hasher.hexdigest(),
-    )
-    if gauge is not None:
-        # left-endpoint time integral of the spatial G_n integrals
-        stats.int_gauge = cfg.dt * np.sum(stats.gauge_series[:-1], axis=0) if n_steps > 0 else np.zeros_like(stats.gauge_series[0])
-    if keep_path:
-        stats.path = TrajectoryRecord(
-            grid=g,
-            params=params,
-            level=level,
-            dt=cfg.dt,
-            times=cfg.dt * np.arange(n_steps + 1),
-            states=np.asarray(states),
-            stoch_integral=state.stoch_integral,
-            g_force=None if g_force is None else np.asarray(g_force, dtype=float),
-        )
-    return state, stats
 
 
 def grad_inner(g: gr.Grid, u, v):

@@ -130,8 +130,8 @@ class TestRunCommands:
         cfg = cli.parse_config(write_config(tmp_path, payload))
         cfg_a = replace(cfg, output_dir=str(tmp_path / "a"))
         cfg_b = replace(cfg, output_dir=str(tmp_path / "b"))
-        assert cli.run("uniform", cfg_a, threads=1) == 0
-        assert cli.run("uniform", cfg_b, threads=8) == 0
+        assert cli.run("uniform", cfg_a) == 0
+        assert cli.run("uniform", cfg_b) == 0
         csv_a = (tmp_path / "a" / "uniform.csv").read_bytes()
         csv_b = (tmp_path / "b" / "uniform.csv").read_bytes()
         assert csv_a == csv_b

@@ -209,11 +209,11 @@ class TestDerivativeStudy:
         g = gr.Grid(extent=(1.0,), cells=(16,))
         cfg = st.StepperConfig(dt=1e-3, t_end=0.02)
         quiet = nz.NoiseSpec(family="poly_flat", modes=0, decay_exponent=2.0, amplitude=0.0, flatness=3)
-        _, stats = st.simulate(
-            np.zeros(16), None, level, quiet, cfg, g, params, seed=0, gauge=pot.GaugeOrder(2)
-        )
-        assert stats.int_gauge == pytest.approx(g.measure * 0.02, rel=1e-12)
-        assert stats.int_abs_gauge_prime == pytest.approx(0.0, abs=1e-14)
+        lanes = [ex.Lane(level.lam, np.zeros((1, 16)), None)]
+        out = ex._run_lanes(lanes, quiet, cfg, g, params, seed=0, gauge=pot.GaugeOrder(2))
+        int_gauge = cfg.dt * np.sum(out["gauge_series"][:-1])  # left-endpoint rule
+        assert int_gauge == pytest.approx(g.measure * 0.02, rel=1e-12)
+        assert out["stats"]["int_abs_gauge_prime"][0, 0] == pytest.approx(0.0, abs=1e-14)
 
     def test_higher_order_dominates(self):
         # G_3 >= G_2 pointwise on (-1, 1), so every statistic is ordered
@@ -245,8 +245,8 @@ class TestOracles:
         g = gr.Grid(extent=(1.0,), cells=(32,))
         cfg = st.StepperConfig(dt=1e-3, t_end=0.05)
         quiet = nz.NoiseSpec(family="sine", modes=0, decay_exponent=2.0, amplitude=0.0)
-        state, _ = st.simulate(np.zeros(32), None, None, quiet, cfg, g, None, seed=0)
-        assert np.all(state.u == 0.0)
+        out = ex._run_lanes([ex.Lane(None, np.zeros((1, 32)), None)], quiet, cfg, g, None, seed=0)
+        assert np.all(out["final"] == 0.0)
 
     def test_deterministic_in_seed(self):
         a = ex.heat_and_ode_oracles(small_config(seed=1))

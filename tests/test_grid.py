@@ -138,10 +138,6 @@ class TestEnergy:
                 u = rng.uniform(-0.98, 0.98, size=32)
                 assert gr.energy(g, params, level, u) <= gr.energy(g, params, None, u) + 1e-12
 
-    def test_polynomial_pure_phase(self):
-        g = gr.Grid(extent=(1.0,), cells=(8,))
-        assert gr.energy(g, pot.polynomial_params(), None, np.ones(8)) == 0.0
-
     def test_sharp_energy_needs_interior_state(self):
         params = pot.logarithmic_params(c=2.0)
         g = gr.Grid(extent=(1.0,), cells=(8,))

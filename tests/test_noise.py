@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from logac import noise as nz
 from logac.grid import Grid
-from logac.potential import YosidaLevel
+from logac.potential import YosidaLevel, resolvent_map
 
 
 def spec_sine(modes=4, s=2.0, sigma0=1.0):
@@ -68,29 +68,36 @@ class TestCbBound:
         assert nz.cb_bound(spec_small) >= far_sum
 
 
+def draw(seed, replicate, step, spec, dt):
+    """Increments of one replicate: row `replicate` of the step's block."""
+    return nz.sample_increment_block(seed, replicate + 1, step, spec, dt)[replicate]
+
+
 class TestIncrements:
     def test_empty(self):
-        inc = nz.sample_increments(1, 0, 0, spec_sine(modes=0), 0.1)
-        assert inc.dw.shape == (0,)
+        assert nz.sample_increment_block(1, 3, 0, spec_sine(modes=0), 0.1).shape == (3, 0)
 
     def test_deterministic(self):
         spec = spec_sine(modes=8)
-        a = nz.sample_increments(123, 4, 17, spec, 1e-3)
-        b = nz.sample_increments(123, 4, 17, spec, 1e-3)
-        assert np.array_equal(a.dw, b.dw)
+        a = nz.sample_increment_block(123, 5, 17, spec, 1e-3)
+        b = nz.sample_increment_block(123, 5, 17, spec, 1e-3)
+        assert np.array_equal(a, b)
 
     def test_keys_separate_streams(self):
         spec = spec_sine(modes=8)
-        base = nz.sample_increments(123, 4, 17, spec, 1e-3).dw
-        assert not np.array_equal(nz.sample_increments(124, 4, 17, spec, 1e-3).dw, base)
-        assert not np.array_equal(nz.sample_increments(123, 5, 17, spec, 1e-3).dw, base)
-        assert not np.array_equal(nz.sample_increments(123, 4, 18, spec, 1e-3).dw, base)
+        base = draw(123, 4, 17, spec, 1e-3)
+        assert not np.array_equal(draw(124, 4, 17, spec, 1e-3), base)
+        assert not np.array_equal(draw(123, 5, 17, spec, 1e-3), base)
+        assert not np.array_equal(draw(123, 4, 18, spec, 1e-3), base)
 
     def test_block_matches_single_draws(self):
+        # row rep is the counter stream keyed (seed, rep, step), scaled by sqrt(dt)
         spec = spec_sine(modes=5)
         block = nz.sample_increment_block(7, 6, 3, spec, 0.25)
         for rep in range(6):
-            assert np.array_equal(block[rep], nz.sample_increments(7, rep, 3, spec, 0.25).dw)
+            z = nz.counter_normals(7, nz.CTR_INCREMENTS, 3, rep, spec.modes)
+            assert np.array_equal(block[rep], np.sqrt(0.25) * z)
+            assert np.array_equal(draw(7, rep, 3, spec, 0.25), block[rep])
 
     def test_moments(self):
         # 1e5 draws of Normal(0, dt): mean and variance inside 4-sigma bands
@@ -109,47 +116,50 @@ class TestIncrements:
 
 
 class TestDiffusionField:
+    # the noise field of one step is mix_modes(spec, J_lam(u), dW); v = u at the pure phases
     def test_shutoff_at_extremes(self):
         spec = spec_sine(modes=6)
-        inc = nz.sample_increments(0, 0, 0, spec, 1e-2)
+        dw = draw(0, 0, 0, spec, 1e-2)
         u = np.ones(12)
-        out = nz.diffusion_field(spec, u, inc, level=None)
+        out = nz.mix_modes(spec, u, dw, 1)
         assert np.all(out == 0.0)
         u[3] = -1.0
         u[7] = 0.4
-        out = nz.diffusion_field(spec, u, inc, level=None)
+        out = nz.mix_modes(spec, u, dw, 1)
         assert out[3] == 0.0 and out[0] == 0.0
         assert out[7] != 0.0
 
     def test_no_modes_zero_field(self):
-        spec = spec_sine(modes=0)
-        out = nz.diffusion_field(spec, np.zeros(5), nz.NoiseIncrement(dw=np.zeros(0)), None)
+        out = nz.mix_modes(spec_sine(modes=0), np.zeros(5), np.zeros(0), 1)
+        assert out.shape == (5,)
         assert np.all(out == 0.0)
 
     def test_single_mode_closed_form(self):
         spec = spec_sine(modes=1, sigma0=0.7)
         delta = 0.321
-        out = nz.diffusion_field(spec, np.zeros(9), nz.NoiseIncrement(dw=np.array([delta])), None)
+        out = nz.mix_modes(spec, np.zeros(9), np.array([delta]), 1)
         # h_1(0) = sigma0 sin(pi/2) = sigma0 exactly
         assert np.all(out == 0.7 * delta)
 
     def test_domain_error_without_level(self):
-        spec = spec_sine()
-        inc = nz.sample_increments(0, 0, 0, spec, 1e-2)
+        g = Grid(extent=(1.0,), cells=(2,))
         with pytest.raises(ValueError, match="inf"):
-            nz.diffusion_field(spec, np.array([0.0, 1.2]), inc, level=None)
+            nz.hs_norm_sq(spec_sine(), g, np.array([0.0, 1.2]), None)
 
     def test_level_maps_state_inside(self):
         spec = spec_sine()
-        inc = nz.sample_increments(0, 0, 0, spec, 1e-2)
-        out = nz.diffusion_field(spec, np.array([0.0, 3.5, -8.0]), inc, level=YosidaLevel(0.2))
-        assert np.all(np.isfinite(out))
+        u = np.array([0.0, 3.5, -8.0])
+        v = resolvent_map(0.2, u)
+        assert np.all(np.abs(v) < 1.0)
+        assert np.all(np.isfinite(nz.mix_modes(spec, v, draw(0, 0, 0, spec, 1e-2), 1)))
+        g = Grid(extent=(1.0,), cells=(3,))
+        assert nz.hs_norm_sq(spec, g, u, YosidaLevel(0.2)) == nz.hs_norm_sq(spec, g, v, None)
 
     def test_batched_alignment(self):
         spec = spec_sine(modes=3)
         u = np.zeros((2, 5))
         dw = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-        out = nz.diffusion_apply(spec, u, dw, None, field_ndim=1)
+        out = nz.mix_modes(spec, u, dw, 1)
         assert np.all(out[1] == 0.0)
         assert np.all(out[0] == spec.amplitude)
 

@@ -71,11 +71,6 @@ class TestPotentialEval:
         assert F1 == 0.0
         assert F2 == 2.0 - 2.0 * params.c
 
-    def test_polynomial_minimum(self):
-        params = pot.polynomial_params()
-        F, F1, F2 = pot.potential_eval(params, 1.0)
-        assert (F, F1, F2) == (0.0, 0.0, 2.0)
-
     def test_logarithmic_slope_value(self):
         params = pot.PotentialParams(kind="logarithmic", c=2.0, K=pot.default_offset(2.0))
         _, F1, _ = pot.potential_eval(params, 0.9)
@@ -255,10 +250,6 @@ class TestRegularizedPotential:
         for lam in (0.9, 0.3, 0.01):
             _, _, Fl2 = pot.regularized_potential_eval(params, pot.YosidaLevel(lam), x)
             assert np.all(Fl2 + 2.0 * params.c > 0.0)
-
-    def test_polynomial_rejected(self):
-        with pytest.raises(ValueError):
-            pot.regularized_potential_eval(pot.polynomial_params(), pot.YosidaLevel(0.1), 0.0)
 
 
 class TestGauge:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from logac import experiments as ex
 from logac import grid as gr
 from logac import noise as nz
 from logac import potential as pot
@@ -50,20 +51,41 @@ def dense_implicit_oracle(g, lam, rhs, dt, iters=60):
     return w
 
 
+def solve(g, lam, rhs, dt, cfg):
+    w, _ = st._monotone_solve(g, lam, np.asarray(rhs, dtype=float), dt, cfg)
+    return w
+
+
+def run_path(u0, lam, cfg, g, params, spec=QUIET, seed=0, gauge=None):
+    """One lane of the engine; u0 is a (replicates, *grid) batch."""
+    return ex._run_lanes([ex.Lane(lam, u0, None)], spec, cfg, g, params, seed, gauge=gauge)
+
+
+def record_path(g, params, level, spec, u0, cfg, increments):
+    """Step u0 through the given per-step increments, keeping every state."""
+    lam = None if level is None else level.lam
+    c = 0.0 if params is None else params.c
+    u, states, stoch = u0, [u0], np.zeros_like(u0)
+    for dw in increments:
+        if spec.modes:
+            stoch = stoch + nz.mix_modes(spec, pot.resolvent_map(lam, u), dw, g.dim)
+        u, _ = st.step(g, lam, c, spec, u, dw, None, cfg)
+        states.append(u)
+    return st.TrajectoryRecord(g, params, level, cfg.dt, np.asarray(states), stoch, None)
+
+
 class TestImplicitSolve:
     def test_zero_rhs(self):
         g = gr.Grid(extent=(1.0,), cells=(16,))
         cfg = st.StepperConfig(dt=1e-2, t_end=1.0)
-        params = pot.logarithmic_params(c=2.0)
-        w = st.implicit_solve(g, params, pot.YosidaLevel(0.1), np.zeros(16), 1e-2, cfg)
+        w = solve(g, 0.1, np.zeros(16), 1e-2, cfg)
         assert np.all(w == 0.0)
 
     def test_constant_rhs_matches_scalar_oracle(self):
         g = gr.Grid(extent=(1.0,), cells=(8,))
         cfg = st.StepperConfig(dt=1e-2, t_end=1.0, outer_newton_tol=1e-12)
-        params = pot.logarithmic_params(c=2.0)
         for lam, dt, rho in ((0.2, 0.05, 0.8), (0.05, 0.01, -1.4), (0.5, 0.3, 2.0)):
-            w = st.implicit_solve(g, params, pot.YosidaLevel(lam), np.full(8, rho), dt, cfg)
+            w = solve(g, lam, np.full(8, rho), dt, cfg)
             expected = scalar_implicit_oracle(lam, dt, rho)
             assert np.allclose(w, expected, atol=1e-10)
             assert np.ptp(w) < 1e-12  # constant in, constant out
@@ -71,14 +93,13 @@ class TestImplicitSolve:
     def test_matches_dense_newton_and_preserves_order(self):
         g = gr.Grid(extent=(1.0,), cells=(8,))
         cfg = st.StepperConfig(dt=1e-2, t_end=1.0, outer_newton_tol=1e-12)
-        params = pot.logarithmic_params(c=2.0)
         rng = np.random.default_rng(17)
         lam, dt = 0.1, 0.04
         for _ in range(10):
             rhs2 = rng.uniform(-1.5, 1.5, size=8)
             rhs1 = rhs2 + rng.uniform(0.0, 1.0, size=8)
-            w1 = st.implicit_solve(g, params, pot.YosidaLevel(lam), rhs1, dt, cfg)
-            w2 = st.implicit_solve(g, params, pot.YosidaLevel(lam), rhs2, dt, cfg)
+            w1 = solve(g, lam, rhs1, dt, cfg)
+            w2 = solve(g, lam, rhs2, dt, cfg)
             assert np.allclose(w1, dense_implicit_oracle(g, lam, rhs1, dt), atol=1e-9)
             assert np.allclose(w2, dense_implicit_oracle(g, lam, rhs2, dt), atol=1e-9)
             assert np.all(w1 >= w2 - 1e-11)
@@ -86,23 +107,26 @@ class TestImplicitSolve:
     def test_unconditional_solvability(self):
         # strict monotonicity of the implicit map: any dt with any lam
         g = gr.Grid(extent=(1.0,), cells=(32,))
-        params = pot.logarithmic_params(c=2.0)
         rng = np.random.default_rng(23)
         rhs = rng.uniform(-3, 3, size=32)
         for dt in (1e-3, 1e-2, 1e-1, 1.0):
             cfg = st.StepperConfig(dt=dt, t_end=dt, outer_newton_tol=1e-10)
             for lam in (1e-3, 1e-2, 1e-1, 0.9):
                 level = pot.YosidaLevel(lam)
-                w = st.implicit_solve(g, params, level, rhs, dt, cfg)
+                w = solve(g, lam, rhs, dt, cfg)
                 bl, _, _ = pot.yosida_eval(level, w)
                 resid = w - dt * gr.laplacian_neumann(g, w) + dt * bl - rhs
                 assert np.max(np.abs(resid)) <= 1e-10
 
-    def test_polynomial_rejected(self):
-        g = gr.Grid(extent=(1.0,), cells=(8,))
+    def test_backtracking_exhaustion_raises(self, monkeypatch):
+        # a wrong-sign Jacobian solve gives an ascent direction, so every damping raises the residual
+        g = gr.Grid(extent=(1.0,), cells=(16,))
         cfg = st.StepperConfig(dt=1e-2, t_end=1.0)
-        with pytest.raises(ValueError):
-            st.implicit_solve(g, pot.polynomial_params(), pot.YosidaLevel(0.1), np.zeros(8), 1e-2, cfg)
+        pcg = st._pcg
+        monkeypatch.setattr(st, "_pcg", lambda *args: -pcg(*args))
+        rhs = np.random.default_rng(3).uniform(-2.0, 2.0, size=16)
+        with pytest.raises(RuntimeError, match="backtracking exhausted"):
+            solve(g, 0.1, rhs, 1e-2, cfg)
 
 
 class TestStep:
@@ -110,9 +134,8 @@ class TestStep:
         g = gr.Grid(extent=(1.0,), cells=(16,))
         params = pot.logarithmic_params(c=2.0)
         cfg = st.StepperConfig(dt=1e-3, t_end=0.01)
-        state = st.init_state(g, params, pot.YosidaLevel(0.1), np.zeros(16))
-        state = st.step(state, g, params, pot.YosidaLevel(0.1), QUIET, None, cfg, seed=0)
-        assert np.all(state.u == 0.0)
+        u, _ = st.step(g, 0.1, params.c, QUIET, np.zeros(16), None, None, cfg)
+        assert np.all(u == 0.0)
 
     def test_heat_limit(self):
         # potential off, noise off: first Neumann cosine mode decays analytically
@@ -120,9 +143,9 @@ class TestStep:
         x = g.cell_centers()
         u0 = 0.5 * np.cos(np.pi * x)
         cfg = st.StepperConfig(dt=1e-3, t_end=0.05)
-        state, _ = st.simulate(u0, None, None, QUIET, cfg, g, None, seed=0)
+        u = run_path(u0[None], None, cfg, g, None)["final"][0, 0]
         exact = 0.5 * math.exp(-np.pi**2 * 0.05) * np.cos(np.pi * x)
-        assert np.max(np.abs(state.u - exact)) < 2e-3
+        assert np.max(np.abs(u - exact)) < 2e-3
 
     def test_zero_dimensional_reduction(self):
         # spatially constant states follow u' = -F'_lam(u); mirror ghosts kill the Laplacian
@@ -130,130 +153,119 @@ class TestStep:
         level = pot.YosidaLevel(0.1)
         g = gr.Grid(extent=(1.0,), cells=(2,))
         cfg = st.StepperConfig(dt=1e-3, t_end=0.5)
-        state, _ = st.simulate(np.full(2, 0.1), None, level, QUIET, cfg, g, params, seed=0)
+        u = run_path(np.full((1, 2), 0.1), level.lam, cfg, g, params)["final"][0, 0]
 
         def rhs(_t, y):
             bl, _, _ = pot.yosida_eval(level, y)
             return -(bl - 2.0 * params.c * y)
 
         ref = solve_ivp(rhs, (0.0, 0.5), [0.1], method="DOP853", rtol=1e-11, atol=1e-13)
-        assert np.ptp(state.u) < 1e-13
-        assert abs(float(state.u[0]) - float(ref.y[0, -1])) < 2e-3
+        assert np.ptp(u) < 1e-13
+        assert abs(float(u[0]) - float(ref.y[0, -1])) < 2e-3
 
     def test_energy_dissipation_deterministic(self):
         params = pot.logarithmic_params(c=2.0)
         level = pot.YosidaLevel(0.05)
         g = gr.Grid(extent=(1.0,), cells=(64,))
-        u0 = 0.5 * np.cos(np.pi * g.cell_centers())
+        u = 0.5 * np.cos(np.pi * g.cell_centers())
         cfg = st.StepperConfig(dt=1e-3, t_end=0.2)
-        state = st.init_state(g, params, level, u0)
-        e_prev = gr.energy(g, params, level, u0)
+        e_prev = gr.energy(g, params, level, u)
         slack = 10 * cfg.outer_newton_tol * g.measure
         for _ in range(cfg.n_steps):
-            state = st.step(state, g, params, level, QUIET, None, cfg, seed=0)
-            e = float(gr.energy(g, params, level, state.u))
+            u, _ = st.step(g, level.lam, params.c, QUIET, u, None, None, cfg)
+            e = float(gr.energy(g, params, level, u))
             assert e <= e_prev + slack
             e_prev = e
 
     def test_bit_reproducible(self):
         params = pot.logarithmic_params(c=2.0)
-        level = pot.YosidaLevel(0.1)
         spec = nz.NoiseSpec(family="sine", modes=8, decay_exponent=2.0, amplitude=0.5)
         g = gr.Grid(extent=(1.0,), cells=(32,))
         u0 = np.broadcast_to(0.3 * np.cos(np.pi * g.cell_centers()), (4, 32)).copy()
         cfg = st.StepperConfig(dt=1e-3, t_end=0.05)
-        s1, p1 = st.simulate(u0, None, level, spec, cfg, g, params, seed=99)
-        s2, p2 = st.simulate(u0, None, level, spec, cfg, g, params, seed=99)
-        assert np.array_equal(s1.u, s2.u)
-        assert p1.increments_digest == p2.increments_digest
-        assert np.array_equal(p1.sup_h_sq, p2.sup_h_sq)
+        a = run_path(u0, 0.1, cfg, g, params, spec=spec, seed=99)
+        b = run_path(u0, 0.1, cfg, g, params, spec=spec, seed=99)
+        assert np.array_equal(a["final"], b["final"])
+        assert a["increments_digest"] == b["increments_digest"]
+        assert np.array_equal(a["stats"]["sup_h_sq"], b["stats"]["sup_h_sq"])
 
     def test_zero_horizon_stats_from_datum(self):
         params = pot.logarithmic_params(c=2.0)
-        level = pot.YosidaLevel(0.1)
         g = gr.Grid(extent=(1.0,), cells=(16,))
         u0 = 0.4 * np.cos(np.pi * g.cell_centers())
         cfg = st.StepperConfig(dt=1e-3, t_end=0.0)
-        state, stats = st.simulate(u0, None, level, QUIET, cfg, g, params, seed=0, gauge=pot.GaugeOrder(2))
-        assert state.step_index == 0
-        assert stats.sup_h_sq == pytest.approx(gr.h_norm_sq(g, u0))
-        assert stats.int_grad_sq == 0.0
-        assert stats.int_gauge == 0.0
-        assert stats.gauge_series.shape == (1,)
+        out = run_path(u0[None], 0.1, cfg, g, params, gauge=pot.GaugeOrder(2))
+        assert out["n_steps"] == 0
+        assert out["stats"]["sup_h_sq"][0, 0] == pytest.approx(gr.h_norm_sq(g, u0))
+        assert out["stats"]["int_grad_sq"][0, 0] == 0.0
+        assert out["gauge_series"].shape == (1, 1, 1)
+        assert np.array_equal(out["final"][0, 0], u0)
 
     def test_excursion_recorded_not_fatal(self):
         # at lam = 0.2 and c = 2 the regularized well sits outside [-1, 1],
         # so a datum near the boundary is driven across it
         params = pot.logarithmic_params(c=2.0)
-        level = pot.YosidaLevel(0.2)
         g = gr.Grid(extent=(1.0,), cells=(8,))
         cfg = st.StepperConfig(dt=1e-2, t_end=0.5)
-        state, stats = st.simulate(np.full(8, 0.9), None, level, QUIET, cfg, g, params, seed=0)
-        assert np.isfinite(stats.first_excursion_time)
-        assert stats.excursion_fraction > 0.0
-        assert np.all(np.isfinite(state.u))
+        out = run_path(np.full((1, 8), 0.9), 0.2, cfg, g, params)
+        assert out["excursion_fraction"][0, 0] > 0.0
+        assert np.all(np.isfinite(out["final"]))
 
     def test_stable_with_dt_far_above_lambda(self):
         # the implicit monotone split needs no dt <= lam restriction
         params = pot.logarithmic_params(c=2.0)
-        level = pot.YosidaLevel(1e-3)
         g = gr.Grid(extent=(1.0,), cells=(32,))
         u0 = 0.5 * np.cos(np.pi * g.cell_centers())
         cfg = st.StepperConfig(dt=0.1, t_end=1.0)
-        state, _ = st.simulate(u0, None, level, QUIET, cfg, g, params, seed=0)
-        assert np.all(np.isfinite(state.u))
-        assert float(np.max(np.abs(state.u))) < 1.5
+        u = run_path(u0[None], 1e-3, cfg, g, params)["final"]
+        assert np.all(np.isfinite(u))
+        assert float(np.max(np.abs(u))) < 1.5
 
     def test_admissibility_enforced(self):
         params = pot.logarithmic_params(c=2.0)
         g = gr.Grid(extent=(1.0,), cells=(8,))
         cfg = st.StepperConfig(dt=1e-3, t_end=0.01)
         with pytest.raises(ValueError, match="u0"):
-            st.simulate(np.ones(8), None, pot.YosidaLevel(0.1), QUIET, cfg, g, params, seed=0)
+            run_path(np.ones((1, 8)), 0.1, cfg, g, params)
 
 
 class TestWeakResidual:
-    def _run(self, dt, increments, t_end=0.04):
+    SPEC = nz.NoiseSpec(family="sine", modes=4, decay_exponent=2.0, amplitude=0.4)
+
+    def _run(self, dt, increments):
         params = pot.logarithmic_params(c=2.0)
-        level = pot.YosidaLevel(0.1)
-        spec = nz.NoiseSpec(family="sine", modes=4, decay_exponent=2.0, amplitude=0.4)
         g = gr.Grid(extent=(1.0,), cells=(32,))
         u0 = 0.4 * np.cos(np.pi * g.cell_centers())
-        cfg = st.StepperConfig(dt=dt, t_end=t_end)
-        _, stats = st.simulate(
-            u0, None, level, spec, cfg, g, params, seed=5, keep_path=True, increments=increments
-        )
-        return g, stats.path
+        cfg = st.StepperConfig(dt=dt, t_end=0.04)
+        return record_path(g, params, pot.YosidaLevel(0.1), self.SPEC, u0, cfg, increments)
+
+    def _draws(self, dt):
+        n = st.StepperConfig(dt=dt, t_end=0.04).n_steps
+        return np.stack([nz.sample_increment_block(5, 1, m, self.SPEC, dt)[0] for m in range(n)])
 
     def test_mass_conservation_heat_part(self):
         # zero noise, zero potential, v = 1: the defect is pure round-off
         g = gr.Grid(extent=(1.0,), cells=(32,))
         u0 = 0.4 * np.cos(np.pi * g.cell_centers())
         cfg = st.StepperConfig(dt=1e-3, t_end=0.02)
-        _, stats = st.simulate(u0, None, None, QUIET, cfg, g, None, seed=0, keep_path=True)
-        defect = st.weak_residual_check(stats.path, np.ones(32))
+        record = record_path(g, None, None, QUIET, u0, cfg, [None] * cfg.n_steps)
+        defect = st.weak_residual_check(record, np.ones(32))
         assert defect < 1e-12
 
     def test_zero_test_function(self):
-        g, record = self._run(2e-3, None)
+        record = self._run(2e-3, self._draws(2e-3))
         assert st.weak_residual_check(record, np.zeros(32)) == 0.0
 
     def test_defect_halves_with_dt(self):
         # couple the paths through aggregated increments of the finest level
-        spec_modes = 4
-        n_fine = 40
-        fine = np.empty((n_fine, spec_modes))
-        spec = nz.NoiseSpec(family="sine", modes=spec_modes, decay_exponent=2.0, amplitude=0.4)
-        for m in range(n_fine):
-            fine[m] = nz.sample_increments(5, 0, m, spec, 1e-3).dw
-        mid = fine.reshape(20, 2, spec_modes).sum(axis=1)
-        coarse = fine.reshape(10, 4, spec_modes).sum(axis=1)
+        fine = self._draws(1e-3)
+        mid = fine.reshape(20, 2, self.SPEC.modes).sum(axis=1)
+        coarse = fine.reshape(10, 4, self.SPEC.modes).sum(axis=1)
 
         v = np.cos(2 * np.pi * gr.Grid(extent=(1.0,), cells=(32,)).cell_centers()) + 0.5
         defects = []
         for dt, inc in ((4e-3, coarse), (2e-3, mid), (1e-3, fine)):
-            g, record = self._run(dt, inc)
-            defects.append(st.weak_residual_check(record, v))
+            defects.append(st.weak_residual_check(self._run(dt, inc), v))
         r1 = defects[0] / defects[1]
         r2 = defects[1] / defects[2]
         assert 1.6 <= r1 <= 2.4
