@@ -13,7 +13,7 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 from . import __version__
@@ -27,6 +27,9 @@ from . import stepper as st
 COMMANDS = ("simulate", "uniform", "cauchy", "dependence", "strong", "derivative", "oracles")
 
 DEFAULT_PERTURBATION_SIZES = (0.1, 0.01, 0.001)
+
+# commands that reduce one ladder_run, the coupled run of every lambda level
+LADDER_STUDIES = {"uniform": ex.uniform_bounds_study, "cauchy": ex.cauchy_study, "strong": ex.strong_solution_study}
 
 _DEFAULTS = {
     "potential": {"kind": "logarithmic", "c": 2.0, "K": None},
@@ -111,15 +114,7 @@ def config_from_dict(raw: dict) -> RunConfig:
     potential = build("potential", pot.PotentialParams, kind=p["kind"], c=float(p["c"]), K=float(p["K"]))
 
     n = _merge_section(raw, "noise")
-    noise = build(
-        "noise",
-        nz.NoiseSpec,
-        family=n["family"],
-        modes=n["modes"],
-        decay_exponent=n["decay_exponent"],
-        amplitude=n["amplitude"],
-        flatness=n["flatness"],
-    )
+    noise = build("noise", nz.NoiseSpec, **n)
 
     g_raw = _merge_section(raw, "grid")
     grid = build("grid", gr.Grid, extent=tuple(g_raw["extent"]), cells=tuple(g_raw["cells"]))
@@ -172,40 +167,13 @@ def default_config() -> RunConfig:
 
 
 def config_to_dict(cfg: RunConfig) -> dict:
+    """The JSON form of cfg; each dataclass section is written field by field."""
     e = cfg.ensemble
-    return {
-        "version": 1,
-        "potential": {"kind": e.potential.kind, "c": e.potential.c, "K": e.potential.K},
-        "noise": {
-            "family": e.noise.family,
-            "modes": e.noise.modes,
-            "decay_exponent": e.noise.decay_exponent,
-            "amplitude": e.noise.amplitude,
-            "flatness": e.noise.flatness,
-        },
-        "grid": {"extent": list(e.grid.extent), "cells": list(e.grid.cells)},
-        "stepper": {
-            "dt": e.stepper.dt,
-            "t_end": e.stepper.t_end,
-            "outer_newton_tol": e.stepper.outer_newton_tol,
-            "outer_newton_max": e.stepper.outer_newton_max,
-            "linear_tol": e.stepper.linear_tol,
-            "linear_max": e.stepper.linear_max,
-        },
-        "ensemble": {"replicates": e.replicates, "seed": e.seed, "lambda_levels": list(e.lambda_levels)},
-        "u0": {
-            "kind": e.u0.kind,
-            "m0": e.u0.m0,
-            "amplitude": e.u0.amplitude,
-            "mode": e.u0.mode,
-            "width": e.u0.width,
-            "modes": e.u0.modes,
-            "clamp": e.u0.clamp,
-        },
-        "g": {"kind": e.g.kind, "value": e.g.value, "path": e.g.path},
-        "output_dir": cfg.output_dir,
-        "snapshot_stride": cfg.snapshot_stride,
-    }
+    ensemble = {"replicates": e.replicates, "seed": e.seed, "lambda_levels": e.lambda_levels}
+    sections = ("potential", "noise", "grid", "stepper", "ensemble", "u0", "g")
+    raw = {name: ensemble if name == "ensemble" else asdict(getattr(e, name)) for name in sections}
+    raw = {"version": 1, **raw, "output_dir": cfg.output_dir, "snapshot_stride": cfg.snapshot_stride}
+    return json.loads(json.dumps(raw))  # tuples become JSON lists
 
 
 def config_hash(cfg: RunConfig) -> str:
@@ -262,30 +230,27 @@ def run(command: str, cfg: RunConfig, seed_override: int | None = None) -> int:
     if command not in COMMANDS:
         print(f"unknown command {command!r}; expected one of {COMMANDS}", file=sys.stderr)
         return 2
-    if seed_override is not None:
-        cfg = replace(cfg, ensemble=replace(cfg.ensemble, seed=int(seed_override)))
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     t0 = time.perf_counter()
     failures: list[str] = []
     try:
+        if seed_override is not None:
+            cfg = replace(cfg, ensemble=replace(cfg.ensemble, seed=int(seed_override)))
         if command == "simulate":
             outputs, failures = _run_simulate(cfg, out_dir)
         else:
-            study_fns = {
-                "uniform": ex.uniform_bounds_study,
-                "cauchy": ex.cauchy_study,
-                "strong": ex.strong_solution_study,
-                "derivative": ex.derivative_study,
-                "oracles": ex.heat_and_ode_oracles,
-            }
-            if command == "dependence":
+            if command in LADDER_STUDIES:
+                report = LADDER_STUDIES[command](cfg.ensemble, ex.ladder_run(cfg.ensemble))
+            elif command == "dependence":
                 perturbations = [ex.Perturbation(u0_shift=d) for d in DEFAULT_PERTURBATION_SIZES]
                 perturbations += [ex.Perturbation(g_shift=d) for d in DEFAULT_PERTURBATION_SIZES]
                 report = ex.dependence_study(cfg.ensemble, perturbations)
+            elif command == "derivative":
+                report = ex.derivative_study(cfg.ensemble)
             else:
-                report = study_fns[command](cfg.ensemble)
+                report = ex.heat_and_ode_oracles(cfg.ensemble)
             failures = report.failures
             outputs = _write_report(report, cfg, out_dir, time.perf_counter() - t0)
     except (ConfigError, ValueError) as err:

@@ -3,6 +3,7 @@
 Every path, from a Monte Carlo ensemble down to one deterministic oracle
 run or the simulate command, is integrated by _run_lanes: lanes (levels
 or perturbed data) x replicates, stepped in lockstep by stepper.step.
+The uniform, cauchy and strong studies reduce one shared ladder_run.
 Every study is a pure function of (EnsembleConfig, seed): replicates are
 integrated as one vectorized batch in a fixed order, noise increments come
 from counter streams keyed (seed, replicate, step, mode), and coupled
@@ -47,8 +48,8 @@ class EnsembleConfig:
         object.__setattr__(self, "lambda_levels", tuple(float(v) for v in self.lambda_levels))
         if int(self.replicates) != self.replicates or self.replicates < 2:
             raise ValueError(f"ensemble replicates must be an integer >= 2, got {self.replicates}")
-        if int(self.seed) != self.seed or self.seed < 0:
-            raise ValueError(f"ensemble seed must be a nonnegative integer, got {self.seed}")
+        if int(self.seed) != self.seed or not 0 <= self.seed < 2**64:
+            raise ValueError(f"ensemble seed must be an integer in [0, 2^64), got {self.seed}")
         if len(self.lambda_levels) == 0:
             raise ValueError("ensemble needs at least one lambda level")
         if any(not 0.0 < v < 1.0 for v in self.lambda_levels):
@@ -147,15 +148,16 @@ def _run_lanes(
     params: pot.PotentialParams | None,
     seed: int,
     *,
-    gauge: pot.GaugeOrder | None = None,
-    pairs: tuple[tuple[int, int], ...] = (),
     on_step=None,
 ) -> dict:
     """Lockstep integration of several lanes on shared noise increments.
 
     This is the package's one time loop; a single path is one lane of one
     replicate.  params=None drops the potential (c = 0), which needs every
-    lane at lam=None.  on_step(m, u), when given, sees the state batch
+    lane at lam=None.  The differences of consecutive lanes (i, i+1) are
+    always accumulated, entry i of the "pairs" list: the lambda ladder
+    compares neighbouring levels, a perturbed pair is lanes (0, 1), and a
+    single lane has none.  on_step(m, u), when given, sees the state batch
     after m steps, m = 0..n_steps.
     """
     n_lanes = len(lanes)
@@ -189,23 +191,18 @@ def _run_lanes(
         "int_f1_sq": zeros.copy(),
         "int_beta_sq": zeros.copy(),
         "int_lap_sq": zeros.copy(),
-        "int_abs_gauge_prime": zeros.copy(),
         "excursion_count": zeros.copy(),
     }
     field_axes = tuple(range(2, 2 + dim))
     acc["excursion_count"] += np.sum(np.abs(u) >= 1.0, axis=field_axes)
-    pair_acc = {
-        (i, j): {
-            "sup_diff_h_sq": np.asarray(gr.h_norm_sq(g, u[i] - u[j])).copy(),
+    pair_acc = [
+        {
+            "sup_diff_h_sq": np.asarray(gr.h_norm_sq(g, u[i] - u[i + 1])).copy(),
             "int_diff_h_sq": np.zeros(reps),
             "int_diff_grad_sq": np.zeros(reps),
         }
-        for (i, j) in pairs
-    }
-    gauge_series = None
-    if gauge is not None:
-        ig0, _ = _gauge_slice(g, gauge, u)
-        gauge_series = [ig0]
+        for i in range(n_lanes - 1)
+    ]
     hasher = hashlib.sha256()
     if on_step is not None:
         on_step(0, u)
@@ -216,11 +213,8 @@ def _run_lanes(
         acc["int_beta_sq"] += dt * gr.h_norm_sq(g, beta_u)
         acc["int_f1_sq"] += dt * gr.h_norm_sq(g, beta_u - 2.0 * c * u)
         acc["int_lap_sq"] += dt * gr.h_norm_sq(g, gr.laplacian_neumann(g, u))
-        if gauge is not None:
-            _, igp = _gauge_slice(g, gauge, u)
-            acc["int_abs_gauge_prime"] += dt * igp
-        for (i, j), pa in pair_acc.items():
-            d = u[i] - u[j]
+        for i, pa in enumerate(pair_acc):
+            d = u[i] - u[i + 1]
             pa["int_diff_h_sq"] += dt * gr.h_norm_sq(g, d)
             pa["int_diff_grad_sq"] += dt * gr.grad_norm_sq(g, d)
 
@@ -235,11 +229,8 @@ def _run_lanes(
         acc["sup_h_sq"] = np.maximum(acc["sup_h_sq"], hsq)
         acc["sup_grad_sq"] = np.maximum(acc["sup_grad_sq"], gsq)
         acc["excursion_count"] += np.sum(np.abs(u) >= 1.0, axis=field_axes)
-        if gauge is not None:
-            ig, _ = _gauge_slice(g, gauge, u)
-            gauge_series.append(ig)
-        for (i, j), pa in pair_acc.items():
-            pa["sup_diff_h_sq"] = np.maximum(pa["sup_diff_h_sq"], gr.h_norm_sq(g, u[i] - u[j]))
+        for i, pa in enumerate(pair_acc):
+            pa["sup_diff_h_sq"] = np.maximum(pa["sup_diff_h_sq"], gr.h_norm_sq(g, u[i] - u[i + 1]))
         if on_step is not None:
             on_step(m + 1, u)
 
@@ -248,11 +239,24 @@ def _run_lanes(
         "final": u,
         "stats": acc,
         "excursion_fraction": acc["excursion_count"] / total_samples,
-        "gauge_series": None if gauge is None else np.asarray(gauge_series),
         "pairs": pair_acc,
         "increments_digest": hasher.hexdigest(),
         "n_steps": n_steps,
     }
+
+
+def ladder_run(cfg: EnsembleConfig) -> dict:
+    """One coupled run of every level of cfg on common noise.
+
+    Every lane starts from the same datum and forcing, so the run carries
+    what the uniform, cauchy and strong studies reduce: per-level path
+    statistics and the differences of consecutive levels.  It is computed
+    afresh on every call.
+    """
+    u0 = _lane_u0(cfg)
+    g_field = dg.make_g(cfg.g, cfg.grid)
+    lanes = [Lane(lam, u0, g_field) for lam in cfg.lambda_levels]
+    return _run_lanes(lanes, cfg.noise, cfg.stepper, cfg.grid, cfg.potential, cfg.seed)
 
 
 _UNIFORM_QUANTITIES = ("sup_h_sq", "int_grad_sq", "int_f1_sq", "int_beta_sq")
@@ -265,17 +269,13 @@ def _spread(means: list[float]) -> float:
     return math.inf if lo == 0.0 else hi / lo
 
 
-def uniform_bounds_study(cfg: EnsembleConfig) -> EstimateReport:
-    """Per-level estimates of the four uniform-bound statistics.
+def uniform_bounds_study(cfg: EnsembleConfig, out: dict) -> EstimateReport:
+    """Per-level estimates of the four uniform-bound statistics of ladder_run(cfg).
 
     For each lambda level: E sup_t ||u||_H^2, E int ||grad u||^2,
     E int ||F'_lam(u)||_H^2, E int ||beta_lam(u)||_H^2; the spread of each
     across levels is reported as a max/min ratio in the metadata.
     """
-    u0 = _lane_u0(cfg)
-    g_field = dg.make_g(cfg.g, cfg.grid)
-    lanes = [Lane(lam, u0, g_field) for lam in cfg.lambda_levels]
-    out = _run_lanes(lanes, cfg.noise, cfg.stepper, cfg.grid, cfg.potential, cfg.seed)
     rows = []
     spreads = {}
     for q in _UNIFORM_QUANTITIES:
@@ -291,8 +291,8 @@ def uniform_bounds_study(cfg: EnsembleConfig) -> EstimateReport:
     return report
 
 
-def cauchy_study(cfg: EnsembleConfig) -> EstimateReport:
-    """Coupled differences between consecutive levels driven by common noise.
+def cauchy_study(cfg: EnsembleConfig, out: dict) -> EstimateReport:
+    """Coupled differences between consecutive levels of ladder_run(cfg).
 
     Delta(lam_i) = E sup_t ||u_i - u_{i+1}||_H^2 + E int ||grad(u_i - u_{i+1})||^2
     for consecutive level pairs; the study fails unless Delta decreases
@@ -301,16 +301,9 @@ def cauchy_study(cfg: EnsembleConfig) -> EstimateReport:
     """
     if len(cfg.lambda_levels) < 3:
         raise ValueError("cauchy study needs at least 3 lambda levels")
-    u0 = _lane_u0(cfg)
-    g_field = dg.make_g(cfg.g, cfg.grid)
-    lanes = [Lane(lam, u0, g_field) for lam in cfg.lambda_levels]
-    pairs = tuple((i, i + 1) for i in range(len(lanes) - 1))
-    out = _run_lanes(lanes, cfg.noise, cfg.stepper, cfg.grid, cfg.potential, cfg.seed, pairs=pairs)
-
     rows = []
     deltas = []
-    for (i, j) in pairs:
-        pa = out["pairs"][(i, j)]
+    for i, pa in enumerate(out["pairs"]):
         per_rep = pa["sup_diff_h_sq"] + pa["int_diff_grad_sq"]
         row = _mc_row("cauchy_delta", cfg.lambda_levels[i], per_rep)
         rows.append(row)
@@ -360,9 +353,9 @@ def dependence_study(cfg: EnsembleConfig, perturbations: list[Perturbation]) -> 
         if p.g_shift == 0.0:
             pert_g = base_g
         lanes = [Lane(lam, u0, base_g), Lane(lam, u0_pert, pert_g)]
-        out = _run_lanes(lanes, cfg.noise, cfg.stepper, cfg.grid, cfg.potential, cfg.seed, pairs=((0, 1),))
+        out = _run_lanes(lanes, cfg.noise, cfg.stepper, cfg.grid, cfg.potential, cfg.seed)
         digests.append(out["increments_digest"])
-        pa = out["pairs"][(0, 1)]
+        pa = out["pairs"][0]
         lhs = float(np.sqrt(np.mean(pa["sup_diff_h_sq"]))) + float(
             np.sqrt(np.mean(pa["int_diff_h_sq"] + pa["int_diff_grad_sq"]))
         )
@@ -390,18 +383,14 @@ def dependence_study(cfg: EnsembleConfig, perturbations: list[Perturbation]) -> 
     return report
 
 
-def strong_solution_study(cfg: EnsembleConfig) -> EstimateReport:
-    """Gradient and Laplacian statistics across levels for a V-regular datum.
+def strong_solution_study(cfg: EnsembleConfig, out: dict) -> EstimateReport:
+    """Gradient and Laplacian statistics of ladder_run(cfg) for a V-regular datum.
 
     Estimates E sup_t ||grad u||_H^2 and E int ||lap_h u||_H^2 per level and
     fails unless each stays inside a 1.2 max/min band across the levels.
     """
-    u0 = _lane_u0(cfg)
-    if not np.all(np.isfinite(gr.grad_norm_sq(cfg.grid, u0))):
+    if not np.all(np.isfinite(gr.grad_norm_sq(cfg.grid, _lane_u0(cfg)))):
         raise ValueError("strong-solution study needs a datum with finite Dirichlet energy")
-    g_field = dg.make_g(cfg.g, cfg.grid)
-    lanes = [Lane(lam, u0, g_field) for lam in cfg.lambda_levels]
-    out = _run_lanes(lanes, cfg.noise, cfg.stepper, cfg.grid, cfg.potential, cfg.seed)
     rows = []
     report = EstimateReport(study="strong", rows=rows)
     spreads = {}
@@ -425,7 +414,10 @@ def derivative_study(cfg: EnsembleConfig, n: int | None = None) -> EstimateRepor
     Needs poly_flat noise with flatness n+1 and ||g||_inf <= 1.  Reports
     sup over output times of E int G_n(u) (over excursion-free samples),
     E int int |G_n'(u)|, and the excursion fraction; fails if either gauge
-    statistic moves more than 30% when the level is halved.
+    statistic moves more than 30% when the level is halved.  The gauge is
+    read off every state through _run_lanes' on_step hook, one
+    _gauge_slice per state; its time integral takes the left-endpoint
+    rule of the engine's own quadratures.
     """
     if cfg.noise.family != nz.POLY_FLAT:
         raise ValueError("derivative study requires the poly_flat noise family")
@@ -441,11 +433,19 @@ def derivative_study(cfg: EnsembleConfig, n: int | None = None) -> EstimateRepor
     lam_min = cfg.lambda_levels[-1]
     levels = [lam_min, 0.5 * lam_min]
     lanes = [Lane(lam, u0, g_field) for lam in levels]
-    out = _run_lanes(lanes, cfg.noise, cfg.stepper, cfg.grid, cfg.potential, cfg.seed, gauge=gauge)
+    slices = []  # (int G_n, int |G_n'|) at every state, m = 0..n_steps
+
+    def on_step(m, u):
+        slices.append(_gauge_slice(cfg.grid, gauge, u))
+
+    out = _run_lanes(lanes, cfg.noise, cfg.stepper, cfg.grid, cfg.potential, cfg.seed, on_step=on_step)
+    series = np.asarray([ig for ig, _ in slices])  # (n_steps+1, lanes, reps)
+    int_gauge_prime = np.zeros(series.shape[1:])
+    for _, igp in slices[:-1]:
+        int_gauge_prime += cfg.stepper.dt * igp
 
     rows = []
     report = EstimateReport(study="derivative", rows=rows)
-    series = out["gauge_series"]  # (n_steps+1, lanes, reps)
     sup_means = []
     int_means = []
     for i, lam in enumerate(levels):
@@ -455,7 +455,7 @@ def derivative_study(cfg: EnsembleConfig, n: int | None = None) -> EstimateRepor
         se = float(np.std(series[k_sup, i, :], ddof=1) / np.sqrt(cfg.replicates))
         rows.append(ReportRow("sup_t_mean_gauge", lam, sup_val, se, sup_val - Z95 * se, sup_val + Z95 * se))
         sup_means.append(sup_val)
-        row = _mc_row("int_abs_gauge_prime", lam, out["stats"]["int_abs_gauge_prime"][i])
+        row = _mc_row("int_abs_gauge_prime", lam, int_gauge_prime[i])
         rows.append(row)
         int_means.append(row.mean)
         rows.append(_mc_row("excursion_fraction", lam, out["excursion_fraction"][i]))

@@ -26,7 +26,9 @@ from .potential import YosidaLevel, resolvent
 SINE = "sine"
 POLY_FLAT = "poly_flat"
 
-_KEY_SALT = 0x9E3779B97F4A7C15
+# second Philox key word: 0x9E3779B97F4A7C15 rounded to float64, the
+# value every existing stream (and every pinned digest) was keyed with
+_KEY_SALT = 0x9E3779B97F4A8000
 # counter[1] tags the purpose of a stream so independent consumers never collide
 CTR_INCREMENTS = 0
 CTR_INITIAL_DATUM = 1
@@ -142,7 +144,9 @@ def counter_normals(seed: int, purpose: int, index_a: int, index_b: int, n: int)
     """
     if n == 0:
         return np.zeros(0)
-    bg = np.random.Philox(counter=[0, purpose, index_a, index_b], key=[seed & 0xFFFFFFFFFFFFFFFF, _KEY_SALT])
+    # an explicit uint64 key: a plain list would round seeds above 2^53 through float64
+    key = np.array([seed, _KEY_SALT], dtype=np.uint64)
+    bg = np.random.Philox(counter=[0, purpose, index_a, index_b], key=key)
     raw = bg.random_raw(n)
     u = (raw >> np.uint64(11)).astype(np.float64) * 2.0**-53 + 2.0**-54
     return ndtri(u)

@@ -66,21 +66,20 @@ def logarithmic_params(c: float = 2.0, K: float | None = None) -> PotentialParam
     return PotentialParams(kind=LOGARITHMIC, c=c, K=K)
 
 
+# residual and iteration cap of the scalar resolvent Newton solve
+NEWTON_TOL = 1e-12
+NEWTON_MAX_ITER = 200
+
+
 @dataclass(frozen=True)
 class YosidaLevel:
-    """Regularization strength lam in (0,1) plus scalar-solver knobs."""
+    """Regularization strength lam in (0,1)."""
 
     lam: float
-    newton_tol: float = 1e-12
-    newton_max_iter: int = 200
 
     def __post_init__(self):
         if not 0.0 < self.lam < 1.0:
             raise ValueError(f"lam must lie in (0, 1), got {self.lam}")
-        if not self.newton_tol > 0.0:
-            raise ValueError("newton_tol must be positive")
-        if self.newton_max_iter < 1:
-            raise ValueError("newton_max_iter must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -170,32 +169,18 @@ def _graph_solve(lam, x, tol, max_iter):
     )
 
 
-def resolvent_graph(level: YosidaLevel, x):
-    """Return (r, b) with r = J_lam(x) in (-1,1) and b = beta(r).
-
-    The pair lies on the graph of beta by construction and satisfies
-    |r + lam*b - x| <= newton_tol; use it whenever the residual or
-    beta(J_lam(x)) itself is needed near the endpoints, where composing
-    the rounded r with beta would lose everything.
-    """
-    b = _graph_solve(level.lam, x, level.newton_tol, level.newton_max_iter)
-    r = np.clip(np.tanh(0.5 * b), _R_LO, _R_HI)
-    return r, b
-
-
 def resolvent(level: YosidaLevel, x):
     """J_lam(x) = (I + lam*beta)^(-1)(x), mapped strictly into (-1, 1)."""
-    r, _ = resolvent_graph(level, x)
-    return r
+    return resolvent_map(level.lam, x)
 
 
-def resolvent_map(lam, x, tol: float = 1e-12, max_iter: int = 200):
+def resolvent_map(lam, x, tol: float = NEWTON_TOL, max_iter: int = NEWTON_MAX_ITER):
     """J_lam(x) with lam broadcastable against x (hot-path array variant)."""
     b = _graph_solve(lam, x, tol, max_iter)
     return np.clip(np.tanh(0.5 * b), _R_LO, _R_HI)
 
 
-def yosida_pair(lam, x, tol: float = 1e-12, max_iter: int = 200):
+def yosida_pair(lam, x, tol: float = NEWTON_TOL, max_iter: int = NEWTON_MAX_ITER):
     """(beta_lam(x), beta_lam'(x)) with lam broadcastable against x.
 
     Hot-path variant used by the field solvers, where lam may vary across
@@ -220,8 +205,9 @@ def yosida_eval(level: YosidaLevel, x):
     exact for the quadratic regularization (no quadrature involved).
     """
     x = np.asarray(x, dtype=float)
-    r, _ = resolvent_graph(level, x)
     lam = level.lam
+    b = _graph_solve(lam, x, NEWTON_TOL, NEWTON_MAX_ITER)
+    r = np.clip(np.tanh(0.5 * b), _R_LO, _R_HI)
     beta_l = (x - r) / lam
     sech_sq = (1.0 - r) * (1.0 + r)
     beta_l_prime = 1.0 / (0.5 * sech_sq + lam)

@@ -148,6 +148,11 @@ class TestRunCommands:
         assert man_a["config_hash"] != man_b["config_hash"]
         assert (tmp_path / "a" / "uniform.csv").read_bytes() != (tmp_path / "b" / "uniform.csv").read_bytes()
 
+    def test_seed_override_outside_the_key_range_exits_2(self, tmp_path, capsys):
+        cfg = cli.parse_config(write_config(tmp_path, small_run_payload(tmp_path)))
+        assert cli.run("uniform", cfg, seed_override=2**64) == 2
+        assert "seed" in capsys.readouterr().err
+
     def test_derivative_command_demands_suitable_noise(self, tmp_path, capsys):
         cfg = cli.parse_config(write_config(tmp_path, small_run_payload(tmp_path)))
         assert cli.run("derivative", cfg) == 2

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from logac import datagen as dg
 from logac import experiments as ex
@@ -27,6 +29,19 @@ def small_config(**overrides):
     return ex.EnsembleConfig(**base)
 
 
+def ladder_study(study, cfg):
+    """A uniform, cauchy or strong report reduced from a fresh ladder_run."""
+    return study(cfg, ex.ladder_run(cfg))
+
+
+def gauge_slices(lanes, spec, scfg, g, params, seed, order):
+    """(int G_n, int |G_n'|) at every state of one _run_lanes run, via on_step."""
+    slices = []
+    gauge = pot.GaugeOrder(order)
+    ex._run_lanes(lanes, spec, scfg, g, params, seed, on_step=lambda m, u: slices.append(ex._gauge_slice(g, gauge, u)))
+    return slices
+
+
 def quiet_config(**overrides):
     kwargs = dict(
         noise=nz.NoiseSpec(family="sine", modes=0, decay_exponent=2.0, amplitude=0.0),
@@ -45,17 +60,78 @@ class TestEnsembleValidation:
         with pytest.raises(ValueError, match="replicates"):
             small_config(replicates=1)
 
+    def test_seed_must_fit_the_64_bit_key(self):
+        small_config(seed=2**64 - 1)
+        with pytest.raises(ValueError, match="seed"):
+            small_config(seed=2**64)
+
+
+class TestLadderRun:
+    def test_one_run_feeds_all_three_reductions(self):
+        cfg = small_config()
+        run = ex.ladder_run(cfg)
+        assert run["stats"]["sup_h_sq"].shape == (3, cfg.replicates)
+        assert len(run["pairs"]) == 2
+        reports = [study(cfg, run) for study in (ex.uniform_bounds_study, ex.cauchy_study, ex.strong_solution_study)]
+        assert len({r.metadata["increments_digest"] for r in reports}) == 1
+
+    def test_computed_afresh_on_every_call(self):
+        cfg = small_config()
+        a, b = ex.ladder_run(cfg), ex.ladder_run(cfg)
+        assert a["final"] is not b["final"]
+        assert np.array_equal(a["final"], b["final"])
+
+    def test_single_lane_has_no_pairs(self):
+        cfg = small_config(lambda_levels=(0.1,))
+        assert ex.ladder_run(cfg)["pairs"] == []
+
+
+class TestBatchIndependence:
+    # a replicate's path must not depend on which other replicates share its
+    # batch; the Newton exit rule is global, so this holds to solver tolerance
+    @settings(max_examples=12, deadline=None)
+    @given(
+        cells=hst.sampled_from((16, 32, 64)),
+        n_steps=hst.integers(min_value=1, max_value=20),
+        reps=hst.integers(min_value=3, max_value=6),
+        seed=hst.integers(min_value=0, max_value=2**32),
+        data=hst.data(),
+    )
+    def test_leading_replicates_match_a_smaller_batch(self, cells, n_steps, reps, seed, data):
+        k = data.draw(hst.integers(min_value=1, max_value=reps - 1))
+        cfg = small_config(
+            replicates=reps,
+            seed=seed,
+            grid=gr.Grid(extent=(1.0,), cells=(cells,)),
+            stepper=st.StepperConfig(dt=1e-3, t_end=n_steps * 1e-3),
+            u0=dg.U0Spec(kind="random_fourier", amplitude=0.5),
+        )
+        tol = 10 * cfg.stepper.n_steps * cfg.stepper.outer_newton_tol
+        u0 = ex._lane_u0(cfg)
+
+        def run(batch):
+            lanes = [ex.Lane(lam, batch, None) for lam in cfg.lambda_levels]
+            return ex._run_lanes(lanes, cfg.noise, cfg.stepper, cfg.grid, cfg.potential, cfg.seed)
+
+        full, head = run(u0), run(u0[:k])
+        assert np.max(np.abs(full["final"][:, :k] - head["final"])) <= tol
+        for name, value in full["stats"].items():
+            assert np.max(np.abs(value[:, :k] - head["stats"][name])) <= tol, name
+        for i, pa in enumerate(full["pairs"]):
+            for name, value in pa.items():
+                assert np.max(np.abs(value[:k] - head["pairs"][i][name])) <= tol, (i, name)
+
 
 class TestUniformStudy:
     def test_zero_data_gives_zero_statistics(self):
-        rep = ex.uniform_bounds_study(quiet_config())
+        rep = ladder_study(ex.uniform_bounds_study, quiet_config())
         for r in rep.rows:
             assert r.mean == 0.0
             assert r.se == 0.0
 
     def test_standard_error_shrinks_with_replicates(self):
-        r8 = ex.uniform_bounds_study(small_config(replicates=8))
-        r32 = ex.uniform_bounds_study(small_config(replicates=32))
+        r8 = ladder_study(ex.uniform_bounds_study, small_config(replicates=8))
+        r32 = ladder_study(ex.uniform_bounds_study, small_config(replicates=32))
         lam = 0.05
         for q in ("sup_h_sq", "int_beta_sq"):
             se8 = r8.row(q, lam).se
@@ -65,7 +141,7 @@ class TestUniformStudy:
             assert 1.2 <= se8 / se32 <= 3.5
 
     def test_report_shape_and_spread(self):
-        rep = ex.uniform_bounds_study(small_config())
+        rep = ladder_study(ex.uniform_bounds_study, small_config())
         assert len(rep.rows) == 4 * 3
         assert set(rep.metadata["spread_max_over_min"]) == {
             "sup_h_sq",
@@ -76,8 +152,8 @@ class TestUniformStudy:
         assert rep.failures == []
 
     def test_csv_bytes_reproducible(self):
-        a = ex.uniform_bounds_study(small_config()).to_csv_text()
-        b = ex.uniform_bounds_study(small_config()).to_csv_text()
+        a = ladder_study(ex.uniform_bounds_study, small_config()).to_csv_text()
+        b = ladder_study(ex.uniform_bounds_study, small_config()).to_csv_text()
         assert a == b
         assert a.splitlines()[0] == "quantity,lambda,mean,se,ci_lo,ci_hi"
 
@@ -87,8 +163,9 @@ class TestCauchyStudy:
         cfg = small_config()
         u0 = ex._lane_u0(cfg)
         lanes = [ex.Lane(0.1, u0, None), ex.Lane(0.1, u0, None)]
-        out = ex._run_lanes(lanes, cfg.noise, cfg.stepper, cfg.grid, cfg.potential, cfg.seed, pairs=((0, 1),))
-        pa = out["pairs"][(0, 1)]
+        out = ex._run_lanes(lanes, cfg.noise, cfg.stepper, cfg.grid, cfg.potential, cfg.seed)
+        assert len(out["pairs"]) == 1
+        pa = out["pairs"][0]
         assert np.all(pa["sup_diff_h_sq"] == 0.0)
         assert np.all(pa["int_diff_grad_sq"] == 0.0)
 
@@ -98,19 +175,19 @@ class TestCauchyStudy:
             lambda_levels=(0.2, 0.1, 0.05, 0.025),
             stepper=st.StepperConfig(dt=1e-3, t_end=0.05),
         )
-        rep = ex.cauchy_study(cfg)
+        rep = ladder_study(ex.cauchy_study, cfg)
         assert rep.failures == []
         deltas = rep.metadata["deltas"]
         assert all(a > b > 0.0 for a, b in zip(deltas, deltas[1:]))
 
     def test_needs_three_levels(self):
         with pytest.raises(ValueError, match="3 lambda"):
-            ex.cauchy_study(small_config(lambda_levels=(0.2, 0.1)))
+            ladder_study(ex.cauchy_study, small_config(lambda_levels=(0.2, 0.1)))
 
     def test_common_noise_digest_stable(self):
         cfg = small_config()
-        a = ex.cauchy_study(cfg)
-        b = ex.cauchy_study(cfg)
+        a = ladder_study(ex.cauchy_study, cfg)
+        b = ladder_study(ex.cauchy_study, cfg)
         assert a.metadata["increments_digest"] == b.metadata["increments_digest"]
         assert a.metadata["deltas"] == b.metadata["deltas"]
 
@@ -153,14 +230,14 @@ class TestDependenceStudy:
 
 class TestStrongStudy:
     def test_zero_data_is_uniform(self):
-        rep = ex.strong_solution_study(quiet_config())
+        rep = ladder_study(ex.strong_solution_study, quiet_config())
         assert rep.failures == []
         for r in rep.rows:
             assert r.mean == 0.0
 
     def test_reports_two_quantities_per_level(self):
         cfg = small_config()
-        rep = ex.strong_solution_study(cfg)
+        rep = ladder_study(ex.strong_solution_study, cfg)
         assert len(rep.rows) == 2 * len(cfg.lambda_levels)
         assert set(rep.metadata["spread_max_over_min"]) == {"sup_grad_sq", "int_lap_sq"}
 
@@ -173,7 +250,7 @@ class TestStrongStudy:
                 stepper=st.StepperConfig(dt=1e-3, t_end=0.05),
                 replicates=16,
             )
-            reps[n] = ex.strong_solution_study(cfg)
+            reps[n] = ladder_study(ex.strong_solution_study, cfg)
         for q in ("sup_grad_sq", "int_lap_sq"):
             for lam in (0.2, 0.05):
                 coarse = reps[16].row(q, lam).mean
@@ -210,20 +287,20 @@ class TestDerivativeStudy:
         cfg = st.StepperConfig(dt=1e-3, t_end=0.02)
         quiet = nz.NoiseSpec(family="poly_flat", modes=0, decay_exponent=2.0, amplitude=0.0, flatness=3)
         lanes = [ex.Lane(level.lam, np.zeros((1, 16)), None)]
-        out = ex._run_lanes(lanes, quiet, cfg, g, params, seed=0, gauge=pot.GaugeOrder(2))
-        int_gauge = cfg.dt * np.sum(out["gauge_series"][:-1])  # left-endpoint rule
-        assert int_gauge == pytest.approx(g.measure * 0.02, rel=1e-12)
-        assert out["stats"]["int_abs_gauge_prime"][0, 0] == pytest.approx(0.0, abs=1e-14)
+        slices = gauge_slices(lanes, quiet, cfg, g, params, 0, 2)
+        int_gauge = cfg.dt * sum(ig for ig, _ in slices[:-1])  # left-endpoint rule
+        int_gauge_prime = cfg.dt * sum(igp for _, igp in slices[:-1])
+        assert int_gauge[0, 0] == pytest.approx(g.measure * 0.02, rel=1e-12)
+        assert int_gauge_prime[0, 0] == pytest.approx(0.0, abs=1e-14)
 
     def test_higher_order_dominates(self):
         # G_3 >= G_2 pointwise on (-1, 1), so every statistic is ordered
-        cfg2 = self._cfg(2)
-        cfg3 = self._cfg(2)  # same noise/flatness, evaluate both gauges on one run
-        u0 = ex._lane_u0(cfg2)
-        lanes = [ex.Lane(0.05, u0, None)]
-        out2 = ex._run_lanes(lanes, cfg2.noise, cfg2.stepper, cfg2.grid, cfg2.potential, cfg2.seed, gauge=pot.GaugeOrder(2))
-        out3 = ex._run_lanes(lanes, cfg3.noise, cfg3.stepper, cfg3.grid, cfg3.potential, cfg3.seed, gauge=pot.GaugeOrder(3))
-        assert np.all(out3["gauge_series"] >= out2["gauge_series"] - 1e-14)
+        cfg = self._cfg(2)  # same noise/flatness for both gauges
+        lanes = [ex.Lane(0.05, ex._lane_u0(cfg), None)]
+        args = (lanes, cfg.noise, cfg.stepper, cfg.grid, cfg.potential, cfg.seed)
+        series2 = np.asarray([ig for ig, _ in gauge_slices(*args, 2)])
+        series3 = np.asarray([ig for ig, _ in gauge_slices(*args, 3)])
+        assert np.all(series3 >= series2 - 1e-14)
 
     def test_study_reports_and_passes(self):
         rep = ex.derivative_study(self._cfg(2), n=2)

@@ -90,6 +90,13 @@ class TestIncrements:
         assert not np.array_equal(draw(123, 5, 17, spec, 1e-3), base)
         assert not np.array_equal(draw(123, 4, 18, spec, 1e-3), base)
 
+    def test_seeds_above_2_53_separate_streams(self):
+        # 2^53 and 2^53 + 1 collide if the Philox key passes through float64
+        spec = spec_sine(modes=8)
+        a = nz.sample_increment_block(2**53, 3, 0, spec, 1e-3)
+        b = nz.sample_increment_block(2**53 + 1, 3, 0, spec, 1e-3)
+        assert not np.array_equal(a, b)
+
     def test_block_matches_single_draws(self):
         # row rep is the counter stream keyed (seed, rep, step), scaled by sqrt(dt)
         spec = spec_sine(modes=5)

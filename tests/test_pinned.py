@@ -1,8 +1,10 @@
 """Study outputs pinned from a trusted commit.
 
 Every command runs on the criterion-11 configuration (N=32, 8 replicates,
-50 steps, seed 77).  Increment digests must match exactly; every report
-mean (and every number in simulate.json) must match to REL_TOL/ABS_TOL.
+50 steps, seed 77); derivative swaps in the poly_flat noise (flatness 3,
+so gauge order n = 2) and the constant datum it needs.  Increment digests
+must match exactly; every report mean (and every number in simulate.json)
+must match to REL_TOL/ABS_TOL.
 The tolerance leaves room for round-off and solver-tolerance changes (the
 outer Newton tolerance is 1e-10) and catches any change of the computed
 result.  Regenerate the pins only from a commit whose results are trusted:
@@ -23,7 +25,7 @@ from logac import cli
 PINNED_PATH = Path(__file__).resolve().parent / "data" / "pinned_outputs.json"
 REL_TOL = 1e-6
 ABS_TOL = 1e-12
-COMMANDS = ("uniform", "cauchy", "simulate", "oracles")
+COMMANDS = ("uniform", "cauchy", "simulate", "oracles", "strong", "dependence", "derivative")
 
 CONFIG = {
     "version": 1,
@@ -31,6 +33,12 @@ CONFIG = {
     "stepper": {"dt": 1e-3, "t_end": 0.05},
     "ensemble": {"replicates": 8, "seed": 77, "lambda_levels": [0.2, 0.1, 0.05]},
     "noise": {"modes": 8, "amplitude": 0.4},
+}
+OVERRIDES = {
+    "derivative": {
+        "noise": {"family": "poly_flat", "modes": 8, "amplitude": 0.25, "flatness": 3},
+        "u0": {"kind": "constant", "m0": 0.2},
+    },
 }
 
 
@@ -42,12 +50,12 @@ def summarize(command: str, out_dir: Path) -> dict:
         return {"digests": [digest], "means": summary}
     report = json.loads((out_dir / f"{command}.json").read_text())
     meta = report["metadata"]
-    digests = [meta["increments_digest"]] if "increments_digest" in meta else []
+    digests = [meta["increments_digest"]] if "increments_digest" in meta else meta.get("increments_digests", [])
     return {"digests": digests, "means": {f"{r['quantity']}|{r['lam']!r}": r["mean"] for r in report["rows"]}}
 
 
 def run_command(command: str, out_dir: Path) -> dict:
-    cfg = cli.config_from_dict({**CONFIG, "output_dir": str(out_dir)})
+    cfg = cli.config_from_dict({**CONFIG, **OVERRIDES.get(command, {}), "output_dir": str(out_dir)})
     assert cli.run(command, cfg) == 0
     return summarize(command, out_dir)
 

@@ -117,8 +117,8 @@ class TestResolvent:
         st.floats(min_value=-10.0, max_value=10.0),
     )
     def test_graph_residual_and_range(self, lam, x):
-        level = pot.YosidaLevel(lam)
-        r, b = pot.resolvent_graph(level, x)
+        b = pot._graph_solve(lam, x, pot.NEWTON_TOL, pot.NEWTON_MAX_ITER)
+        r = pot.resolvent(pot.YosidaLevel(lam), x)
         assert abs(r + lam * b - x) <= 1e-10
         assert abs(r) < 1.0
 
