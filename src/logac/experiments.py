@@ -50,6 +50,7 @@ class EnsembleConfig:
             raise ValueError(f"ensemble replicates must be an integer >= 2, got {self.replicates}")
         if int(self.seed) != self.seed or not 0 <= self.seed < 2**64:
             raise ValueError(f"ensemble seed must be an integer in [0, 2^64), got {self.seed}")
+        object.__setattr__(self, "seed", int(self.seed))  # a JSON 77.0 hashes as 77
         if len(self.lambda_levels) == 0:
             raise ValueError("ensemble needs at least one lambda level")
         if any(not 0.0 < v < 1.0 for v in self.lambda_levels):
@@ -182,11 +183,10 @@ def _run_lanes(
     else:
         g_force = None
 
-    hsq, gsq, _ = gr.norms(g, u)
     zeros = np.zeros((n_lanes, reps))
     acc = {
-        "sup_h_sq": np.asarray(hsq).copy(),
-        "sup_grad_sq": np.asarray(gsq).copy(),
+        "sup_h_sq": zeros.copy(),
+        "sup_grad_sq": zeros.copy(),
         "int_grad_sq": zeros.copy(),
         "int_f1_sq": zeros.copy(),
         "int_beta_sq": zeros.copy(),
@@ -194,28 +194,33 @@ def _run_lanes(
         "excursion_count": zeros.copy(),
     }
     field_axes = tuple(range(2, 2 + dim))
-    acc["excursion_count"] += np.sum(np.abs(u) >= 1.0, axis=field_axes)
     pair_acc = [
-        {
-            "sup_diff_h_sq": np.asarray(gr.h_norm_sq(g, u[i] - u[i + 1])).copy(),
-            "int_diff_h_sq": np.zeros(reps),
-            "int_diff_grad_sq": np.zeros(reps),
-        }
-        for i in range(n_lanes - 1)
+        {"sup_diff_h_sq": np.zeros(reps), "int_diff_h_sq": np.zeros(reps), "int_diff_grad_sq": np.zeros(reps)}
+        for _ in range(n_lanes - 1)
     ]
     hasher = hashlib.sha256()
-    if on_step is not None:
-        on_step(0, u)
 
-    for m in range(n_steps):
-        # left-endpoint quadratures at the current state
-        acc["int_grad_sq"] += dt * gr.grad_norm_sq(g, u)
+    for m in range(n_steps + 1):
+        # every norm of the state after m steps is taken once: the sups see
+        # m = 0..n_steps, the integrals the left endpoints m < n_steps
+        hsq, gsq = gr.h_norm_sq(g, u), gr.grad_norm_sq(g, u)
+        acc["sup_h_sq"] = np.maximum(acc["sup_h_sq"], hsq)
+        acc["sup_grad_sq"] = np.maximum(acc["sup_grad_sq"], gsq)
+        acc["excursion_count"] += np.sum(np.abs(u) >= 1.0, axis=field_axes)
+        diffs = [u[i] - u[i + 1] for i in range(n_lanes - 1)]
+        diff_h = [gr.h_norm_sq(g, d) for d in diffs]
+        for pa, dh in zip(pair_acc, diff_h):
+            pa["sup_diff_h_sq"] = np.maximum(pa["sup_diff_h_sq"], dh)
+        if on_step is not None:
+            on_step(m, u)
+        if m == n_steps:
+            break
+        acc["int_grad_sq"] += dt * gsq
         acc["int_beta_sq"] += dt * gr.h_norm_sq(g, beta_u)
         acc["int_f1_sq"] += dt * gr.h_norm_sq(g, beta_u - 2.0 * c * u)
         acc["int_lap_sq"] += dt * gr.h_norm_sq(g, gr.laplacian_neumann(g, u))
-        for i, pa in enumerate(pair_acc):
-            d = u[i] - u[i + 1]
-            pa["int_diff_h_sq"] += dt * gr.h_norm_sq(g, d)
+        for pa, d, dh in zip(pair_acc, diffs, diff_h):
+            pa["int_diff_h_sq"] += dt * dh
             pa["int_diff_grad_sq"] += dt * gr.grad_norm_sq(g, d)
 
         dw = None
@@ -224,15 +229,6 @@ def _run_lanes(
             hasher.update(np.ascontiguousarray(dw).tobytes())
             dw = np.broadcast_to(dw, (n_lanes, reps, spec.modes))
         u, beta_u = st.step(g, lam, c, spec, u, dw, g_force, scfg)
-
-        hsq, gsq, _ = gr.norms(g, u)
-        acc["sup_h_sq"] = np.maximum(acc["sup_h_sq"], hsq)
-        acc["sup_grad_sq"] = np.maximum(acc["sup_grad_sq"], gsq)
-        acc["excursion_count"] += np.sum(np.abs(u) >= 1.0, axis=field_axes)
-        for i, pa in enumerate(pair_acc):
-            pa["sup_diff_h_sq"] = np.maximum(pa["sup_diff_h_sq"], gr.h_norm_sq(g, u[i] - u[i + 1]))
-        if on_step is not None:
-            on_step(m + 1, u)
 
     total_samples = (n_steps + 1) * int(np.prod(g.shape))
     return {

@@ -64,6 +64,8 @@ class TestEnsembleValidation:
         small_config(seed=2**64 - 1)
         with pytest.raises(ValueError, match="seed"):
             small_config(seed=2**64)
+        # an integral float seed is stored as the int it draws its stream with
+        assert type(small_config(seed=77.0).seed) is int
 
 
 class TestLadderRun:
