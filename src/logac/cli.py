@@ -106,6 +106,11 @@ def config_from_dict(raw: dict) -> RunConfig:
         except ValueError as err:
             raise ConfigError(f"config {section}: {err}") from err
 
+    def listed(section, name, value):
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"config {section}: {name} must be a list, got {value!r}")
+        return tuple(value)
+
     p = _merge_section(raw, "potential")
     if not isinstance(p["c"], (int, float)) or not p["c"] > 1.0:
         raise ConfigError(f"config potential: c must be > 1 for the logarithmic potential, got {p['c']}")
@@ -117,7 +122,12 @@ def config_from_dict(raw: dict) -> RunConfig:
     noise = build("noise", nz.NoiseSpec, **n)
 
     g_raw = _merge_section(raw, "grid")
-    grid = build("grid", gr.Grid, extent=tuple(g_raw["extent"]), cells=tuple(g_raw["cells"]))
+    grid = build(
+        "grid",
+        gr.Grid,
+        extent=listed("grid", "extent", g_raw["extent"]),
+        cells=listed("grid", "cells", g_raw["cells"]),
+    )
 
     s = _merge_section(raw, "stepper")
     stepper = build("stepper", st.StepperConfig, **s)
@@ -133,7 +143,7 @@ def config_from_dict(raw: dict) -> RunConfig:
         ex.EnsembleConfig,
         replicates=e["replicates"],
         seed=e["seed"],
-        lambda_levels=tuple(e["lambda_levels"]),
+        lambda_levels=listed("ensemble", "lambda_levels", e["lambda_levels"]),
         grid=grid,
         stepper=stepper,
         noise=noise,

@@ -155,8 +155,9 @@ def _run_lanes(
 
     This is the package's one time loop; a single path is one lane of one
     replicate.  params=None drops the potential (c = 0), which needs every
-    lane at lam=None.  The differences of consecutive lanes (i, i+1) are
-    always accumulated, entry i of the "pairs" list: the lambda ladder
+    lane at lam=None and no noise modes, as the noise is taken at J_lam(u).
+    The differences of consecutive lanes (i, i+1) are always accumulated,
+    entry i of the "pairs" list: the lambda ladder
     compares neighbouring levels, a perturbed pair is lanes (0, 1), and a
     single lane has none.  on_step(m, u), when given, sees the state batch
     after m steps, m = 0..n_steps.
@@ -171,6 +172,8 @@ def _run_lanes(
     if np.any(np.abs(u) >= 1.0):
         raise ValueError("lane initial data must satisfy ||u0||_inf < 1")
     if params is None:
+        if spec.modes > 0:
+            raise ValueError("noise needs a Yosida level; params=None lanes must have no noise modes")
         lam, c = None, 0.0
         beta_u = np.zeros_like(u)
     else:
@@ -228,7 +231,7 @@ def _run_lanes(
             dw = nz.sample_increment_block(seed, reps, m, spec, dt)
             hasher.update(np.ascontiguousarray(dw).tobytes())
             dw = np.broadcast_to(dw, (n_lanes, reps, spec.modes))
-        u, beta_u = st.step(g, lam, c, spec, u, dw, g_force, scfg)
+        u, beta_u = st.step(g, lam, c, spec, u, beta_u, dw, g_force, scfg)
 
     total_samples = (n_steps + 1) * int(np.prod(g.shape))
     return {

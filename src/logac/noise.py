@@ -7,8 +7,15 @@ vanish at +-1, so the noise shuts off at the pure phases:
     poly_flat: h_k(r) = sigma0 * k^(-s) * (1-r^2)^m * sin(k*pi*(1+r)/2)
 
 With s > 3/2 the W^{1,inf} series sum_k ||h_k||^2 converges; poly_flat
-additionally kills the first m derivatives at the endpoints.  Increments
-come from a counter-based generator (Philox) keyed by
+additionally kills the first m derivatives at the endpoints.
+
+mix_modes never builds the profiles one by one.  With theta = pi*(1+v)/2,
+sin(k*theta) = sin(theta) * U_{k-1}(cos(theta)) (Chebyshev, second kind),
+so sum_k h_k(v) dW_k is sin(theta) times a Clenshaw sum in cos(theta).
+sin(theta) comes from _sinpi, which is exactly 0 at v = +-1, so the noise
+is an exact 0.0 at the pure phases whatever the recurrence rounds to.
+
+Increments come from a counter-based generator (Philox) keyed by
 (seed, replicate, step, mode), so coupled runs across regularization
 levels or data perturbations consume bit-identical noise and parallel
 execution order can never change results.
@@ -175,18 +182,46 @@ def _mapped_state(spec: NoiseSpec, u, level: YosidaLevel | None):
 
 
 def mix_modes(spec: NoiseSpec, v, dw, field_ndim: int):
-    """sum_k h_k(v) dW_k for an already-mapped state v (the scheme uses v = J_lam(u)).
+    """sum_k h_k(v) dW_k for an already-mapped state v in [-1, 1] (the scheme uses v = J_lam(u)).
 
     dw must have shape v.shape[:-field_ndim] + (modes,): one increment
     vector per leading batch entry, broadcast over the field axes.
+
+    The sum is sin(theta) * sum_k c_k U_{k-1}(cos(theta)), c_k = sigma0 k^(-s) dW_k,
+    summed by Clenshaw's recurrence in Reinsch's form: theta is folded into
+    t in [0, pi/2] (sin(k(pi - t)) = (-1)^(k+1) sin(kt) flips the even modes
+    where v > 0), and with mu = 2cos(t) - 2 = -4 sin^2(t/2) taken without
+    cancellation, d_k = c_k + mu b_{k+1} + d_{k+1}, b_k = d_k + b_{k+1}, from
+    b = d = 0 down to b_1.  Rounding then grows like k*eps, as in the direct
+    sum, where the plain recurrence in cos(t) ~ 1 grows like k^2*eps.  Only a
+    few field-sized buffers are used, never a modes x field tensor.
     """
     v = np.asarray(v, dtype=float)
     if spec.modes == 0:
         return np.zeros_like(v)
-    h = mode_values(spec, v)
-    w = np.moveaxis(np.asarray(dw, dtype=float), -1, 0)
-    w = w.reshape(w.shape + (1,) * field_ndim)
-    return np.sum(h * w, axis=0)
+    y = 0.5 * (1.0 - np.abs(v))  # t = pi*y, the folded theta
+    sin_t = _sinpi(y)
+    mu = -2.0 * sin_t * sin_t / (1.0 + _cospi(y))
+    flip = np.where(v > 0.0, -1.0, 1.0)
+    k = _mode_indices(spec, 0)
+    coef = np.asarray(dw, dtype=float) * (spec.amplitude * k ** (-spec.decay_exponent))
+    coef = np.moveaxis(coef, -1, 0)
+    coef = coef.reshape(coef.shape + (1,) * field_ndim)
+    shape = np.broadcast_shapes(v.shape, coef.shape[1:])
+    b, d, tmp = np.zeros(shape), np.zeros(shape), np.empty(shape)
+    for j in range(spec.modes - 1, -1, -1):  # mode k = j + 1, even when j is odd
+        np.multiply(mu, b, out=tmp)
+        d += tmp
+        if j % 2:
+            np.multiply(flip, coef[j], out=tmp)
+            d += tmp
+        else:
+            d += coef[j]
+        b += d
+    b *= sin_t
+    if spec.family == POLY_FLAT:
+        b *= (1.0 - v * v) ** spec.flatness
+    return b
 
 
 def hs_norm_sq(spec: NoiseSpec, grid, u, level: YosidaLevel | None = None):

@@ -153,16 +153,21 @@ def _monotone_solve(g: gr.Grid, lam, rhs, dt: float, cfg: StepperConfig, w0=None
     )
 
 
-def step(g: gr.Grid, lam, c: float, spec: nz.NoiseSpec, u, dw, g_force, cfg: StepperConfig):
+def step(g: gr.Grid, lam, c: float, spec: nz.NoiseSpec, u, beta_u, dw, g_force, cfg: StepperConfig):
     """One scheme step from u; returns (u_next, beta_lam(u_next)).
 
     The explicit part is the concave term 2c*u, the forcing and the noise
     sum_k h_k(J_lam(u)) dW_k; dw holds the mode increments with shape
     u's batch axes + (modes,) and is ignored when spec has no modes.
-    lam=None with c=0 integrates the plain heat equation.
+    J_lam(u) comes from beta_u = beta_lam(u), which the previous step (or
+    yosida_pair at the datum) returned: J_lam(u) = u - lam*beta_lam(u) up to
+    round-off, clipped into (-1, 1), with no resolvent solve of its own.
+    lam=None with c=0 and no noise modes integrates the plain heat equation.
     """
     dt = cfg.dt
-    noise_field = nz.mix_modes(spec, pot.resolvent_map(lam, u), dw, g.dim) if spec.modes > 0 else 0.0
+    noise_field = 0.0
+    if spec.modes > 0:
+        noise_field = nz.mix_modes(spec, np.clip(u - lam * beta_u, pot._R_LO, pot._R_HI), dw, g.dim)
     rhs = u + dt * (2.0 * c) * u + noise_field
     if g_force is not None:
         rhs = rhs + dt * g_force

@@ -197,7 +197,7 @@ def test_criterion_05_gradient_flow_and_gateaux():
     e_prev = float(gr.energy(g, params, level, u0))
     worst_rise = -math.inf
     for _ in range(cfg.n_steps):
-        u, _ = st.step(g, level.lam, params.c, quiet, u, None, None, cfg)
+        u, _ = st.step(g, level.lam, params.c, quiet, u, None, None, None, cfg)
         e = float(gr.energy(g, params, level, u))
         worst_rise = max(worst_rise, e - e_prev)
         e_prev = e

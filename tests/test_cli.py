@@ -190,3 +190,15 @@ class TestMainEntry:
 
     def test_main_missing_config_exits_2(self, tmp_path, capsys):
         assert cli.main(["uniform", "--config", str(tmp_path / "none.json")]) == 2
+
+    @pytest.mark.parametrize(
+        "payload, named",
+        [
+            ({"version": 1, "ensemble": {"lambda_levels": 0.2}}, "config ensemble: lambda_levels"),
+            ({"version": 1, "grid": {"cells": 32}}, "config grid: cells"),
+        ],
+    )
+    def test_scalar_for_a_list_exits_2(self, tmp_path, capsys, payload, named):
+        # exit 1 means a failed study assertion; a mistyped config is a usage error
+        assert cli.main(["uniform", "--config", str(write_config(tmp_path, payload))]) == 2
+        assert named in capsys.readouterr().err

@@ -327,6 +327,14 @@ class TestOracles:
         out = ex._run_lanes([ex.Lane(None, np.zeros((1, 32)), None)], quiet, cfg, g, None, seed=0)
         assert np.all(out["final"] == 0.0)
 
+    def test_heat_lanes_reject_noise(self):
+        # the noise is evaluated at J_lam(u), which a lane without a level does not have
+        g = gr.Grid(extent=(1.0,), cells=(8,))
+        cfg = st.StepperConfig(dt=1e-3, t_end=0.01)
+        spec = nz.NoiseSpec(family="sine", modes=4, decay_exponent=2.0, amplitude=0.5)
+        with pytest.raises(ValueError, match="noise needs a Yosida level"):
+            ex._run_lanes([ex.Lane(None, np.zeros((1, 8)), None)], spec, cfg, g, None, seed=0)
+
     def test_deterministic_in_seed(self):
         a = ex.heat_and_ode_oracles(small_config(seed=1))
         b = ex.heat_and_ode_oracles(small_config(seed=999))

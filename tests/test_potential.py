@@ -219,6 +219,18 @@ class TestYosida:
         assert np.all(bh >= 0.0)
 
 
+class TestNoisePoint:
+    # stepper.step evaluates the noise at J_lam(u) = u - lam*beta_lam(u), clipped,
+    # from the beta_lam(u) the previous step returned, with no resolvent solve of its own
+    @pytest.mark.parametrize("lam", [0.5, 0.2, 0.05, 0.01, 1e-4])
+    def test_matches_resolvent_map(self, lam):
+        u = np.array([1.0 - 1e-15, -(1.0 - 1e-15), 1.0, -1.0, 1.5, -1.5, 50.0, -50.0, 0.0, 0.3, -0.97])
+        beta_u, _ = pot.yosida_pair(lam, u)
+        point = np.clip(u - lam * beta_u, pot._R_LO, pot._R_HI)
+        assert np.all(np.abs(point) <= 1.0)
+        assert np.max(np.abs(point - pot.resolvent_map(lam, u))) <= 1e-12
+
+
 class TestRegularizedPotential:
     def test_at_zero(self):
         params = pot.logarithmic_params(c=2.0)

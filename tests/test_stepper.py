@@ -66,10 +66,11 @@ def record_path(g, params, level, spec, u0, cfg, increments):
     lam = None if level is None else level.lam
     c = 0.0 if params is None else params.c
     u, states, stoch = u0, [u0], np.zeros_like(u0)
+    beta_u = None if lam is None else pot.yosida_pair(lam, u0)[0]
     for dw in increments:
         if spec.modes:
             stoch = stoch + nz.mix_modes(spec, pot.resolvent_map(lam, u), dw, g.dim)
-        u, _ = st.step(g, lam, c, spec, u, dw, None, cfg)
+        u, beta_u = st.step(g, lam, c, spec, u, beta_u, dw, None, cfg)
         states.append(u)
     return st.TrajectoryRecord(g, params, level, cfg.dt, np.asarray(states), stoch, None)
 
@@ -134,7 +135,7 @@ class TestStep:
         g = gr.Grid(extent=(1.0,), cells=(16,))
         params = pot.logarithmic_params(c=2.0)
         cfg = st.StepperConfig(dt=1e-3, t_end=0.01)
-        u, _ = st.step(g, 0.1, params.c, QUIET, np.zeros(16), None, None, cfg)
+        u, _ = st.step(g, 0.1, params.c, QUIET, np.zeros(16), None, None, None, cfg)
         assert np.all(u == 0.0)
 
     def test_heat_limit(self):
@@ -172,7 +173,7 @@ class TestStep:
         e_prev = gr.energy(g, params, level, u)
         slack = 10 * cfg.outer_newton_tol * g.measure
         for _ in range(cfg.n_steps):
-            u, _ = st.step(g, level.lam, params.c, QUIET, u, None, None, cfg)
+            u, _ = st.step(g, level.lam, params.c, QUIET, u, None, None, None, cfg)
             e = float(gr.energy(g, params, level, u))
             assert e <= e_prev + slack
             e_prev = e
