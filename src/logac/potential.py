@@ -132,41 +132,45 @@ def potential_eval(params: PotentialParams, r):
     return F, F1, F2
 
 
-def _graph_solve(lam, x, tol, max_iter):
+def _graph_solve(lam, x, tol, max_iter, b0=None):
     """Solve tanh(b/2) + lam*b = x elementwise for b.
 
     This is the resolvent equation r + lam*beta(r) = x written in the
     graph coordinate b = beta(r), r = tanh(b/2); the change of variable
     keeps the solve well conditioned when J_lam(x) hugs the endpoints.
     Safeguarded Newton: the iterate stays inside a sign-changing bracket
-    and falls back to bisection whenever a Newton step leaves it.
+    and falls back to bisection whenever a Newton step leaves it, or when
+    the last step crossed the root without halving the residual (Newton can
+    swing between the flat tails of tanh).  b0, when given, is the starting
+    guess, clipped into the bracket.  A point stops moving once its residual
+    is within tol, so its result depends on its own x, lam and b0 alone.
     """
     lam = np.asarray(lam, dtype=float)
     x = np.asarray(x, dtype=float)
-    lam, x = np.broadcast_arrays(lam, x)
-    lam = lam.astype(float, copy=True)
-    x = x.astype(float, copy=True)
 
-    # tanh(b/2) in [-1,1] gives f((x-1)/lam) <= 0 <= f((x+1)/lam).
-    lo = (x - 1.0) / lam
-    hi = (x + 1.0) / lam
-    b = np.clip(x / (lam + 0.5), lo, hi)
-    for _ in range(max_iter):
+    # tanh(b/2) in [-1,1] gives f((x-1)/lam) <= 0 <= f((x+1)/lam); the margin of
+    # one keeps a root where tanh rounds to +-1 strictly inside the bracket
+    lo = (x - 1.0) / lam - 1.0
+    hi = (x + 1.0) / lam + 1.0
+    b = np.clip(x / (lam + 0.5) if b0 is None else b0, lo, hi)
+    f_prev = 0.0
+    for it in range(max_iter + 1):
         t = np.tanh(0.5 * b)
         f = t + lam * b - x
-        if np.all(np.abs(f) <= tol):
+        done = np.abs(f) <= tol
+        if np.all(done):
             return b
+        if it == max_iter:
+            break
         lo = np.where(f < 0.0, b, lo)
         hi = np.where(f > 0.0, b, hi)
-        fp = 0.5 * (1.0 - t * t) + lam
-        b_new = b - f / fp
-        bad = ~((b_new > lo) & (b_new < hi))
-        b = np.where(bad, 0.5 * (lo + hi), b_new)
-    t = np.tanh(0.5 * b)
-    worst = float(np.max(np.abs(t + lam * b - x)))
-    raise RuntimeError(
-        f"resolvent solve failed to reach residual {tol:g} in {max_iter} iterations (worst {worst:.3e})"
-    )
+        swing = (f * f_prev < 0.0) & (2.0 * np.abs(f) > np.abs(f_prev))
+        b_new = b - f / (0.5 * (1.0 - t * t) + lam)
+        bisect = swing | ~((b_new > lo) & (b_new < hi))
+        b = np.where(done, b, np.where(bisect, 0.5 * (lo + hi), b_new))
+        f_prev = f
+    worst = float(np.max(np.abs(f)))
+    raise RuntimeError(f"resolvent solve failed to reach residual {tol:g} in {max_iter} iterations (worst {worst:.3e})")
 
 
 def resolvent(level: YosidaLevel, x):
@@ -180,15 +184,17 @@ def resolvent_map(lam, x, tol: float = NEWTON_TOL, max_iter: int = NEWTON_MAX_IT
     return np.clip(np.tanh(0.5 * b), _R_LO, _R_HI)
 
 
-def yosida_pair(lam, x, tol: float = NEWTON_TOL, max_iter: int = NEWTON_MAX_ITER):
+def yosida_pair(lam, x, tol: float = NEWTON_TOL, max_iter: int = NEWTON_MAX_ITER, b0=None):
     """(beta_lam(x), beta_lam'(x)) with lam broadcastable against x.
 
     Hot-path variant used by the field solvers, where lam may vary across
     batch lanes; the derivative formula 1/((1-J^2)/2 + lam) degrades
-    gracefully to 1/lam as J approaches the endpoints.
+    gracefully to 1/lam as J approaches the endpoints.  beta_lam(x) is the
+    graph coordinate b of the resolvent solve to within tol/lam, so the
+    beta_lam of a nearby point is a good warm start b0.
     """
     x = np.asarray(x, dtype=float)
-    b = _graph_solve(lam, x, tol, max_iter)
+    b = _graph_solve(lam, x, tol, max_iter, b0)
     r = np.clip(np.tanh(0.5 * b), _R_LO, _R_HI)
     beta_l = (x - r) / lam
     beta_l_prime = 1.0 / (0.5 * (1.0 - r) * (1.0 + r) + lam)

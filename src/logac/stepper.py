@@ -10,9 +10,14 @@ implicit operator is strictly monotone for every dt and lam, so the step
 is unconditionally solvable; the convex/concave split also makes the
 deterministic scheme dissipate the regularized free energy for any dt.
 
-The nonlinear solve is a damped Newton iteration whose SPD Jacobian
-systems go to conjugate gradients preconditioned by the exact heat
-operator (I - dt*lap)^(-1), applied spectrally.
+The nonlinear solve is a damped Newton iteration with a per-member exit:
+a batch member whose residual is within tolerance stops moving.  The
+Jacobian I - dt*lap + dt*diag(beta_lam'(w)) is SPD.  In 1-d it is
+tridiagonal and each Newton system is solved exactly, the whole batch in
+one LAPACK LDL^T call; in 2-d it goes to conjugate gradients
+preconditioned by the exact heat operator (I - dt*lap)^(-1), applied
+spectrally.  Each resolvent solve of the Newton iteration starts from the
+beta_lam of the previous one.
 
 Fields may carry leading batch axes (replicates, coupled lanes) and
 everything here broadcasts over them.  This module holds one step; the
@@ -27,6 +32,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import lapack
 
 from . import grid as gr
 from . import noise as nz
@@ -37,6 +43,12 @@ _TINY = np.finfo(float).tiny
 
 @dataclass(frozen=True)
 class StepperConfig:
+    """Time step, horizon and solver controls.
+
+    linear_tol and linear_max govern the 2-d conjugate-gradient solve
+    only; the 1-d Newton systems are solved exactly.
+    """
+
     dt: float
     t_end: float
     outer_newton_tol: float = 1e-10
@@ -107,37 +119,74 @@ def _pcg(g: gr.Grid, dt: float, diag, b, cfg: StepperConfig):
     raise RuntimeError(f"inner linear solve stagnated after {cfg.linear_max} iterations")
 
 
-def _monotone_solve(g: gr.Grid, lam, rhs, dt: float, cfg: StepperConfig, w0=None):
+def _tridiag_solve(g: gr.Grid, dt: float, diag, b):
+    """Exact (I - dt*lap + dt*diag) x = b on a 1-d grid, every batch member at once.
+
+    The batch is laid out as one block-diagonal tridiagonal system with zero
+    couplings between blocks and solved by LAPACK's LDL^T solver dptsv,
+    which does not pivot, so each block's solution is that of the block
+    alone.  diag must be nonnegative (or None for zero); a system that is
+    not positive definite raises.
+    """
+    n = g.cells[0]
+    k = dt / (g.spacing[0] * g.spacing[0])
+    d = np.empty(b.shape)
+    if diag is None:
+        d[...] = 1.0
+    else:
+        np.multiply(diag, dt, out=d)
+        d += 1.0
+    d[..., 1:-1] += 2.0 * k
+    d[..., 0] += k
+    d[..., -1] += k
+    e = np.full(b.size - 1, -k)
+    e[n - 1 :: n] = 0.0
+    _, _, x, info = lapack.dptsv(d.reshape(-1), e, b.reshape(-1), overwrite_d=1, overwrite_e=1)
+    if info != 0:
+        raise RuntimeError(f"tridiagonal Newton system is not positive definite (dptsv info {info})")
+    return x.reshape(b.shape)
+
+
+def _monotone_solve(g: gr.Grid, lam, rhs, dt: float, cfg: StepperConfig, w0=None, b0=None):
     """Solve w - dt*lap(w) + dt*beta_lam(w) = rhs; lam=None drops the beta term.
 
     lam may be a scalar or an array broadcastable against the batch axes.
-    Returns (w, beta_lam(w)) so callers can reuse the final evaluation.
+    b0, when given, is beta_lam near w0 and warm-starts the first resolvent
+    solve.  Returns (w, beta_lam(w)) so callers can reuse the final
+    evaluation.
     """
     dim = g.dim
     w = rhs.copy() if w0 is None else np.array(w0, dtype=float, copy=True)
 
-    def residual(w_):
+    def residual(w_, bl_prev):
         if lam is None:
             bl, blp = None, None
         else:
-            bl, blp = pot.yosida_pair(lam, w_)
+            bl, blp = pot.yosida_pair(lam, w_, b0=bl_prev)
         F = w_ - dt * gr.laplacian_neumann(g, w_)
         if bl is not None:
             F = F + dt * bl
         return F - rhs, bl, blp
 
-    F, bl, blp = residual(w)
+    F, bl, blp = residual(w, b0)
     res = _batch_max_abs(F, dim)
     for _ in range(cfg.outer_newton_max):
-        if np.all(res <= cfg.outer_newton_tol):
+        done = res <= cfg.outer_newton_tol
+        if np.all(done):
             if bl is None:
                 bl = np.zeros_like(w)
             return w, bl
-        delta = _pcg(g, dt, blp if lam is not None else None, F, cfg)
+        if dim == 1:
+            delta = _tridiag_solve(g, dt, blp, F)
+        else:
+            delta = _pcg(g, dt, blp, F, cfg)
+        # a converged member keeps its state bit for bit, whatever its batch mates do
+        delta[done] = 0.0
         damp = np.ones_like(res)
         for _bt in range(12):
             w_try = w - _expand(damp, dim) * delta
-            F_try, bl_try, blp_try = residual(w_try)
+            # bl follows the latest evaluation, which warm-starts the next one
+            F_try, bl, blp_try = residual(w_try, bl)
             res_try = _batch_max_abs(F_try, dim)
             bad = (res_try > res) & (res_try > cfg.outer_newton_tol)
             if not np.any(bad):
@@ -147,7 +196,7 @@ def _monotone_solve(g: gr.Grid, lam, rhs, dt: float, cfg: StepperConfig, w0=None
             raise RuntimeError(
                 f"implicit step failed: backtracking exhausted, 12 dampings all raise residual {float(np.max(res)):.3e}"
             )
-        w, F, bl, blp, res = w_try, F_try, bl_try, blp_try, res_try
+        w, F, blp, res = w_try, F_try, blp_try, res_try
     raise RuntimeError(
         f"implicit step failed: residual {float(np.max(res)):.3e} after {cfg.outer_newton_max} Newton iterations"
     )
@@ -171,7 +220,7 @@ def step(g: gr.Grid, lam, c: float, spec: nz.NoiseSpec, u, beta_u, dw, g_force, 
     rhs = u + dt * (2.0 * c) * u + noise_field
     if g_force is not None:
         rhs = rhs + dt * g_force
-    return _monotone_solve(g, lam, rhs, dt, cfg, w0=u)
+    return _monotone_solve(g, lam, rhs, dt, cfg, w0=u, b0=beta_u)
 
 
 @dataclass

@@ -90,7 +90,8 @@ class TestLadderRun:
 
 class TestBatchIndependence:
     # a replicate's path must not depend on which other replicates share its
-    # batch; the Newton exit rule is global, so this holds to solver tolerance
+    # batch: the Newton exit is per member and the 1-d linear solve is per
+    # block, so the paths agree bit for bit
     @settings(max_examples=12, deadline=None)
     @given(
         cells=hst.sampled_from((16, 32, 64)),
@@ -108,7 +109,6 @@ class TestBatchIndependence:
             stepper=st.StepperConfig(dt=1e-3, t_end=n_steps * 1e-3),
             u0=dg.U0Spec(kind="random_fourier", amplitude=0.5),
         )
-        tol = 10 * cfg.stepper.n_steps * cfg.stepper.outer_newton_tol
         u0 = ex._lane_u0(cfg)
 
         def run(batch):
@@ -116,12 +116,12 @@ class TestBatchIndependence:
             return ex._run_lanes(lanes, cfg.noise, cfg.stepper, cfg.grid, cfg.potential, cfg.seed)
 
         full, head = run(u0), run(u0[:k])
-        assert np.max(np.abs(full["final"][:, :k] - head["final"])) <= tol
+        assert np.array_equal(full["final"][:, :k], head["final"])
         for name, value in full["stats"].items():
-            assert np.max(np.abs(value[:, :k] - head["stats"][name])) <= tol, name
+            assert np.array_equal(value[:, :k], head["stats"][name]), name
         for i, pa in enumerate(full["pairs"]):
             for name, value in pa.items():
-                assert np.max(np.abs(value[:k] - head["pairs"][i][name])) <= tol, (i, name)
+                assert np.array_equal(value[:k], head["pairs"][i][name]), (i, name)
 
 
 class TestUniformStudy:

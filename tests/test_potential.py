@@ -153,6 +153,39 @@ class TestResolvent:
             assert abs(bets[-1] - beta_exact) < 2.0 * bias + 1e-12
 
 
+class TestWarmStart:
+    def cases(self, seed, x_max, size=4000):
+        rng = np.random.default_rng(seed)
+        return rng.uniform(1e-4, 0.9, size=size), rng.uniform(-x_max, x_max, size=size)
+
+    def test_any_start_returns_the_cold_root(self):
+        # inside (-1, 1) Newton from a far start can swing between the flat tails
+        lam, x = self.cases(13, 1.0)
+        cold = pot._graph_solve(lam, x, pot.NEWTON_TOL, pot.NEWTON_MAX_ITER)
+        rng = np.random.default_rng(1)
+        for b0 in (cold + 1e-3, -cold, np.full_like(x, 1e9), np.full_like(x, -1e9), rng.normal(size=x.size) * 1e6):
+            warm = pot._graph_solve(lam, x, pot.NEWTON_TOL, pot.NEWTON_MAX_ITER, b0)
+            assert np.max(np.abs(np.tanh(0.5 * warm) + lam * warm - x)) <= pot.NEWTON_TOL
+            # f' >= lam, so two points within tol of the root lie within 2*tol/lam of each other
+            assert np.all(np.abs(warm - cold) <= 2.0 * pot.NEWTON_TOL / lam)
+
+    def test_nearby_start_converges_in_few_iterations(self):
+        # beyond 1 + 37*lam the root sits where tanh rounds to 1
+        lam, x = self.cases(29, 3.0)
+        b0 = pot._graph_solve(lam, x, pot.NEWTON_TOL, pot.NEWTON_MAX_ITER)
+        shift = 1e-3 * np.random.default_rng(2).choice([-1.0, 1.0], size=x.size)
+        b = pot._graph_solve(lam, x + shift, pot.NEWTON_TOL, 3, b0)
+        assert np.max(np.abs(np.tanh(0.5 * b) + lam * b - x - shift)) <= pot.NEWTON_TOL
+
+    def test_converged_points_do_not_move(self):
+        lam, x = self.cases(31, 3.0)
+        b = pot._graph_solve(lam, x, pot.NEWTON_TOL, pot.NEWTON_MAX_ITER)
+        x2 = x.copy()
+        x2[::2] += 0.5
+        again = pot._graph_solve(lam, x2, pot.NEWTON_TOL, pot.NEWTON_MAX_ITER, b)
+        assert np.array_equal(again[1::2], b[1::2])
+
+
 class TestYosida:
     def test_at_zero(self):
         for lam in (0.5, 0.1, 0.01):

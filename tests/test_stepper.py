@@ -31,15 +31,15 @@ def scalar_implicit_oracle(lam, dt, rho, iters=200):
     return 0.5 * (lo + hi)
 
 
+def dense_laplacian(g):
+    return np.stack([gr.laplacian_neumann(g, e) for e in np.eye(g.cells[0])], axis=1)
+
+
 def dense_implicit_oracle(g, lam, rhs, dt, iters=60):
-    """Newton with dense linear algebra, independent of the CG path."""
+    """Newton with dense linear algebra, independent of the stepper's linear solves."""
     level = pot.YosidaLevel(lam)
     n = rhs.size
-    L = np.zeros((n, n))
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = 1.0
-        L[:, i] = gr.laplacian_neumann(g, e)
+    L = dense_laplacian(g)
     w = rhs.copy()
     for _ in range(iters):
         bl, blp, _ = pot.yosida_eval(level, w)
@@ -119,15 +119,67 @@ class TestImplicitSolve:
                 resid = w - dt * gr.laplacian_neumann(g, w) + dt * bl - rhs
                 assert np.max(np.abs(resid)) <= 1e-10
 
+    @pytest.mark.parametrize("cells", [(16,), (8, 8)])
+    def test_converged_member_keeps_its_state(self, cells):
+        # member 0 starts at its own solution; member 1 needs Newton iterations
+        g = gr.Grid(extent=(1.0,) * len(cells), cells=cells)
+        cfg = st.StepperConfig(dt=1e-2, t_end=1.0)
+        rhs = np.random.default_rng(7).uniform(-1.5, 1.5, size=(2, *cells))
+        alone = solve(g, 0.1, rhs[0], 1e-2, cfg)
+        w, _ = st._monotone_solve(g, 0.1, rhs, 1e-2, cfg, w0=np.stack([alone, rhs[1]]))
+        assert np.array_equal(w[0], alone)
+
     def test_backtracking_exhaustion_raises(self, monkeypatch):
         # a wrong-sign Jacobian solve gives an ascent direction, so every damping raises the residual
         g = gr.Grid(extent=(1.0,), cells=(16,))
         cfg = st.StepperConfig(dt=1e-2, t_end=1.0)
-        pcg = st._pcg
-        monkeypatch.setattr(st, "_pcg", lambda *args: -pcg(*args))
+        tridiag = st._tridiag_solve
+        monkeypatch.setattr(st, "_tridiag_solve", lambda *args: -tridiag(*args))
         rhs = np.random.default_rng(3).uniform(-2.0, 2.0, size=16)
         with pytest.raises(RuntimeError, match="backtracking exhausted"):
             solve(g, 0.1, rhs, 1e-2, cfg)
+
+    def test_backtracking_exhaustion_raises_2d(self, monkeypatch):
+        g = gr.Grid(extent=(1.0, 1.0), cells=(8, 8))
+        cfg = st.StepperConfig(dt=1e-2, t_end=1.0)
+        pcg = st._pcg
+        monkeypatch.setattr(st, "_pcg", lambda *args: -pcg(*args))
+        rhs = np.random.default_rng(3).uniform(-2.0, 2.0, size=(8, 8))
+        with pytest.raises(RuntimeError, match="backtracking exhausted"):
+            solve(g, 0.1, rhs, 1e-2, cfg)
+
+
+class TestTridiagSolve:
+    @pytest.mark.parametrize("n", [2, 16, 128])
+    @pytest.mark.parametrize("with_diag", [True, False])
+    def test_matches_dense_solve(self, n, with_diag):
+        g = gr.Grid(extent=(1.0,), cells=(n,))
+        dt = 1e-2
+        rng = np.random.default_rng(n)
+        b = rng.normal(size=(3, 4, n))
+        diag = rng.uniform(0.0, 50.0, size=b.shape) if with_diag else None
+        x = st._tridiag_solve(g, dt, diag, b)
+        heat = np.eye(n) - dt * dense_laplacian(g)
+        for i in np.ndindex(b.shape[:-1]):
+            J = heat if diag is None else heat + dt * np.diag(diag[i])
+            assert np.linalg.norm(J @ x[i] - b[i]) <= 1e-13 * np.linalg.norm(b[i])
+            assert np.allclose(x[i], np.linalg.solve(J, b[i]), rtol=1e-12, atol=1e-14)
+
+    def test_slice_alone_is_bit_identical(self):
+        g = gr.Grid(extent=(1.0,), cells=(16,))
+        rng = np.random.default_rng(5)
+        b = rng.normal(size=(4, 8, 16))
+        diag = rng.uniform(0.0, 1e3, size=b.shape)
+        full = st._tridiag_solve(g, 1e-3, diag, b)
+        for i in np.ndindex(b.shape[:-1]):
+            assert np.array_equal(st._tridiag_solve(g, 1e-3, diag[i], b[i]), full[i])
+
+    def test_not_positive_definite_raises(self):
+        g = gr.Grid(extent=(1.0,), cells=(16,))
+        diag = np.full((2, 16), 1.0)
+        diag[1, 7] = -1e3
+        with pytest.raises(RuntimeError, match="not positive definite"):
+            st._tridiag_solve(g, 1e-2, diag, np.ones((2, 16)))
 
 
 class TestStep:
