@@ -219,8 +219,9 @@ def _run_lanes(
         if m == n_steps:
             break
         acc["int_grad_sq"] += dt * gsq
-        acc["int_beta_sq"] += dt * gr.h_norm_sq(g, beta_u)
-        acc["int_f1_sq"] += dt * gr.h_norm_sq(g, beta_u - 2.0 * c * u)
+        if params is not None:  # heat lanes keep these at exact zeros
+            acc["int_beta_sq"] += dt * gr.h_norm_sq(g, beta_u)
+            acc["int_f1_sq"] += dt * gr.h_norm_sq(g, beta_u - 2.0 * c * u)
         acc["int_lap_sq"] += dt * gr.h_norm_sq(g, gr.laplacian_neumann(g, u))
         for pa, d, dh in zip(pair_acc, diffs, diff_h):
             pa["int_diff_h_sq"] += dt * dh

@@ -11,7 +11,9 @@ with the resolvent J_lam = (I + lam*beta)^(-1) and the Yosida
 regularization beta_lam = (I - J_lam)/lam, which is globally Lipschitz
 with constant 1/lam and satisfies beta_lam = beta(J_lam(.)).
 
-All evaluators are elementwise over numpy arrays and accept scalars.
+The resolvent is solved pointwise by a bracket-free Newton iteration on
+the folded graph equation (_graph_solve).  All evaluators are elementwise
+over numpy arrays and accept scalars.
 """
 
 from __future__ import annotations
@@ -133,42 +135,43 @@ def potential_eval(params: PotentialParams, r):
 
 
 def _graph_solve(lam, x, tol, max_iter, b0=None):
-    """Solve tanh(b/2) + lam*b = x elementwise for b.
+    """Solve tanh(b/2) + lam*b = x elementwise; returns (b, tanh(b/2)).
 
-    This is the resolvent equation r + lam*beta(r) = x written in the
-    graph coordinate b = beta(r), r = tanh(b/2); the change of variable
-    keeps the solve well conditioned when J_lam(x) hugs the endpoints.
-    Safeguarded Newton: the iterate stays inside a sign-changing bracket
-    and falls back to bisection whenever a Newton step leaves it, or when
-    the last step crossed the root without halving the residual (Newton can
-    swing between the flat tails of tanh).  b0, when given, is the starting
-    guess, clipped into the bracket.  A point stops moving once its residual
-    is within tol, so its result depends on its own x, lam and b0 alone.
+    This is the resolvent equation r + lam*beta(r) = x in the graph
+    coordinate b = beta(r), r = tanh(b/2), well conditioned when J_lam(x)
+    hugs the endpoints.  The equation is odd, so Newton runs on
+    tanh(b/2) + lam*b = |x| over b >= 0, where the left side is concave and
+    increasing: one step, clamped at 0, lands at or below the root and the
+    iterates then rise to it, with no bracket; copysign restores the sign.
+    The start is sign(x)*b0 clipped into [0, |x|/lam], which holds the root
+    (from farther out the first step rounds past it), or |x|/(lam + 1/2).
+    A point stops once its residual is within tol, so its result depends on
+    its own x, lam and b0 alone.
     """
-    lam = np.asarray(lam, dtype=float)
     x = np.asarray(x, dtype=float)
-
-    # tanh(b/2) in [-1,1] gives f((x-1)/lam) <= 0 <= f((x+1)/lam); the margin of
-    # one keeps a root where tanh rounds to +-1 strictly inside the bracket
-    lo = (x - 1.0) / lam - 1.0
-    hi = (x + 1.0) / lam + 1.0
-    b = np.clip(x / (lam + 0.5) if b0 is None else b0, lo, hi)
-    f_prev = 0.0
+    a = np.abs(x)
+    b = np.asarray(a / (lam + 0.5) if b0 is None else np.clip(np.sign(x) * b0, 0.0, a / lam))
+    t, f, done = np.empty_like(b), np.empty_like(b), np.empty(b.shape, dtype=bool)
     for it in range(max_iter + 1):
-        t = np.tanh(0.5 * b)
-        f = t + lam * b - x
-        done = np.abs(f) <= tol
-        if np.all(done):
-            return b
+        np.tanh(np.multiply(b, 0.5, out=t), out=t)
+        np.multiply(lam, b, out=f)
+        f += t
+        f -= a
+        np.less_equal(f, tol, out=done)
+        done &= f >= -tol
+        if done.all():
+            return np.copysign(b, x, out=b), np.copysign(t, x, out=t)
         if it == max_iter:
             break
-        lo = np.where(f < 0.0, b, lo)
-        hi = np.where(f > 0.0, b, hi)
-        swing = (f * f_prev < 0.0) & (2.0 * np.abs(f) > np.abs(f_prev))
-        b_new = b - f / (0.5 * (1.0 - t * t) + lam)
-        bisect = swing | ~((b_new > lo) & (b_new < hi))
-        b = np.where(done, b, np.where(bisect, 0.5 * (lo + hi), b_new))
-        f_prev = f
+        # a converged point takes a zero step, so it keeps its b bit for bit
+        f[done] = 0.0
+        # f' = sech(b/2)^2/2 + lam via cosh, as 1 - t^2 understates it where t rounds to 1
+        with np.errstate(over="ignore"):
+            np.square(np.cosh(np.multiply(b, 0.5, out=t), out=t), out=t)
+        np.divide(0.5, t, out=t)
+        t += lam
+        b -= np.divide(f, t, out=f)
+        np.maximum(b, 0.0, out=b)
     worst = float(np.max(np.abs(f)))
     raise RuntimeError(f"resolvent solve failed to reach residual {tol:g} in {max_iter} iterations (worst {worst:.3e})")
 
@@ -180,45 +183,42 @@ def resolvent(level: YosidaLevel, x):
 
 def resolvent_map(lam, x, tol: float = NEWTON_TOL, max_iter: int = NEWTON_MAX_ITER):
     """J_lam(x) with lam broadcastable against x (hot-path array variant)."""
-    b = _graph_solve(lam, x, tol, max_iter)
-    return np.clip(np.tanh(0.5 * b), _R_LO, _R_HI)
+    return np.clip(_graph_solve(lam, x, tol, max_iter)[1], _R_LO, _R_HI)
 
 
 def yosida_pair(lam, x, tol: float = NEWTON_TOL, max_iter: int = NEWTON_MAX_ITER, b0=None):
     """(beta_lam(x), beta_lam'(x)) with lam broadcastable against x.
 
     Hot-path variant used by the field solvers, where lam may vary across
-    batch lanes; the derivative formula 1/((1-J^2)/2 + lam) degrades
-    gracefully to 1/lam as J approaches the endpoints.  beta_lam(x) is the
-    graph coordinate b of the resolvent solve to within tol/lam, so the
-    beta_lam of a nearby point is a good warm start b0.
+    batch lanes; J_lam(x) is the tanh(b/2) the graph solve ended on.
+    beta_lam(x) is that solve's b to within tol/lam, so the beta_lam of a
+    nearby point is a good warm start b0.
     """
     x = np.asarray(x, dtype=float)
-    b = _graph_solve(lam, x, tol, max_iter, b0)
-    r = np.clip(np.tanh(0.5 * b), _R_LO, _R_HI)
-    beta_l = (x - r) / lam
-    beta_l_prime = 1.0 / (0.5 * (1.0 - r) * (1.0 + r) + lam)
-    return beta_l, beta_l_prime
+    beta_l, r = _graph_solve(lam, x, tol, max_iter, b0)
+    np.clip(r, _R_LO, _R_HI, out=r)
+    np.divide(np.subtract(x, r, out=beta_l), lam, out=beta_l)
+    return beta_l, yosida_slope(lam, r)
+
+
+def yosida_slope(lam, r):
+    """beta_lam' = 1/((1-r^2)/2 + lam) where J_lam = r; it tends to 1/lam at the endpoints."""
+    return 1.0 / (0.5 * (1.0 - r) * (1.0 + r) + lam)
 
 
 def yosida_eval(level: YosidaLevel, x):
     """Return (beta_lam, beta_lam', beta_hat_lam) at x, defined on all of R.
 
     beta_lam(x) = (x - J_lam(x))/lam equals beta(J_lam(x)) up to the solve
-    tolerance.  The derivative uses beta_lam' = 1/((1-J^2)/2 + lam), and the
-    primitive comes from the Moreau decomposition
+    tolerance.  The primitive comes from the Moreau decomposition
     beta_hat_lam(x) = beta_hat(J_lam(x)) + (lam/2) beta_lam(x)^2,
     exact for the quadratic regularization (no quadrature involved).
     """
     x = np.asarray(x, dtype=float)
     lam = level.lam
-    b = _graph_solve(lam, x, NEWTON_TOL, NEWTON_MAX_ITER)
-    r = np.clip(np.tanh(0.5 * b), _R_LO, _R_HI)
+    r = np.clip(_graph_solve(lam, x, NEWTON_TOL, NEWTON_MAX_ITER)[1], _R_LO, _R_HI)
     beta_l = (x - r) / lam
-    sech_sq = (1.0 - r) * (1.0 + r)
-    beta_l_prime = 1.0 / (0.5 * sech_sq + lam)
-    beta_hat_l = _beta_hat(r) + 0.5 * lam * beta_l * beta_l
-    return beta_l, beta_l_prime, beta_hat_l
+    return beta_l, yosida_slope(lam, r), _beta_hat(r) + 0.5 * lam * beta_l * beta_l
 
 
 def regularized_potential_eval(params: PotentialParams, level: YosidaLevel, r):

@@ -16,8 +16,9 @@ Jacobian I - dt*lap + dt*diag(beta_lam'(w)) is SPD.  In 1-d it is
 tridiagonal and each Newton system is solved exactly, the whole batch in
 one LAPACK LDL^T call; in 2-d it goes to conjugate gradients
 preconditioned by the exact heat operator (I - dt*lap)^(-1), applied
-spectrally.  Each resolvent solve of the Newton iteration starts from the
-beta_lam of the previous one.
+spectrally.  The first residual takes beta_lam(u) from the step's caller,
+so only the Newton trials solve the resolvent, each starting from the
+beta_lam of the evaluation before.
 
 Fields may carry leading batch axes (replicates, coupled lanes) and
 everything here broadcasts over them.  This module holds one step; the
@@ -151,24 +152,29 @@ def _monotone_solve(g: gr.Grid, lam, rhs, dt: float, cfg: StepperConfig, w0=None
     """Solve w - dt*lap(w) + dt*beta_lam(w) = rhs; lam=None drops the beta term.
 
     lam may be a scalar or an array broadcastable against the batch axes.
-    b0, when given, is beta_lam near w0 and warm-starts the first resolvent
-    solve.  Returns (w, beta_lam(w)) so callers can reuse the final
-    evaluation.
+    b0, when given, is beta_lam(w0): the first residual takes it as it is,
+    and beta_lam'(w0) from J_lam(w0) = w0 - lam*b0, so only the Newton
+    trials solve the resolvent, each warm-started from the beta_lam of the
+    evaluation before.  Returns (w, beta_lam(w)) so callers can reuse the
+    final evaluation.
     """
     dim = g.dim
     w = rhs.copy() if w0 is None else np.array(w0, dtype=float, copy=True)
 
-    def residual(w_, bl_prev):
-        if lam is None:
-            bl, blp = None, None
-        else:
-            bl, blp = pot.yosida_pair(lam, w_, b0=bl_prev)
+    def pair(w_, bl_prev):
+        return (None, None) if lam is None else pot.yosida_pair(lam, w_, b0=bl_prev)
+
+    def residual(w_, bl):
         F = w_ - dt * gr.laplacian_neumann(g, w_)
         if bl is not None:
             F = F + dt * bl
-        return F - rhs, bl, blp
+        return F - rhs
 
-    F, bl, blp = residual(w, b0)
+    if lam is None or b0 is None:
+        bl, blp = pair(w, None)
+    else:
+        bl, blp = b0, pot.yosida_slope(lam, np.clip(w - lam * b0, pot._R_LO, pot._R_HI))
+    F = residual(w, bl)
     res = _batch_max_abs(F, dim)
     for _ in range(cfg.outer_newton_max):
         done = res <= cfg.outer_newton_tol
@@ -186,7 +192,8 @@ def _monotone_solve(g: gr.Grid, lam, rhs, dt: float, cfg: StepperConfig, w0=None
         for _bt in range(12):
             w_try = w - _expand(damp, dim) * delta
             # bl follows the latest evaluation, which warm-starts the next one
-            F_try, bl, blp_try = residual(w_try, bl)
+            bl, blp_try = pair(w_try, bl)
+            F_try = residual(w_try, bl)
             res_try = _batch_max_abs(F_try, dim)
             bad = (res_try > res) & (res_try > cfg.outer_newton_tol)
             if not np.any(bad):

@@ -56,7 +56,7 @@ def test_criterion_01_yosida_suite():
     lam = rng.uniform(1e-4, 0.9, size=10_000)
     x = rng.uniform(-10.0, 10.0, size=10_000)
     level_tol = 1e-12
-    b = pot._graph_solve(lam, x, level_tol, 200)
+    b = pot._graph_solve(lam, x, level_tol, 200)[0]
     r = np.clip(np.tanh(0.5 * b), np.nextafter(-1.0, 0.0), np.nextafter(1.0, 0.0))
     worst_resid = float(np.max(np.abs(r + lam * b - x)))
     range_ok = bool(np.all(np.abs(r) < 1.0))

@@ -117,7 +117,7 @@ class TestResolvent:
         st.floats(min_value=-10.0, max_value=10.0),
     )
     def test_graph_residual_and_range(self, lam, x):
-        b = pot._graph_solve(lam, x, pot.NEWTON_TOL, pot.NEWTON_MAX_ITER)
+        b = pot._graph_solve(lam, x, pot.NEWTON_TOL, pot.NEWTON_MAX_ITER)[0]
         r = pot.resolvent(pot.YosidaLevel(lam), x)
         assert abs(r + lam * b - x) <= 1e-10
         assert abs(r) < 1.0
@@ -159,12 +159,12 @@ class TestWarmStart:
         return rng.uniform(1e-4, 0.9, size=size), rng.uniform(-x_max, x_max, size=size)
 
     def test_any_start_returns_the_cold_root(self):
-        # inside (-1, 1) Newton from a far start can swing between the flat tails
+        # starts of either sign and far out in the flat tails of tanh all reach the root
         lam, x = self.cases(13, 1.0)
-        cold = pot._graph_solve(lam, x, pot.NEWTON_TOL, pot.NEWTON_MAX_ITER)
+        cold = pot._graph_solve(lam, x, pot.NEWTON_TOL, pot.NEWTON_MAX_ITER)[0]
         rng = np.random.default_rng(1)
         for b0 in (cold + 1e-3, -cold, np.full_like(x, 1e9), np.full_like(x, -1e9), rng.normal(size=x.size) * 1e6):
-            warm = pot._graph_solve(lam, x, pot.NEWTON_TOL, pot.NEWTON_MAX_ITER, b0)
+            warm = pot._graph_solve(lam, x, pot.NEWTON_TOL, pot.NEWTON_MAX_ITER, b0)[0]
             assert np.max(np.abs(np.tanh(0.5 * warm) + lam * warm - x)) <= pot.NEWTON_TOL
             # f' >= lam, so two points within tol of the root lie within 2*tol/lam of each other
             assert np.all(np.abs(warm - cold) <= 2.0 * pot.NEWTON_TOL / lam)
@@ -172,18 +172,73 @@ class TestWarmStart:
     def test_nearby_start_converges_in_few_iterations(self):
         # beyond 1 + 37*lam the root sits where tanh rounds to 1
         lam, x = self.cases(29, 3.0)
-        b0 = pot._graph_solve(lam, x, pot.NEWTON_TOL, pot.NEWTON_MAX_ITER)
+        b0 = pot._graph_solve(lam, x, pot.NEWTON_TOL, pot.NEWTON_MAX_ITER)[0]
         shift = 1e-3 * np.random.default_rng(2).choice([-1.0, 1.0], size=x.size)
-        b = pot._graph_solve(lam, x + shift, pot.NEWTON_TOL, 3, b0)
+        b = pot._graph_solve(lam, x + shift, pot.NEWTON_TOL, 3, b0)[0]
         assert np.max(np.abs(np.tanh(0.5 * b) + lam * b - x - shift)) <= pot.NEWTON_TOL
 
     def test_converged_points_do_not_move(self):
         lam, x = self.cases(31, 3.0)
-        b = pot._graph_solve(lam, x, pot.NEWTON_TOL, pot.NEWTON_MAX_ITER)
+        b = pot._graph_solve(lam, x, pot.NEWTON_TOL, pot.NEWTON_MAX_ITER)[0]
         x2 = x.copy()
         x2[::2] += 0.5
-        again = pot._graph_solve(lam, x2, pot.NEWTON_TOL, pot.NEWTON_MAX_ITER, b)
+        again = pot._graph_solve(lam, x2, pot.NEWTON_TOL, pot.NEWTON_MAX_ITER, b)[0]
         assert np.array_equal(again[1::2], b[1::2])
+
+
+# updates the folded solve may take, fixed from the measured maximum of 10 over 6M
+# random cases (lam in [1e-4, 0.9]; cold, +-1e9, noisy-root and wrong-sign starts)
+FOLDED_UPDATE_CAP = 12
+
+
+def solve_recording_iterates(lam, x, b0):
+    """_graph_solve(lam, x, b0) and the folded iterate |b| at each residual evaluation.
+
+    Each evaluation takes exactly one tanh, of b/2, which a spy records.
+    """
+    seen = []
+    tanh = np.tanh
+
+    def spy(h, out=None):
+        seen.append(2.0 * float(h))
+        return tanh(h, out=out)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pot.np, "tanh", spy)
+        b, t = pot._graph_solve(lam, x, pot.NEWTON_TOL, FOLDED_UPDATE_CAP, b0)
+    return b, t, seen
+
+
+class TestFoldedSolve:
+    SPECIAL_X = [1.0, -1.0, 1.0 + 1e-6, 1.0 - 1e-6, -(1.0 + 1e-6), -(1.0 - 1e-6), 0.0]
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        lam=st.floats(min_value=1e-4, max_value=0.9),
+        x=st.one_of(st.sampled_from(SPECIAL_X), st.floats(min_value=-1e2, max_value=1e2)),
+        start=st.sampled_from(["cold", "+1e9", "-1e9", "wrong sign", "noisy root"]),
+        noise=st.floats(min_value=-1.0, max_value=1.0),
+    )
+    def test_converges_monotonically_and_is_odd(self, lam, x, start, noise):
+        root = float(pot._graph_solve(lam, x, pot.NEWTON_TOL, pot.NEWTON_MAX_ITER)[0])
+        b0 = {
+            "cold": None,
+            "+1e9": 1e9,
+            "-1e9": -1e9,
+            "wrong sign": -root - math.copysign(abs(noise), x),
+            "noisy root": root * (1.0 + 1e-3 * noise) + noise,
+        }[start]
+        b, t, iterates = solve_recording_iterates(lam, x, b0)
+        # within the cap (the call raises beyond it), to the resolvent tolerance
+        assert abs(np.tanh(0.5 * b) + lam * b - x) <= pot.NEWTON_TOL
+        assert len(iterates) - 1 <= FOLDED_UPDATE_CAP
+        assert t == np.tanh(0.5 * b)
+        # |b| never decreases after the first update
+        assert all(later >= earlier for earlier, later in zip(iterates[1:], iterates[2:]))
+        # odd bit for bit, signed zeros included
+        b_neg, t_neg = pot._graph_solve(lam, -x, pot.NEWTON_TOL, FOLDED_UPDATE_CAP, None if b0 is None else -b0)
+        assert np.float64(b_neg).tobytes() == np.float64(-b).tobytes()
+        assert np.float64(t_neg).tobytes() == np.float64(-t).tobytes()
 
 
 class TestYosida:

@@ -129,6 +129,40 @@ class TestImplicitSolve:
         w, _ = st._monotone_solve(g, 0.1, rhs, 1e-2, cfg, w0=np.stack([alone, rhs[1]]))
         assert np.array_equal(w[0], alone)
 
+    def test_first_residual_takes_the_given_beta(self, monkeypatch):
+        # with b0 = beta_lam(w0) given, yosida_pair runs once per Newton trial and never at w0
+        g = gr.Grid(extent=(1.0,), cells=(16,))
+        cfg = st.StepperConfig(dt=1e-2, t_end=1.0)
+        rng = np.random.default_rng(5)
+        lam = np.array([0.2, 0.01, 1e-3]).reshape(3, 1, 1)
+        u = np.concatenate([rng.uniform(-0.99, 0.99, size=(3, 2, 12)), np.full((3, 2, 4), 1.3)], axis=-1)
+        beta_u, slope_u = pot.yosida_pair(lam, u)
+        rhs = u + 0.05 * rng.normal(size=u.shape)
+        points, diags, residuals = [], [], []
+        pair, tridiag, lap = pot.yosida_pair, st._tridiag_solve, gr.laplacian_neumann
+
+        def spy_pair(lam_, x, **kw):
+            points.append(np.array(x))
+            return pair(lam_, x, **kw)
+
+        def spy_tridiag(g_, dt_, diag, b):
+            diags.append(np.array(diag))
+            return tridiag(g_, dt_, diag, b)
+
+        def spy_lap(g_, w):
+            residuals.append(1)
+            return lap(g_, w)
+
+        monkeypatch.setattr(pot, "yosida_pair", spy_pair)
+        monkeypatch.setattr(st, "_tridiag_solve", spy_tridiag)
+        monkeypatch.setattr(gr, "laplacian_neumann", spy_lap)
+        st._monotone_solve(g, lam, rhs, 1e-2, cfg, w0=u, b0=beta_u)
+        assert len(residuals) >= 2
+        assert len(points) == len(residuals) - 1
+        assert not any(np.array_equal(p, u) for p in points)
+        # the first Newton system carries beta_lam'(u), here taken from J = u - lam*beta_lam(u)
+        assert np.max(np.abs(diags[0] - slope_u) / slope_u) <= 1e-12
+
     def test_backtracking_exhaustion_raises(self, monkeypatch):
         # a wrong-sign Jacobian solve gives an ascent direction, so every damping raises the residual
         g = gr.Grid(extent=(1.0,), cells=(16,))
@@ -196,9 +230,11 @@ class TestStep:
         x = g.cell_centers()
         u0 = 0.5 * np.cos(np.pi * x)
         cfg = st.StepperConfig(dt=1e-3, t_end=0.05)
-        u = run_path(u0[None], None, cfg, g, None)["final"][0, 0]
+        out = run_path(u0[None], None, cfg, g, None)
         exact = 0.5 * math.exp(-np.pi**2 * 0.05) * np.cos(np.pi * x)
-        assert np.max(np.abs(u - exact)) < 2e-3
+        assert np.max(np.abs(out["final"][0, 0] - exact)) < 2e-3
+        # no potential: the beta quadratures are skipped and stay exact zeros
+        assert not np.any(out["stats"]["int_beta_sq"]) and not np.any(out["stats"]["int_f1_sq"])
 
     def test_zero_dimensional_reduction(self):
         # spatially constant states follow u' = -F'_lam(u); mirror ghosts kill the Laplacian
