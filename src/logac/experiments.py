@@ -16,7 +16,9 @@ as replicate standard errors with normal-approximation 95% intervals.
 
 from __future__ import annotations
 
+import csv
 import hashlib
+import io
 import math
 from dataclasses import dataclass, field
 
@@ -94,10 +96,13 @@ class EstimateReport:
         return {r.lam: r.mean for r in self.rows if r.quantity == quantity}
 
     def to_csv_text(self) -> str:
-        lines = ["quantity,lambda,mean,se,ci_lo,ci_hi"]
+        # csv quotes the names that hold commas, such as dep_ratio[du0=0,dg=0.001]
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(["quantity", "lambda", "mean", "se", "ci_lo", "ci_hi"])
         for r in self.rows:
-            lines.append(f"{r.quantity},{r.lam!r},{r.mean!r},{r.se!r},{r.ci_lo!r},{r.ci_hi!r}")
-        return "\n".join(lines) + "\n"
+            writer.writerow([r.quantity] + [repr(x) for x in (r.lam, r.mean, r.se, r.ci_lo, r.ci_hi)])
+        return out.getvalue()
 
     def to_json_dict(self) -> dict:
         return {

@@ -6,19 +6,26 @@ vanish at +-1, so the noise shuts off at the pure phases:
     sine:      h_k(r) = sigma0 * k^(-s) * sin(k*pi*(1+r)/2)
     poly_flat: h_k(r) = sigma0 * k^(-s) * (1-r^2)^m * sin(k*pi*(1+r)/2)
 
-With s > 3/2 the W^{1,inf} series sum_k ||h_k||^2 converges; poly_flat
-additionally kills the first m derivatives at the endpoints.
+With s > 3/2 the W^{1,inf} series sum_k ||h_k||^2 converges (NoiseSpec
+rejects any smaller s); poly_flat additionally kills the first m
+derivatives at the endpoints.
 
 mix_modes never builds the profiles one by one.  With theta = pi*(1+v)/2,
 sin(k*theta) = sin(theta) * U_{k-1}(cos(theta)) (Chebyshev, second kind),
 so sum_k h_k(v) dW_k is sin(theta) times a Clenshaw sum in cos(theta).
-sin(theta) comes from _sinpi, which is exactly 0 at v = +-1, so the noise
-is an exact 0.0 at the pure phases whatever the recurrence rounds to.
+theta is folded into t = pi*(1-|v|)/2 in [0, pi/2], and sin(t) = sin(0) is
+exactly 0 at v = +-1, so the noise is an exact 0.0 at the pure phases
+whatever the recurrence rounds to.
 
-Increments come from a counter-based generator (Philox) keyed by
-(seed, replicate, step, mode), so coupled runs across regularization
-levels or data perturbations consume bit-identical noise and parallel
-execution order can never change results.
+Increments come from counter streams: the stream keyed (seed, purpose, a, b)
+is numpy's Philox4x64-10 with key (seed, _KEY_SALT), started at counter
+(0, purpose, a, b).  Philox is a pure function of (counter, key) (Salmon
+et al., "Parallel random numbers: as easy as 1, 2, 3", SC'11), so
+_philox4x64 evaluates it for every stream of a step in one array pass,
+bit for bit what numpy's Philox bit generator returns from random_raw.
+Increments are keyed (seed, step, replicate), so coupled runs across
+regularization levels or data perturbations consume bit-identical noise
+and execution order can never change results.
 """
 
 from __future__ import annotations
@@ -28,7 +35,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
-from .potential import YosidaLevel, resolvent
+# not called here: perfbench/spans.py traces the resolvent as nz.resolvent
+from .potential import resolvent  # noqa: F401
 
 SINE = "sine"
 POLY_FLAT = "poly_flat"
@@ -39,6 +47,14 @@ _KEY_SALT = 0x9E3779B97F4A8000
 # counter[1] tags the purpose of a stream so independent consumers never collide
 CTR_INCREMENTS = 0
 CTR_INITIAL_DATUM = 1
+
+# Philox4x64 round multipliers and Weyl key increments (Random123, as in numpy)
+_PHILOX_M = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], dtype=np.uint64)
+_PHILOX_W = np.array([[0x9E3779B97F4A7C15], [0xBB67AE8584CAA73B]], dtype=np.uint64)
+_PHILOX_ROUNDS = 10
+_LO32 = np.uint64(0xFFFFFFFF)
+_S32 = np.uint64(32)
+_M_LO, _M_HI = _PHILOX_M & _LO32, _PHILOX_M >> _S32
 
 
 @dataclass(frozen=True)
@@ -72,13 +88,6 @@ def _sinpi(y):
     return np.where(n.astype(np.int64) % 2 == 0, s, -s)
 
 
-def _cospi(y):
-    y = np.asarray(y, dtype=float)
-    n = np.round(y)
-    c = np.cos(np.pi * (y - n))
-    return np.where(n.astype(np.int64) % 2 == 0, c, -c)
-
-
 def _mode_indices(spec: NoiseSpec, ndim: int):
     return np.arange(1, spec.modes + 1, dtype=float).reshape((-1,) + (1,) * ndim)
 
@@ -93,92 +102,59 @@ def mode_values(spec: NoiseSpec, v):
     return h
 
 
-def mode_derivatives(spec: NoiseSpec, v):
-    """h_k'(v), same layout as mode_values."""
-    v = np.asarray(v, dtype=float)
-    k = _mode_indices(spec, v.ndim)
-    amp = spec.amplitude * k ** (-spec.decay_exponent)
-    y = k * (1.0 + v) / 2.0
-    if spec.family == SINE:
-        return amp * (k * np.pi / 2.0) * _cospi(y)
-    m = spec.flatness
-    flat = (1.0 - v * v) ** m
-    return amp * (flat * (k * np.pi / 2.0) * _cospi(y) - 2.0 * m * v * (1.0 - v * v) ** (m - 1) * _sinpi(y))
+def _philox4x64(ctr, key):
+    """Philox4x64-10 of counters ctr (4 words x L streams) under key (2 x 1), as (4, L) uint64.
 
-
-def mode_w1inf_bounds(spec: NoiseSpec) -> np.ndarray:
-    """Per-mode analytic upper bounds for ||h_k||_{W^{1,inf}} = sup|h| + sup|h'|.
-
-    sine: both sups are attained, so the bound is exact.  poly_flat gets the
-    coarse but safe sup|h'| <= sigma0 k^(-s) (k pi/2 + 2m).
+    Words 0 and 2 are multiplied, words 1 and 3 are xored in, so each round
+    works on the (2, L) pairs x02 and x13.  The high halves of the 64x64-bit
+    products come from 32-bit halves, whose partial products and carry sums
+    fit in uint64; the low halves are the wrapping uint64 products.
     """
-    if spec.modes == 0:
-        return np.zeros(0)
-    k = np.arange(1, spec.modes + 1, dtype=float)
-    extra = 0.0 if spec.family == SINE else 2.0 * spec.flatness
-    return spec.amplitude * k ** (-spec.decay_exponent) * (1.0 + extra + k * np.pi / 2.0)
+    x02, x13 = ctr[0::2], ctr[1::2]
+    for r in range(_PHILOX_ROUNDS):
+        if r:
+            key = key + _PHILOX_W
+        lo, hi = x02 & _LO32, x02 >> _S32
+        lo_m_lo = lo * _M_LO
+        hi_m_lo = hi * _M_LO
+        mid = (lo_m_lo >> _S32) + (hi_m_lo & _LO32) + lo * _M_HI
+        mul_hi = hi * _M_HI + (hi_m_lo >> _S32) + (mid >> _S32)
+        x02, x13 = mul_hi[::-1] ^ x13 ^ key, (x02 * _PHILOX_M)[::-1]
+    return np.stack((x02[0], x13[0], x02[1], x13[1]))
 
 
-def cb_tail_bound(spec: NoiseSpec) -> float:
-    """Integral bound on sum_{k > modes} ||h_k||^2 for the untruncated family."""
-    if spec.modes == 0:
-        return 0.0
-    s = spec.decay_exponent
-    a = 1.0 + (0.0 if spec.family == SINE else 2.0 * spec.flatness)
-    b = np.pi / 2.0
-    # ||h_k||^2 <= sigma0^2 k^(2-2s) (b + a/k)^2, decreasing beyond the cutoff
-    coef = spec.amplitude**2 * (b + a / (spec.modes + 1)) ** 2
-    return float(coef * spec.modes ** (3.0 - 2.0 * s) / (2.0 * s - 3.0))
+def counter_normals(seed: int, purpose: int, index_a: int, index_b, n: int) -> np.ndarray:
+    """n standard normals from each stream keyed (seed, purpose, index_a, b), b in index_b.
 
-
-def cb_bound(spec: NoiseSpec) -> float:
-    """Upper bound on C_B = sum_k ||h_k||^2_{W^{1,inf}}.
-
-    Exact partial sum over the active modes plus the analytic tail bound;
-    zero when the family is empty (modes = 0, deterministic dynamics).
+    Returns index_b.shape + (n,).  numpy's Philox increments counter word 0
+    before each block of 4 outputs, so the k-th raw output (k = 0..n-1) is
+    word k % 4 of block counter (k // 4 + 1, purpose, index_a, b).  Each
+    variate is the inverse normal CDF of one 53-bit uniform, so the k-th
+    value is a pure function of the key and k.
     """
-    if spec.modes == 0:
-        return 0.0
-    partial = float(np.sum(mode_w1inf_bounds(spec) ** 2))
-    return partial + cb_tail_bound(spec)
-
-
-def counter_normals(seed: int, purpose: int, index_a: int, index_b: int, n: int) -> np.ndarray:
-    """n standard normals from the Philox stream keyed (seed, purpose, index_a, index_b).
-
-    Each variate is the inverse normal CDF of one 53-bit uniform, so the
-    k-th value is a pure function of the key and k.
-    """
-    if n == 0:
-        return np.zeros(0)
+    b = np.asarray(index_b, dtype=np.uint64)
+    blocks = -(-n // 4)
+    ctr = np.empty((4, b.size, blocks), dtype=np.uint64)
+    ctr[0] = np.arange(1, blocks + 1, dtype=np.uint64)
+    ctr[1] = purpose
+    ctr[2] = index_a
+    ctr[3] = b.reshape(-1, 1)
     # an explicit uint64 key: a plain list would round seeds above 2^53 through float64
-    key = np.array([seed, _KEY_SALT], dtype=np.uint64)
-    bg = np.random.Philox(counter=[0, purpose, index_a, index_b], key=key)
-    raw = bg.random_raw(n)
+    key = np.array([[seed], [_KEY_SALT]], dtype=np.uint64)
+    raw = _philox4x64(ctr.reshape(4, -1), key).reshape(4, b.size, blocks)
+    raw = raw.transpose(1, 2, 0).reshape(b.size, 4 * blocks)[:, :n]
     u = (raw >> np.uint64(11)).astype(np.float64) * 2.0**-53 + 2.0**-54
-    return ndtri(u)
+    return ndtri(u).reshape(b.shape + (n,))
 
 
 def sample_increment_block(seed: int, replicates: int, step: int, spec: NoiseSpec, dt: float) -> np.ndarray:
     """Increments ~ Normal(0, dt) for replicates 0..M-1 at one step, shape (M, modes).
 
-    Row rep holds modes 1..K of the stream keyed (seed, rep, step).
+    Row rep holds modes 1..K of the stream keyed (seed, step, rep).
     """
     if not dt > 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
-    out = np.empty((replicates, spec.modes))
-    for rep in range(replicates):
-        out[rep] = counter_normals(seed, CTR_INCREMENTS, step, rep, spec.modes)
-    return np.sqrt(dt) * out
-
-
-def _mapped_state(spec: NoiseSpec, u, level: YosidaLevel | None):
-    u = np.asarray(u, dtype=float)
-    if level is not None:
-        return resolvent(level, u)
-    if np.any(np.abs(u) > 1.0):
-        raise ValueError("diffusion operator without a Yosida level requires ||u||_inf <= 1")
-    return u
+    return np.sqrt(dt) * counter_normals(seed, CTR_INCREMENTS, step, np.arange(replicates), spec.modes)
 
 
 def mix_modes(spec: NoiseSpec, v, dw, field_ndim: int):
@@ -194,14 +170,16 @@ def mix_modes(spec: NoiseSpec, v, dw, field_ndim: int):
     cancellation, d_k = c_k + mu b_{k+1} + d_{k+1}, b_k = d_k + b_{k+1}, from
     b = d = 0 down to b_1.  Rounding then grows like k*eps, as in the direct
     sum, where the plain recurrence in cos(t) ~ 1 grows like k^2*eps.  Only a
-    few field-sized buffers are used, never a modes x field tensor.
+    few field-sized buffers are used, never a modes x field tensor.  On the
+    fold range t = pi*y, y = (1 - |v|)/2 in [0, 1/2], round(y) = 0, so
+    np.sin/np.cos of pi*y are bit for bit what _sinpi would return there.
     """
     v = np.asarray(v, dtype=float)
     if spec.modes == 0:
         return np.zeros_like(v)
-    y = 0.5 * (1.0 - np.abs(v))  # t = pi*y, the folded theta
-    sin_t = _sinpi(y)
-    mu = -2.0 * sin_t * sin_t / (1.0 + _cospi(y))
+    t = np.pi * (0.5 * (1.0 - np.abs(v)))  # the folded theta
+    sin_t = np.sin(t)
+    mu = -2.0 * sin_t * sin_t / (1.0 + np.cos(t))
     flip = np.where(v > 0.0, -1.0, 1.0)
     k = _mode_indices(spec, 0)
     coef = np.asarray(dw, dtype=float) * (spec.amplitude * k ** (-spec.decay_exponent))
@@ -222,14 +200,3 @@ def mix_modes(spec: NoiseSpec, v, dw, field_ndim: int):
     if spec.family == POLY_FLAT:
         b *= (1.0 - v * v) ** spec.flatness
     return b
-
-
-def hs_norm_sq(spec: NoiseSpec, grid, u, level: YosidaLevel | None = None):
-    """Squared Hilbert-Schmidt norm sum_k ||h_k(v)||_H^2 in the discrete H-norm."""
-    u = np.asarray(u, dtype=float)
-    if spec.modes == 0:
-        return np.zeros(u.shape[: u.ndim - grid.dim]) if u.ndim > grid.dim else 0.0
-    v = _mapped_state(spec, u, level)
-    h = mode_values(spec, v)
-    axes = (0,) + tuple(range(h.ndim - grid.dim, h.ndim))
-    return np.sum(h * h, axis=axes) * grid.cell_volume

@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 
 import numpy as np
@@ -223,6 +225,19 @@ class TestDependenceStudy:
         ratios = rep.metadata["ratio_families"]["u0"]
         assert len(ratios) == 2
         assert ratios[0] == pytest.approx(ratios[1], rel=0.25)
+
+    def test_csv_reads_back(self):
+        # quantity names hold commas, as in dep_ratio[du0=0.01,dg=0]
+        cfg = small_config()
+        rep = ex.dependence_study(cfg, [ex.Perturbation(u0_shift=0.01), ex.Perturbation(g_shift=0.01)])
+        rows = list(csv.DictReader(io.StringIO(rep.to_csv_text())))
+        assert any("," in r.quantity for r in rep.rows)
+        assert len(rows) == len(rep.rows)
+        for got, want in zip(rows, rep.rows):
+            assert None not in got  # no field beyond the header's six
+            assert got["quantity"] == want.quantity
+            for key, value in (("lambda", want.lam), ("mean", want.mean), ("se", want.se)):
+                assert float(got[key]) == value or (math.isnan(value) and math.isnan(float(got[key])))
 
     def test_inadmissible_perturbation_rejected(self):
         cfg = small_config(u0=dg.U0Spec(kind="constant", m0=0.95))
