@@ -1,9 +1,10 @@
 """Initial-datum and forcing generators.
 
-All generators return plain fields on the grid.  The random Fourier datum
-draws its coefficients from a dedicated counter stream keyed by
-(seed, replicate), so replicates are independent while coupled runs across
-regularization levels see the same datum.
+The initial datum comes as a batch over replicates, the forcing as one
+plain field on the grid.  The random Fourier datum draws its coefficients
+from a dedicated counter stream keyed by (seed, replicate), so replicates
+are independent while coupled runs across regularization levels see the
+same datum.
 """
 
 from __future__ import annotations
@@ -71,13 +72,21 @@ def _cosine_product(g: gr.Grid, mode: int) -> np.ndarray:
     return field
 
 
-def make_u0(spec: U0Spec, g: gr.Grid, seed: int = 0, replicate: int = 0) -> np.ndarray:
-    """One realization of the initial datum for the given replicate."""
+def make_u0_batch(spec: U0Spec, g: gr.Grid, seed: int, replicates: int) -> np.ndarray:
+    """The initial datum of replicates 0..replicates-1, shape (replicates, *grid shape)."""
+    if spec.kind == "random_fourier":
+        # decaying cosine series with normal coefficients, one stream per replicate
+        z = nz.counter_normals(seed, nz.CTR_INITIAL_DATUM, 0, np.arange(replicates), spec.modes)
+        z = z.reshape((replicates,) + (1,) * g.dim + (spec.modes,))
+        field = np.zeros((replicates,) + g.shape)
+        for k in range(1, spec.modes + 1):
+            field += spec.amplitude * k**-2.0 * z[..., k - 1] * _cosine_product(g, k)
+        return np.clip(field, -1.0 + spec.clamp, 1.0 - spec.clamp)
     if spec.kind == "constant":
-        return np.full(g.shape, spec.m0)
-    if spec.kind == "cosine":
-        return spec.amplitude * _cosine_product(g, spec.mode)
-    if spec.kind == "smooth_bump":
+        field = np.full(g.shape, spec.m0)
+    elif spec.kind == "cosine":
+        field = spec.amplitude * _cosine_product(g, spec.mode)
+    else:  # smooth_bump
         field = np.ones(g.shape)
         for ax in range(g.dim):
             L = g.extent[ax]
@@ -86,20 +95,9 @@ def make_u0(spec: U0Spec, g: gr.Grid, seed: int = 0, replicate: int = 0) -> np.n
             shape = [1] * g.dim
             shape[ax] = g.cells[ax]
             field = field * prof.reshape(shape)
-        return spec.amplitude * field
-    # random_fourier: decaying cosine series with normal coefficients
-    z = nz.counter_normals(seed, nz.CTR_INITIAL_DATUM, 0, replicate, spec.modes)
-    field = np.zeros(g.shape)
-    for k in range(1, spec.modes + 1):
-        field += spec.amplitude * k**-2.0 * z[k - 1] * _cosine_product(g, k)
-    return np.clip(field, -1.0 + spec.clamp, 1.0 - spec.clamp)
-
-
-def make_u0_batch(spec: U0Spec, g: gr.Grid, seed: int, replicates: int) -> np.ndarray:
-    out = np.empty((replicates,) + g.shape)
-    for rep in range(replicates):
-        out[rep] = make_u0(spec, g, seed, rep)
-    return out
+        field = spec.amplitude * field
+    # the other kinds are one field, the same for every replicate
+    return np.repeat(field[None], replicates, axis=0)
 
 
 def make_g(spec: GSpec, g: gr.Grid) -> np.ndarray | None:

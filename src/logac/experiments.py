@@ -3,7 +3,9 @@
 Every path, from a Monte Carlo ensemble down to one deterministic oracle
 run or the simulate command, is integrated by _run_lanes: lanes (levels
 or perturbed data) x replicates, stepped in lockstep by stepper.step.
-The uniform, cauchy and strong studies reduce one shared ladder_run.
+The engine keeps per-lane statistics; _lane_differences reads the
+differences of coupled lanes off its on_step hook.  The uniform, cauchy
+and strong studies reduce one shared ladder_run.
 Every study is a pure function of (EnsembleConfig, seed): replicates are
 integrated as one vectorized batch in a fixed order, noise increments come
 from counter streams keyed (seed, replicate, step, mode), and coupled
@@ -92,9 +94,6 @@ class EstimateReport:
                 return r
         raise KeyError(f"no row ({quantity!r}, {lam})")
 
-    def means(self, quantity: str) -> dict[float, float]:
-        return {r.lam: r.mean for r in self.rows if r.quantity == quantity}
-
     def to_csv_text(self) -> str:
         # csv quotes the names that hold commas, such as dep_ratio[du0=0,dg=0.001]
         out = io.StringIO()
@@ -161,11 +160,10 @@ def _run_lanes(
     This is the package's one time loop; a single path is one lane of one
     replicate.  params=None drops the potential (c = 0), which needs every
     lane at lam=None and no noise modes, as the noise is taken at J_lam(u).
-    The differences of consecutive lanes (i, i+1) are always accumulated,
-    entry i of the "pairs" list: the lambda ladder
-    compares neighbouring levels, a perturbed pair is lanes (0, 1), and a
-    single lane has none.  on_step(m, u), when given, sees the state batch
-    after m steps, m = 0..n_steps.
+    The engine keeps per-lane statistics only; on_step(m, u), when given,
+    sees the state batch after m steps, m = 0..n_steps, and is where a
+    caller reads anything else, such as the lane differences of
+    _lane_differences.
     """
     n_lanes = len(lanes)
     reps = lanes[0].u0.shape[0]
@@ -202,10 +200,6 @@ def _run_lanes(
         "excursion_count": zeros.copy(),
     }
     field_axes = tuple(range(2, 2 + dim))
-    pair_acc = [
-        {"sup_diff_h_sq": np.zeros(reps), "int_diff_h_sq": np.zeros(reps), "int_diff_grad_sq": np.zeros(reps)}
-        for _ in range(n_lanes - 1)
-    ]
     hasher = hashlib.sha256()
 
     for m in range(n_steps + 1):
@@ -215,10 +209,6 @@ def _run_lanes(
         acc["sup_h_sq"] = np.maximum(acc["sup_h_sq"], hsq)
         acc["sup_grad_sq"] = np.maximum(acc["sup_grad_sq"], gsq)
         acc["excursion_count"] += np.sum(np.abs(u) >= 1.0, axis=field_axes)
-        diffs = [u[i] - u[i + 1] for i in range(n_lanes - 1)]
-        diff_h = [gr.h_norm_sq(g, d) for d in diffs]
-        for pa, dh in zip(pair_acc, diff_h):
-            pa["sup_diff_h_sq"] = np.maximum(pa["sup_diff_h_sq"], dh)
         if on_step is not None:
             on_step(m, u)
         if m == n_steps:
@@ -228,9 +218,6 @@ def _run_lanes(
             acc["int_beta_sq"] += dt * gr.h_norm_sq(g, beta_u)
             acc["int_f1_sq"] += dt * gr.h_norm_sq(g, beta_u - 2.0 * c * u)
         acc["int_lap_sq"] += dt * gr.h_norm_sq(g, gr.laplacian_neumann(g, u))
-        for pa, d, dh in zip(pair_acc, diffs, diff_h):
-            pa["int_diff_h_sq"] += dt * dh
-            pa["int_diff_grad_sq"] += dt * gr.grad_norm_sq(g, d)
 
         dw = None
         if spec.modes > 0:
@@ -244,10 +231,30 @@ def _run_lanes(
         "final": u,
         "stats": acc,
         "excursion_fraction": acc["excursion_count"] / total_samples,
-        "pairs": pair_acc,
         "increments_digest": hasher.hexdigest(),
         "n_steps": n_steps,
     }
+
+
+def _lane_differences(g: gr.Grid, scfg: st.StepperConfig, reps: int, pairs: list[tuple[int, int]]):
+    """An on_step hook for _run_lanes and, per lane pair (i, j), the statistics it fills.
+
+    With d = u_i - u_j per replicate: sup_diff_h_sq = sup_t ||d||_H^2 over
+    m = 0..n_steps, and int_diff_h_sq, int_diff_grad_sq the left-endpoint
+    integrals of ||d||_H^2 and ||grad d||^2 over m < n_steps.
+    """
+    stats = [{q: np.zeros(reps) for q in ("sup_diff_h_sq", "int_diff_h_sq", "int_diff_grad_sq")} for _ in pairs]
+
+    def on_step(m, u):
+        for (i, j), pa in zip(pairs, stats):
+            d = u[i] - u[j]
+            dh = gr.h_norm_sq(g, d)
+            pa["sup_diff_h_sq"] = np.maximum(pa["sup_diff_h_sq"], dh)
+            if m < scfg.n_steps:
+                pa["int_diff_h_sq"] += scfg.dt * dh
+                pa["int_diff_grad_sq"] += scfg.dt * gr.grad_norm_sq(g, d)
+
+    return on_step, stats
 
 
 def ladder_run(cfg: EnsembleConfig) -> dict:
@@ -255,13 +262,16 @@ def ladder_run(cfg: EnsembleConfig) -> dict:
 
     Every lane starts from the same datum and forcing, so the run carries
     what the uniform, cauchy and strong studies reduce: per-level path
-    statistics and the differences of consecutive levels.  It is computed
-    afresh on every call.
+    statistics and, entry i of "pairs", the differences of levels i and
+    i+1.  It is computed afresh on every call.
     """
     u0 = _lane_u0(cfg)
     g_field = dg.make_g(cfg.g, cfg.grid)
     lanes = [Lane(lam, u0, g_field) for lam in cfg.lambda_levels]
-    return _run_lanes(lanes, cfg.noise, cfg.stepper, cfg.grid, cfg.potential, cfg.seed)
+    pairs = [(i, i + 1) for i in range(len(lanes) - 1)]
+    on_step, diffs = _lane_differences(cfg.grid, cfg.stepper, cfg.replicates, pairs)
+    out = _run_lanes(lanes, cfg.noise, cfg.stepper, cfg.grid, cfg.potential, cfg.seed, on_step=on_step)
+    return {**out, "pairs": diffs}
 
 
 _UNIFORM_QUANTITIES = ("sup_h_sq", "int_grad_sq", "int_f1_sq", "int_beta_sq")
@@ -284,12 +294,9 @@ def uniform_bounds_study(cfg: EnsembleConfig, out: dict) -> EstimateReport:
     rows = []
     spreads = {}
     for q in _UNIFORM_QUANTITIES:
-        means = []
-        for i, lam in enumerate(cfg.lambda_levels):
-            row = _mc_row(q, lam, out["stats"][q][i])
-            rows.append(row)
-            means.append(row.mean)
-        spreads[q] = _spread(means)
+        level_rows = [_mc_row(q, lam, out["stats"][q][i]) for i, lam in enumerate(cfg.lambda_levels)]
+        rows += level_rows
+        spreads[q] = _spread([r.mean for r in level_rows])
     report = EstimateReport(study="uniform", rows=rows)
     report.metadata["spread_max_over_min"] = spreads
     report.metadata["increments_digest"] = out["increments_digest"]
@@ -306,13 +313,11 @@ def cauchy_study(cfg: EnsembleConfig, out: dict) -> EstimateReport:
     """
     if len(cfg.lambda_levels) < 3:
         raise ValueError("cauchy study needs at least 3 lambda levels")
-    rows = []
-    deltas = []
-    for i, pa in enumerate(out["pairs"]):
-        per_rep = pa["sup_diff_h_sq"] + pa["int_diff_grad_sq"]
-        row = _mc_row("cauchy_delta", cfg.lambda_levels[i], per_rep)
-        rows.append(row)
-        deltas.append(row.mean)
+    rows = [
+        _mc_row("cauchy_delta", lam, pa["sup_diff_h_sq"] + pa["int_diff_grad_sq"])
+        for lam, pa in zip(cfg.lambda_levels, out["pairs"])
+    ]
+    deltas = [r.mean for r in rows]
     report = EstimateReport(study="cauchy", rows=rows)
     report.metadata["increments_digest"] = out["increments_digest"]
     report.metadata["deltas"] = deltas
@@ -333,9 +338,10 @@ def dependence_study(cfg: EnsembleConfig, perturbations: list[Perturbation]) -> 
 
     LHS = sqrt(E sup_t ||u1-u2||_H^2) + sqrt(E int ||u1-u2||_V^2),
     RHS = ||du0||_H + sqrt(int_0^T ||dg||_{V*}^2), both runs driven by the
-    same noise.  The ratio must stay within +-50% of its geometric mean
-    across the perturbation sizes, separately for u0-only and g-only
-    families.
+    same noise.  The unperturbed run and every perturbed one are lanes of a
+    single _run_lanes call, made once every perturbation has been checked.
+    The ratio must stay within +-50% of its geometric mean across the
+    perturbation sizes, separately for u0-only and g-only families.
     """
     lam = cfg.lambda_levels[-1]
     g = cfg.grid
@@ -343,29 +349,29 @@ def dependence_study(cfg: EnsembleConfig, perturbations: list[Perturbation]) -> 
     g_field = dg.make_g(cfg.g, cfg.grid)
     t_total = cfg.stepper.n_steps * cfg.stepper.dt
 
-    rows = []
-    families: dict[str, list[float]] = {"u0": [], "g": []}
-    report = EstimateReport(study="dependence", rows=rows)
-    digests = []
+    lanes = [Lane(lam, u0, g_field)]  # lane i > 0 carries perturbation i - 1
+    rhs = []
     for p in perturbations:
-        du0 = np.full(g.shape, float(p.u0_shift))
-        dg_field = np.full(g.shape, float(p.g_shift))
+        du0, dg_field = np.full(g.shape, float(p.u0_shift)), np.full(g.shape, float(p.g_shift))
         u0_pert = u0 + du0
         if np.any(np.abs(u0_pert) >= 1.0):
             raise ValueError(f"perturbation {p} pushes the initial datum out of (-1, 1)")
-        base_g = g_field
-        pert_g = dg_field if base_g is None else base_g + dg_field
-        if p.g_shift == 0.0:
-            pert_g = base_g
-        lanes = [Lane(lam, u0, base_g), Lane(lam, u0_pert, pert_g)]
-        out = _run_lanes(lanes, cfg.noise, cfg.stepper, cfg.grid, cfg.potential, cfg.seed)
-        digests.append(out["increments_digest"])
-        pa = out["pairs"][0]
+        pert_g = g_field
+        if p.g_shift != 0.0:
+            pert_g = dg_field if g_field is None else g_field + dg_field
+        lanes.append(Lane(lam, u0_pert, pert_g))
+        rhs.append(float(np.sqrt(gr.h_norm_sq(g, du0))) + float(np.sqrt(t_total * gr.vstar_norm_sq(g, dg_field))))
+    on_step, diffs = _lane_differences(g, cfg.stepper, cfg.replicates, [(0, i) for i in range(1, len(lanes))])
+    out = _run_lanes(lanes, cfg.noise, cfg.stepper, g, cfg.potential, cfg.seed, on_step=on_step)
+
+    rows = []
+    families: dict[str, list[float]] = {"u0": [], "g": []}
+    report = EstimateReport(study="dependence", rows=rows)
+    for p, pa, rhs_p in zip(perturbations, diffs, rhs):
         lhs = float(np.sqrt(np.mean(pa["sup_diff_h_sq"]))) + float(
             np.sqrt(np.mean(pa["int_diff_h_sq"] + pa["int_diff_grad_sq"]))
         )
-        rhs = float(np.sqrt(gr.h_norm_sq(g, du0))) + float(np.sqrt(t_total * gr.vstar_norm_sq(g, dg_field)))
-        ratio = lhs / rhs if rhs > 0.0 else math.nan
+        ratio = lhs / rhs_p if rhs_p > 0.0 else math.nan
         tag = f"du0={p.u0_shift:g},dg={p.g_shift:g}"
         rows.append(ReportRow(f"dep_lhs[{tag}]", lam, lhs, 0.0, lhs, lhs))
         rows.append(ReportRow(f"dep_ratio[{tag}]", lam, ratio, 0.0, ratio, ratio))
@@ -374,7 +380,8 @@ def dependence_study(cfg: EnsembleConfig, perturbations: list[Perturbation]) -> 
         elif p.g_shift != 0.0 and p.u0_shift == 0.0:
             families["g"].append(ratio)
     report.metadata["ratio_families"] = families
-    report.metadata["increments_digests"] = digests
+    # one shared run: every perturbation was driven by the same increments
+    report.metadata["increments_digests"] = [out["increments_digest"]] * len(perturbations)
     for name, ratios in families.items():
         if len(ratios) < 2:
             continue
@@ -400,12 +407,9 @@ def strong_solution_study(cfg: EnsembleConfig, out: dict) -> EstimateReport:
     report = EstimateReport(study="strong", rows=rows)
     spreads = {}
     for q in ("sup_grad_sq", "int_lap_sq"):
-        means = []
-        for i, lam in enumerate(cfg.lambda_levels):
-            row = _mc_row(q, lam, out["stats"][q][i])
-            rows.append(row)
-            means.append(row.mean)
-        spreads[q] = _spread(means)
+        level_rows = [_mc_row(q, lam, out["stats"][q][i]) for i, lam in enumerate(cfg.lambda_levels)]
+        rows += level_rows
+        spreads[q] = _spread([r.mean for r in level_rows])
         if not spreads[q] <= 1.2:
             report.failures.append(f"strong-solution statistic {q} spread {spreads[q]:.4f} exceeds the 1.2 band")
     report.metadata["spread_max_over_min"] = spreads

@@ -69,9 +69,6 @@ class Grid:
         h = self.spacing[axis]
         return (np.arange(self.cells[axis]) + 0.5) * h
 
-    def zeros(self, *batch: int) -> np.ndarray:
-        return np.zeros(tuple(batch) + self.shape)
-
 
 def _check_field(grid: Grid, u) -> np.ndarray:
     u = np.asarray(u, dtype=float)

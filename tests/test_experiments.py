@@ -115,15 +115,18 @@ class TestBatchIndependence:
 
         def run(batch):
             lanes = [ex.Lane(lam, batch, None) for lam in cfg.lambda_levels]
-            return ex._run_lanes(lanes, cfg.noise, cfg.stepper, cfg.grid, cfg.potential, cfg.seed)
+            pairs = [(i, i + 1) for i in range(len(lanes) - 1)]
+            on_step, diffs = ex._lane_differences(cfg.grid, cfg.stepper, batch.shape[0], pairs)
+            out = ex._run_lanes(lanes, cfg.noise, cfg.stepper, cfg.grid, cfg.potential, cfg.seed, on_step=on_step)
+            return out, diffs
 
-        full, head = run(u0), run(u0[:k])
+        (full, full_diffs), (head, head_diffs) = run(u0), run(u0[:k])
         assert np.array_equal(full["final"][:, :k], head["final"])
         for name, value in full["stats"].items():
             assert np.array_equal(value[:, :k], head["stats"][name]), name
-        for i, pa in enumerate(full["pairs"]):
+        for i, pa in enumerate(full_diffs):
             for name, value in pa.items():
-                assert np.array_equal(value[:k], head["pairs"][i][name]), (i, name)
+                assert np.array_equal(value[:k], head_diffs[i][name]), (i, name)
 
 
 class TestUniformStudy:
@@ -167,9 +170,10 @@ class TestCauchyStudy:
         cfg = small_config()
         u0 = ex._lane_u0(cfg)
         lanes = [ex.Lane(0.1, u0, None), ex.Lane(0.1, u0, None)]
-        out = ex._run_lanes(lanes, cfg.noise, cfg.stepper, cfg.grid, cfg.potential, cfg.seed)
-        assert len(out["pairs"]) == 1
-        pa = out["pairs"][0]
+        on_step, diffs = ex._lane_differences(cfg.grid, cfg.stepper, cfg.replicates, [(0, 1)])
+        ex._run_lanes(lanes, cfg.noise, cfg.stepper, cfg.grid, cfg.potential, cfg.seed, on_step=on_step)
+        assert len(diffs) == 1
+        pa = diffs[0]
         assert np.all(pa["sup_diff_h_sq"] == 0.0)
         assert np.all(pa["int_diff_grad_sq"] == 0.0)
 
@@ -243,6 +247,70 @@ class TestDependenceStudy:
         cfg = small_config(u0=dg.U0Spec(kind="constant", m0=0.95))
         with pytest.raises(ValueError, match="out of"):
             ex.dependence_study(cfg, [ex.Perturbation(u0_shift=0.2)])
+
+    @pytest.mark.parametrize("g_spec", [dg.GSpec(kind="zero"), dg.GSpec(kind="constant", value=0.3)])
+    def test_one_run_matches_separate_two_lane_runs(self, g_spec):
+        cfg = small_config(g=g_spec, u0=dg.U0Spec(kind="random_fourier", amplitude=0.5))
+        perturbations = [
+            ex.Perturbation(u0_shift=0.01),
+            ex.Perturbation(g_shift=0.02),
+            ex.Perturbation(u0_shift=-0.005, g_shift=-0.01),
+        ]
+        rep = ex.dependence_study(cfg, perturbations)
+        lam = cfg.lambda_levels[-1]
+        u0 = ex._lane_u0(cfg)
+        g_field = dg.make_g(cfg.g, cfg.grid)
+        for p in perturbations:
+            # the unperturbed lane and one perturbed lane, integrated on their own
+            pert_g = g_field
+            if p.g_shift != 0.0:
+                dg_field = np.full(cfg.grid.shape, p.g_shift)
+                pert_g = dg_field if g_field is None else g_field + dg_field
+            lanes = [ex.Lane(lam, u0, g_field), ex.Lane(lam, u0 + p.u0_shift, pert_g)]
+            on_step, (pa,) = ex._lane_differences(cfg.grid, cfg.stepper, cfg.replicates, [(0, 1)])
+            ex._run_lanes(lanes, cfg.noise, cfg.stepper, cfg.grid, cfg.potential, cfg.seed, on_step=on_step)
+            lhs = float(np.sqrt(np.mean(pa["sup_diff_h_sq"]))) + float(
+                np.sqrt(np.mean(pa["int_diff_h_sq"] + pa["int_diff_grad_sq"]))
+            )
+            assert lhs > 0.0
+            assert rep.row(f"dep_lhs[du0={p.u0_shift:g},dg={p.g_shift:g}]", lam).mean == lhs
+
+    def test_one_engine_run_of_one_plus_k_lanes(self, monkeypatch):
+        lane_counts = []
+        run_lanes = ex._run_lanes
+
+        def counting_run_lanes(lanes, *args, **kwargs):
+            lane_counts.append(len(lanes))
+            return run_lanes(lanes, *args, **kwargs)
+
+        monkeypatch.setattr(ex, "_run_lanes", counting_run_lanes)
+        perturbations = [ex.Perturbation(u0_shift=d) for d in (0.01, 0.001)]
+        perturbations += [ex.Perturbation(g_shift=d) for d in (0.01, 0.001)]
+        rep = ex.dependence_study(small_config(), perturbations)
+        assert lane_counts == [1 + len(perturbations)]
+        assert len(set(rep.metadata["increments_digests"])) == 1
+        assert len(rep.metadata["increments_digests"]) == len(perturbations)
+
+    def test_every_perturbation_checked_before_integrating(self, monkeypatch):
+        def no_run(*args, **kwargs):
+            raise AssertionError("integrated before every perturbation was checked")
+
+        monkeypatch.setattr(ex, "_run_lanes", no_run)
+        cfg = small_config(u0=dg.U0Spec(kind="constant", m0=0.95))
+        with pytest.raises(ValueError, match="out of"):
+            ex.dependence_study(cfg, [ex.Perturbation(u0_shift=0.01), ex.Perturbation(u0_shift=0.2)])
+
+
+class TestInitialDatum:
+    @pytest.mark.parametrize("cells", [(16,), (8, 8)])
+    @pytest.mark.parametrize("seed", [0, 12345, 2**64 - 1])
+    def test_random_fourier_leading_replicates_match_a_smaller_batch(self, cells, seed):
+        g = gr.Grid(extent=(1.0,) * len(cells), cells=cells)
+        spec = dg.U0Spec(kind="random_fourier", amplitude=0.5)
+        full = dg.make_u0_batch(spec, g, seed, 8)
+        assert full.shape == (8,) + g.shape
+        assert np.array_equal(full[:3], dg.make_u0_batch(spec, g, seed, 3))
+        assert not np.array_equal(full[0], full[1])  # each replicate draws its own stream
 
 
 class TestStrongStudy:
