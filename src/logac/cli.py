@@ -3,7 +3,7 @@
 Runs are described by a versioned JSON file; every semantic field is
 hashed into the manifest so reruns can be matched to their inputs.  All
 file writes happen here, never inside the numerical layers: simulate
-hands the engine a per-step callback that writes its snapshots.
+hands the engine a per-step hook that writes its snapshots.
 """
 
 from __future__ import annotations
@@ -211,24 +211,23 @@ def _run_simulate(cfg: RunConfig, out_dir: Path) -> tuple[dict, list[str]]:
     e = cfg.ensemble
     lam = e.lambda_levels[-1]
     snap_dir = out_dir / "snapshots"
-    on_step = None
     if cfg.snapshot_stride > 0:
         snap_dir.mkdir(parents=True, exist_ok=True)
 
-        def on_step(m, u):
-            if m % cfg.snapshot_stride == 0:
-                gr.save_field(snap_dir / f"step_{m:06d}.acf", e.grid, u[0, 0])
+    def snapshot(m, u, beta_u):
+        if cfg.snapshot_stride > 0 and m % cfg.snapshot_stride == 0:
+            gr.save_field(snap_dir / f"step_{m:06d}.acf", e.grid, u[0, 0])
 
+    stats_hook, stats = ex._path_statistics(e.grid, e.stepper, e.potential, (1, 1))
     lane = ex.Lane(lam, dg.make_u0_batch(e.u0, e.grid, e.seed, 1), dg.make_g(e.g, e.grid))
-    out = ex._run_lanes([lane], e.noise, e.stepper, e.grid, e.potential, e.seed, on_step=on_step)
+    out = ex._run_lanes([lane], e.noise, e.stepper, e.grid, e.potential, e.seed, hooks=(stats_hook, snapshot))
     gr.save_field(out_dir / "final.acf", e.grid, out["final"][0, 0])
-    stats = ("sup_h_sq", "sup_grad_sq", "int_grad_sq", "int_f1_sq", "int_beta_sq")
+    names = ("sup_h_sq", "sup_grad_sq", "int_grad_sq", "int_f1_sq", "int_beta_sq", "excursion_fraction")
     summary = {
         "t_final": out["n_steps"] * e.stepper.dt,
         "steps": out["n_steps"],
         "lambda": lam,
-        **{q: float(out["stats"][q][0, 0]) for q in stats},
-        "excursion_fraction": float(out["excursion_fraction"][0, 0]),
+        **{q: float(stats[q][0, 0]) for q in names},
         "increments_digest": out["increments_digest"],
     }
     (out_dir / "simulate.json").write_text(json.dumps(summary, indent=2, default=float) + "\n")

@@ -3,9 +3,10 @@
 Every path, from a Monte Carlo ensemble down to one deterministic oracle
 run or the simulate command, is integrated by _run_lanes: lanes (levels
 or perturbed data) x replicates, stepped in lockstep by stepper.step.
-The engine keeps per-lane statistics; _lane_differences reads the
-differences of coupled lanes off its on_step hook.  The uniform, cauchy
-and strong studies reduce one shared ladder_run.
+The engine is the time loop only; a study measures through the hooks it
+attaches: _path_statistics for the per-lane path statistics,
+_lane_differences for the differences of coupled lanes, or a hook of its
+own.  The uniform, cauchy and strong studies reduce one shared ladder_run.
 Every study is a pure function of (EnsembleConfig, seed): replicates are
 integrated as one vectorized batch in a fixed order, noise increments come
 from counter streams keyed (seed, replicate, step, mode), and coupled
@@ -52,6 +53,7 @@ class EnsembleConfig:
         object.__setattr__(self, "lambda_levels", tuple(float(v) for v in self.lambda_levels))
         if int(self.replicates) != self.replicates or self.replicates < 2:
             raise ValueError(f"ensemble replicates must be an integer >= 2, got {self.replicates}")
+        object.__setattr__(self, "replicates", int(self.replicates))
         if int(self.seed) != self.seed or not 0 <= self.seed < 2**64:
             raise ValueError(f"ensemble seed must be an integer in [0, 2^64), got {self.seed}")
         object.__setattr__(self, "seed", int(self.seed))  # a JSON 77.0 hashes as 77
@@ -153,23 +155,20 @@ def _run_lanes(
     params: pot.PotentialParams | None,
     seed: int,
     *,
-    on_step=None,
+    hooks=(),
 ) -> dict:
     """Lockstep integration of several lanes on shared noise increments.
 
     This is the package's one time loop; a single path is one lane of one
     replicate.  params=None drops the potential (c = 0), which needs every
     lane at lam=None and no noise modes, as the noise is taken at J_lam(u).
-    The engine keeps per-lane statistics only; on_step(m, u), when given,
-    sees the state batch after m steps, m = 0..n_steps, and is where a
-    caller reads anything else, such as the lane differences of
-    _lane_differences.
+    The engine computes no statistic: each hook(m, u, beta_u) sees the
+    state batch after m steps, m = 0..n_steps, and beta_lam(u) (zeros for
+    heat lanes), before the step is taken.  What a study measures is what
+    its hooks read, such as _path_statistics and _lane_differences.
     """
     n_lanes = len(lanes)
     reps = lanes[0].u0.shape[0]
-    dim = g.dim
-    dt = scfg.dt
-    n_steps = scfg.n_steps
 
     u = np.stack([ln.u0 for ln in lanes]).astype(float)
     if np.any(np.abs(u) >= 1.0):
@@ -180,64 +179,61 @@ def _run_lanes(
         lam, c = None, 0.0
         beta_u = np.zeros_like(u)
     else:
-        lam = np.array([ln.lam for ln in lanes]).reshape((n_lanes,) + (1,) * (1 + dim))
+        lam = np.array([ln.lam for ln in lanes]).reshape((n_lanes,) + (1,) * (1 + g.dim))
         c = params.c
         beta_u, _ = pot.yosida_pair(lam, u)
+    g_force = None
     if any(ln.g is not None for ln in lanes):
         g_force = np.stack([np.zeros(g.shape) if ln.g is None else np.asarray(ln.g, dtype=float) for ln in lanes])
         g_force = g_force[:, None]
-    else:
-        g_force = None
 
-    zeros = np.zeros((n_lanes, reps))
-    acc = {
-        "sup_h_sq": zeros.copy(),
-        "sup_grad_sq": zeros.copy(),
-        "int_grad_sq": zeros.copy(),
-        "int_f1_sq": zeros.copy(),
-        "int_beta_sq": zeros.copy(),
-        "int_lap_sq": zeros.copy(),
-        "excursion_count": zeros.copy(),
-    }
-    field_axes = tuple(range(2, 2 + dim))
     hasher = hashlib.sha256()
-
-    for m in range(n_steps + 1):
-        # every norm of the state after m steps is taken once: the sups see
-        # m = 0..n_steps, the integrals the left endpoints m < n_steps
-        hsq, gsq = gr.h_norm_sq(g, u), gr.grad_norm_sq(g, u)
-        acc["sup_h_sq"] = np.maximum(acc["sup_h_sq"], hsq)
-        acc["sup_grad_sq"] = np.maximum(acc["sup_grad_sq"], gsq)
-        acc["excursion_count"] += np.sum(np.abs(u) >= 1.0, axis=field_axes)
-        if on_step is not None:
-            on_step(m, u)
-        if m == n_steps:
+    for m in range(scfg.n_steps + 1):
+        for hook in hooks:
+            hook(m, u, beta_u)
+        if m == scfg.n_steps:
             break
-        acc["int_grad_sq"] += dt * gsq
-        if params is not None:  # heat lanes keep these at exact zeros
-            acc["int_beta_sq"] += dt * gr.h_norm_sq(g, beta_u)
-            acc["int_f1_sq"] += dt * gr.h_norm_sq(g, beta_u - 2.0 * c * u)
-        acc["int_lap_sq"] += dt * gr.h_norm_sq(g, gr.laplacian_neumann(g, u))
-
         dw = None
         if spec.modes > 0:
-            dw = nz.sample_increment_block(seed, reps, m, spec, dt)
+            dw = nz.sample_increment_block(seed, reps, m, spec, scfg.dt)
             hasher.update(np.ascontiguousarray(dw).tobytes())
             dw = np.broadcast_to(dw, (n_lanes, reps, spec.modes))
         u, beta_u = st.step(g, lam, c, spec, u, beta_u, dw, g_force, scfg)
 
-    total_samples = (n_steps + 1) * int(np.prod(g.shape))
-    return {
-        "final": u,
-        "stats": acc,
-        "excursion_fraction": acc["excursion_count"] / total_samples,
-        "increments_digest": hasher.hexdigest(),
-        "n_steps": n_steps,
-    }
+    return {"final": u, "increments_digest": hasher.hexdigest(), "n_steps": scfg.n_steps}
+
+
+def _path_statistics(g: gr.Grid, scfg: st.StepperConfig, params: pot.PotentialParams | None, shape):
+    """A _run_lanes hook and the path statistics it fills per (lane, replicate) of shape.
+
+    Every norm of a state is taken once: the sups see m = 0..n_steps, the
+    left-endpoint integrals m < n_steps.  Heat lanes (params=None) keep
+    int_beta_sq and int_f1_sq at exact zeros.  The last call sets
+    excursion_fraction, the share of samples with |u| >= 1.
+    """
+    names = ("sup_h_sq", "sup_grad_sq", "int_grad_sq", "int_f1_sq", "int_beta_sq", "int_lap_sq", "excursion_count")
+    stats = {q: np.zeros(shape) for q in names + ("excursion_fraction",)}
+    field_axes = tuple(range(len(shape), len(shape) + g.dim))
+
+    def hook(m, u, beta_u):
+        hsq, gsq = gr.h_norm_sq(g, u), gr.grad_norm_sq(g, u)
+        stats["sup_h_sq"] = np.maximum(stats["sup_h_sq"], hsq)
+        stats["sup_grad_sq"] = np.maximum(stats["sup_grad_sq"], gsq)
+        stats["excursion_count"] += np.sum(np.abs(u) >= 1.0, axis=field_axes)
+        if m == scfg.n_steps:
+            stats["excursion_fraction"] = stats["excursion_count"] / ((m + 1) * int(np.prod(g.shape)))
+            return
+        stats["int_grad_sq"] += scfg.dt * gsq
+        if params is not None:
+            stats["int_beta_sq"] += scfg.dt * gr.h_norm_sq(g, beta_u)
+            stats["int_f1_sq"] += scfg.dt * gr.h_norm_sq(g, beta_u - 2.0 * params.c * u)
+        stats["int_lap_sq"] += scfg.dt * gr.h_norm_sq(g, gr.laplacian_neumann(g, u))
+
+    return hook, stats
 
 
 def _lane_differences(g: gr.Grid, scfg: st.StepperConfig, reps: int, pairs: list[tuple[int, int]]):
-    """An on_step hook for _run_lanes and, per lane pair (i, j), the statistics it fills.
+    """A _run_lanes hook and, per lane pair (i, j), the statistics it fills.
 
     With d = u_i - u_j per replicate: sup_diff_h_sq = sup_t ||d||_H^2 over
     m = 0..n_steps, and int_diff_h_sq, int_diff_grad_sq the left-endpoint
@@ -245,7 +241,7 @@ def _lane_differences(g: gr.Grid, scfg: st.StepperConfig, reps: int, pairs: list
     """
     stats = [{q: np.zeros(reps) for q in ("sup_diff_h_sq", "int_diff_h_sq", "int_diff_grad_sq")} for _ in pairs]
 
-    def on_step(m, u):
+    def hook(m, u, beta_u):
         for (i, j), pa in zip(pairs, stats):
             d = u[i] - u[j]
             dh = gr.h_norm_sq(g, d)
@@ -254,7 +250,7 @@ def _lane_differences(g: gr.Grid, scfg: st.StepperConfig, reps: int, pairs: list
                 pa["int_diff_h_sq"] += scfg.dt * dh
                 pa["int_diff_grad_sq"] += scfg.dt * gr.grad_norm_sq(g, d)
 
-    return on_step, stats
+    return hook, stats
 
 
 def ladder_run(cfg: EnsembleConfig) -> dict:
@@ -269,9 +265,10 @@ def ladder_run(cfg: EnsembleConfig) -> dict:
     g_field = dg.make_g(cfg.g, cfg.grid)
     lanes = [Lane(lam, u0, g_field) for lam in cfg.lambda_levels]
     pairs = [(i, i + 1) for i in range(len(lanes) - 1)]
-    on_step, diffs = _lane_differences(cfg.grid, cfg.stepper, cfg.replicates, pairs)
-    out = _run_lanes(lanes, cfg.noise, cfg.stepper, cfg.grid, cfg.potential, cfg.seed, on_step=on_step)
-    return {**out, "pairs": diffs}
+    stats_hook, stats = _path_statistics(cfg.grid, cfg.stepper, cfg.potential, (len(lanes), cfg.replicates))
+    pairs_hook, diffs = _lane_differences(cfg.grid, cfg.stepper, cfg.replicates, pairs)
+    out = _run_lanes(lanes, cfg.noise, cfg.stepper, cfg.grid, cfg.potential, cfg.seed, hooks=(stats_hook, pairs_hook))
+    return {**out, "stats": stats, "pairs": diffs}
 
 
 _UNIFORM_QUANTITIES = ("sup_h_sq", "int_grad_sq", "int_f1_sq", "int_beta_sq")
@@ -361,8 +358,8 @@ def dependence_study(cfg: EnsembleConfig, perturbations: list[Perturbation]) -> 
             pert_g = dg_field if g_field is None else g_field + dg_field
         lanes.append(Lane(lam, u0_pert, pert_g))
         rhs.append(float(np.sqrt(gr.h_norm_sq(g, du0))) + float(np.sqrt(t_total * gr.vstar_norm_sq(g, dg_field))))
-    on_step, diffs = _lane_differences(g, cfg.stepper, cfg.replicates, [(0, i) for i in range(1, len(lanes))])
-    out = _run_lanes(lanes, cfg.noise, cfg.stepper, g, cfg.potential, cfg.seed, on_step=on_step)
+    hook, diffs = _lane_differences(g, cfg.stepper, cfg.replicates, [(0, i) for i in range(1, len(lanes))])
+    out = _run_lanes(lanes, cfg.noise, cfg.stepper, g, cfg.potential, cfg.seed, hooks=(hook,))
 
     rows = []
     families: dict[str, list[float]] = {"u0": [], "g": []}
@@ -423,10 +420,10 @@ def derivative_study(cfg: EnsembleConfig, n: int | None = None) -> EstimateRepor
     Needs poly_flat noise with flatness n+1 and ||g||_inf <= 1.  Reports
     sup over output times of E int G_n(u) (over excursion-free samples),
     E int int |G_n'(u)|, and the excursion fraction; fails if either gauge
-    statistic moves more than 30% when the level is halved.  The gauge is
-    read off every state through _run_lanes' on_step hook, one
-    _gauge_slice per state; its time integral takes the left-endpoint
-    rule of the engine's own quadratures.
+    statistic moves more than 30% when the level is halved.  A hook reads
+    the gauge off every state, one _gauge_slice per state; its time
+    integral takes the left-endpoint rule of _path_statistics, which
+    supplies the excursion fraction.
     """
     if cfg.noise.family != nz.POLY_FLAT:
         raise ValueError("derivative study requires the poly_flat noise family")
@@ -444,10 +441,11 @@ def derivative_study(cfg: EnsembleConfig, n: int | None = None) -> EstimateRepor
     lanes = [Lane(lam, u0, g_field) for lam in levels]
     slices = []  # (int G_n, int |G_n'|) at every state, m = 0..n_steps
 
-    def on_step(m, u):
+    def gauge_hook(m, u, beta_u):
         slices.append(_gauge_slice(cfg.grid, gauge, u))
 
-    out = _run_lanes(lanes, cfg.noise, cfg.stepper, cfg.grid, cfg.potential, cfg.seed, on_step=on_step)
+    stats_hook, stats = _path_statistics(cfg.grid, cfg.stepper, cfg.potential, (len(lanes), cfg.replicates))
+    out = _run_lanes(lanes, cfg.noise, cfg.stepper, cfg.grid, cfg.potential, cfg.seed, hooks=(gauge_hook, stats_hook))
     series = np.asarray([ig for ig, _ in slices])  # (n_steps+1, lanes, reps)
     int_gauge_prime = np.zeros(series.shape[1:])
     for _, igp in slices[:-1]:
@@ -467,7 +465,7 @@ def derivative_study(cfg: EnsembleConfig, n: int | None = None) -> EstimateRepor
         row = _mc_row("int_abs_gauge_prime", lam, int_gauge_prime[i])
         rows.append(row)
         int_means.append(row.mean)
-        rows.append(_mc_row("excursion_fraction", lam, out["excursion_fraction"][i]))
+        rows.append(_mc_row("excursion_fraction", lam, stats["excursion_fraction"][i]))
     report.metadata["gauge_order"] = n
     report.metadata["levels"] = levels
     report.metadata["increments_digest"] = out["increments_digest"]
@@ -509,36 +507,38 @@ def heat_and_ode_oracles(cfg: EnsembleConfig) -> EstimateReport:
         out = _run_lanes([Lane(lam, u0[None], None)], quiet, scfg, g, params, seed=0)
         return out["final"][0, 0]
 
+    def refinement(name, lam, runs, key, what, floor):
+        """One error row per (label, error) run, then the minimum observed order and its verdict."""
+        rows.extend(ReportRow(f"{name}_err[{label}]", lam, err, 0.0, err, err) for label, err in runs)
+        orders = _observed_orders([err for _, err in runs])
+        report.metadata[key] = orders
+        rows.append(ReportRow(f"{name}_order", lam, min(orders), 0.0, min(orders), min(orders)))
+        if min(orders) < floor:
+            report.failures.append(f"observed {what} order {min(orders):.3f} < {floor}")
+
     # spatial refinement, dt tied to h^2
-    spatial_errors = []
-    for N, dt in ((16, 8e-4), (32, 2e-4), (64, 5e-5)):
+    def spatial_error(N, dt):
         g = gr.Grid(extent=(1.0,), cells=(N,))
         x = g.cell_centers()
-        u0 = 0.5 * np.cos(np.pi * x)
-        u = final_state(u0, None, st.StepperConfig(dt=dt, t_end=T), g, None)
-        exact = 0.5 * math.exp(-np.pi**2 * T) * np.cos(np.pi * x)
-        err = float(np.max(np.abs(u - exact)))
-        spatial_errors.append(err)
-        rows.append(ReportRow(f"heat_spatial_err[N={N}]", math.nan, err, 0.0, err, err))
-    spatial_orders = _observed_orders(spatial_errors)
-    spatial_order = min(spatial_orders)
-    rows.append(ReportRow("heat_spatial_order", math.nan, spatial_order, 0.0, spatial_order, spatial_order))
+        u = final_state(0.5 * np.cos(np.pi * x), None, st.StepperConfig(dt=dt, t_end=T), g, None)
+        return float(np.max(np.abs(u - 0.5 * math.exp(-np.pi**2 * T) * np.cos(np.pi * x))))
+
+    runs = [(f"N={N}", spatial_error(N, dt)) for N, dt in ((16, 8e-4), (32, 2e-4), (64, 5e-5))]
+    refinement("heat_spatial", math.nan, runs, "spatial_orders", "spatial", 1.6)
 
     # temporal refinement against the semi-discrete solution at fixed h
     N = 32
     g = gr.Grid(extent=(1.0,), cells=(N,))
     mu = -4.0 * N**2 * math.sin(math.pi / (2 * N)) ** 2
     u0 = 0.5 * np.cos(np.pi * (np.arange(N) + 0.5) / N)
-    temporal_errors = []
-    for dt in (4e-3, 2e-3, 1e-3):
+    dts = (4e-3, 2e-3, 1e-3)
+
+    def temporal_error(dt):
         u = final_state(u0, None, st.StepperConfig(dt=dt, t_end=T), g, None)
-        exact = math.exp(mu * T) * u0
-        err = float(np.max(np.abs(u - exact)))
-        temporal_errors.append(err)
-        rows.append(ReportRow(f"heat_temporal_err[dt={dt:g}]", math.nan, err, 0.0, err, err))
-    temporal_orders = _observed_orders(temporal_errors)
-    temporal_order = min(temporal_orders)
-    rows.append(ReportRow("heat_temporal_order", math.nan, temporal_order, 0.0, temporal_order, temporal_order))
+        return float(np.max(np.abs(u - math.exp(mu * T) * u0)))
+
+    runs = [(f"dt={dt:g}", temporal_error(dt)) for dt in dts]
+    refinement("heat_temporal", math.nan, runs, "temporal_orders", "heat temporal", 0.8)
 
     # 0-d reduction: spatially constant states obey u' = -F'_lam(u)
     params = cfg.potential
@@ -554,23 +554,10 @@ def heat_and_ode_oracles(cfg: EnsembleConfig) -> EstimateReport:
 
     ref = solve_ivp(rhs_ode, (0.0, T0), [u_init], method="DOP853", rtol=1e-11, atol=1e-13)
     ref_val = float(ref.y[0, -1])
-    ode_errors = []
-    for dt in (4e-3, 2e-3, 1e-3):
-        u = final_state(np.full(g0.shape, u_init), lam, st.StepperConfig(dt=dt, t_end=T0), g0, params)
-        err = abs(float(u[0]) - ref_val)
-        ode_errors.append(err)
-        rows.append(ReportRow(f"ode_err[dt={dt:g}]", lam, err, 0.0, err, err))
-    ode_orders = _observed_orders(ode_errors)
-    ode_order = min(ode_orders)
-    rows.append(ReportRow("ode_order", lam, ode_order, 0.0, ode_order, ode_order))
 
-    report.metadata["spatial_orders"] = spatial_orders
-    report.metadata["temporal_orders"] = temporal_orders
-    report.metadata["ode_orders"] = ode_orders
-    if spatial_order < 1.6:
-        report.failures.append(f"observed spatial order {spatial_order:.3f} < 1.6")
-    if temporal_order < 0.8:
-        report.failures.append(f"observed heat temporal order {temporal_order:.3f} < 0.8")
-    if ode_order < 0.8:
-        report.failures.append(f"observed 0-d temporal order {ode_order:.3f} < 0.8")
+    def ode_error(dt):
+        u = final_state(np.full(g0.shape, u_init), lam, st.StepperConfig(dt=dt, t_end=T0), g0, params)
+        return abs(float(u[0]) - ref_val)
+
+    refinement("ode", lam, [(f"dt={dt:g}", ode_error(dt)) for dt in dts], "ode_orders", "0-d temporal", 0.8)
     return report

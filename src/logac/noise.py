@@ -70,14 +70,17 @@ class NoiseSpec:
             raise ValueError(f"noise family must be 'sine' or 'poly_flat', got {self.family!r}")
         if int(self.modes) != self.modes or self.modes < 0:
             raise ValueError(f"noise modes must be an integer >= 0, got {self.modes}")
+        object.__setattr__(self, "modes", int(self.modes))
         if not self.decay_exponent > 1.5:
             raise ValueError(
                 f"noise decay_exponent must exceed 3/2 for a summable W^(1,inf) series, got {self.decay_exponent}"
             )
         if not self.amplitude >= 0.0:
             raise ValueError(f"noise amplitude must be >= 0, got {self.amplitude}")
-        if self.family == POLY_FLAT and (int(self.flatness) != self.flatness or self.flatness < 1):
-            raise ValueError(f"noise flatness must be an integer >= 1, got {self.flatness}")
+        if self.family == POLY_FLAT:
+            if int(self.flatness) != self.flatness or self.flatness < 1:
+                raise ValueError(f"noise flatness must be an integer >= 1, got {self.flatness}")
+            object.__setattr__(self, "flatness", int(self.flatness))
 
 
 def _sinpi(y):

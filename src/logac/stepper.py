@@ -22,9 +22,9 @@ beta_lam of the evaluation before.
 
 Fields may carry leading batch axes (replicates, coupled lanes) and
 everything here broadcasts over them.  This module holds one step; the
-time loop, the noise draws and the path statistics live in
-experiments._run_lanes, the package's only integration engine.  The
-weak-form and Gateaux diagnostics check the scheme and the potential.
+time loop and the noise draws live in experiments._run_lanes, the
+package's only integration engine, and the path statistics in the hooks
+the studies attach to it.  The Gateaux diagnostic checks the potential.
 """
 
 from __future__ import annotations
@@ -66,6 +66,11 @@ class StepperConfig:
             raise ValueError(f"dt={self.dt} exceeds t_end={self.t_end}")
         if not (self.outer_newton_tol > 0.0 and self.linear_tol > 0.0):
             raise ValueError("solver tolerances must be positive")
+        for name in ("outer_newton_max", "linear_max"):
+            value = getattr(self, name)
+            if int(value) != value or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {value}")
+            object.__setattr__(self, name, int(value))
 
     @property
     def n_steps(self) -> int:
@@ -228,62 +233,6 @@ def step(g: gr.Grid, lam, c: float, spec: nz.NoiseSpec, u, beta_u, dw, g_force, 
     if g_force is not None:
         rhs = rhs + dt * g_force
     return _monotone_solve(g, lam, rhs, dt, cfg, w0=u, b0=beta_u)
-
-
-@dataclass
-class TrajectoryRecord:
-    """A stored path for after-the-fact weak-form checks."""
-
-    grid: gr.Grid
-    params: pot.PotentialParams | None
-    level: pot.YosidaLevel | None
-    dt: float
-    states: np.ndarray  # (n_steps+1, *field shape)
-    stoch_integral: np.ndarray  # sum of the noise fields over the steps
-    g_force: np.ndarray | None
-
-
-def grad_inner(g: gr.Grid, u, v):
-    """Face-gradient inner product <grad u, grad v>_h."""
-    total = 0.0
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    for ax in range(g.dim):
-        a = u.ndim - g.dim + ax
-        du = np.diff(u, axis=a) / g.spacing[ax]
-        dv = np.diff(v, axis=a if v.ndim == u.ndim else v.ndim - g.dim + ax) / g.spacing[ax]
-        total = total + np.sum(du * dv, axis=tuple(range(u.ndim - g.dim, u.ndim))) * g.cell_volume
-    return total
-
-
-def weak_residual_check(record: TrajectoryRecord, v) -> float:
-    """Absolute defect of the tested weak form along a recorded path.
-
-    All time integrals use the left-endpoint rule, so the defect of the
-    scheme-consistent identity shrinks like O(dt) for a fixed test field.
-    """
-    g = record.grid
-    v = np.asarray(v, dtype=float)
-    us = record.states
-    n = us.shape[0] - 1
-    u0, uT = us[0], us[-1]
-    dt = record.dt
-
-    acc = gr.h_inner(g, uT, v) - gr.h_inner(g, u0, v)
-    for m in range(n):
-        um = us[m]
-        acc += dt * grad_inner(g, um, v)
-        if record.params is not None:
-            _, f1, _ = (
-                pot.regularized_potential_eval(record.params, record.level, um)
-                if record.level is not None
-                else pot.potential_eval(record.params, um)
-            )
-            acc += dt * gr.h_inner(g, f1, v)
-        if record.g_force is not None:
-            acc -= dt * gr.h_inner(g, record.g_force, v)
-    acc -= gr.h_inner(g, record.stoch_integral, v)
-    return float(np.abs(acc))
 
 
 def gateaux_check(

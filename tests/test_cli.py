@@ -202,3 +202,33 @@ class TestMainEntry:
         # exit 1 means a failed study assertion; a mistyped config is a usage error
         assert cli.main(["uniform", "--config", str(write_config(tmp_path, payload))]) == 2
         assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"ensemble": {"replicates": 4.0}},
+            {"noise": {"modes": 4.0}},
+            {"stepper": {"outer_newton_max": 50.0}},
+            # the conjugate-gradient cap is read by the 2-d solve only
+            {"grid": {"extent": [1.0, 1.0], "cells": [8, 8]}, "stepper": {"linear_max": 500.0}},
+            {"u0": {"kind": "random_fourier", "modes": 3.0}},
+            {"u0": {"kind": "cosine", "mode": 2.0}},
+        ],
+    )
+    def test_integral_float_runs_as_its_integer_twin(self, tmp_path, overrides):
+        csvs = []
+        for name in ("float", "int"):
+            payload = small_run_payload(tmp_path / name)
+            for section, fields in overrides.items():
+                if name == "int":
+                    fields = {k: int(v) if isinstance(v, float) else v for k, v in fields.items()}
+                payload[section] = {**payload.get(section, {}), **fields}
+            assert cli.main(["uniform", "--config", str(write_config(tmp_path, payload, f"{name}.json"))]) == 0
+            csvs.append((tmp_path / name / "out" / "uniform.csv").read_bytes())
+        assert csvs[0] == csvs[1]
+
+    @pytest.mark.parametrize("field", ["outer_newton_max", "linear_max"])
+    def test_zero_iteration_cap_exits_2(self, tmp_path, capsys, field):
+        payload = small_run_payload(tmp_path, stepper={"dt": 1e-3, "t_end": 0.01, field: 0})
+        assert cli.main(["uniform", "--config", str(write_config(tmp_path, payload))]) == 2
+        assert f"config stepper: {field}" in capsys.readouterr().err

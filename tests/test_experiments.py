@@ -37,10 +37,14 @@ def ladder_study(study, cfg):
 
 
 def gauge_slices(lanes, spec, scfg, g, params, seed, order):
-    """(int G_n, int |G_n'|) at every state of one _run_lanes run, via on_step."""
+    """(int G_n, int |G_n'|) at every state of one _run_lanes run, via a hook."""
     slices = []
     gauge = pot.GaugeOrder(order)
-    ex._run_lanes(lanes, spec, scfg, g, params, seed, on_step=lambda m, u: slices.append(ex._gauge_slice(g, gauge, u)))
+
+    def hook(m, u, beta_u):
+        slices.append(ex._gauge_slice(g, gauge, u))
+
+    ex._run_lanes(lanes, spec, scfg, g, params, seed, hooks=(hook,))
     return slices
 
 
@@ -116,14 +120,17 @@ class TestBatchIndependence:
         def run(batch):
             lanes = [ex.Lane(lam, batch, None) for lam in cfg.lambda_levels]
             pairs = [(i, i + 1) for i in range(len(lanes) - 1)]
-            on_step, diffs = ex._lane_differences(cfg.grid, cfg.stepper, batch.shape[0], pairs)
-            out = ex._run_lanes(lanes, cfg.noise, cfg.stepper, cfg.grid, cfg.potential, cfg.seed, on_step=on_step)
-            return out, diffs
+            shape = (len(lanes), batch.shape[0])
+            stats_hook, stats = ex._path_statistics(cfg.grid, cfg.stepper, cfg.potential, shape)
+            pairs_hook, diffs = ex._lane_differences(cfg.grid, cfg.stepper, batch.shape[0], pairs)
+            hooks = (stats_hook, pairs_hook)
+            out = ex._run_lanes(lanes, cfg.noise, cfg.stepper, cfg.grid, cfg.potential, cfg.seed, hooks=hooks)
+            return out, stats, diffs
 
-        (full, full_diffs), (head, head_diffs) = run(u0), run(u0[:k])
+        (full, full_stats, full_diffs), (head, head_stats, head_diffs) = run(u0), run(u0[:k])
         assert np.array_equal(full["final"][:, :k], head["final"])
-        for name, value in full["stats"].items():
-            assert np.array_equal(value[:, :k], head["stats"][name]), name
+        for name, value in full_stats.items():
+            assert np.array_equal(value[:, :k], head_stats[name]), name
         for i, pa in enumerate(full_diffs):
             for name, value in pa.items():
                 assert np.array_equal(value[:k], head_diffs[i][name]), (i, name)
@@ -170,8 +177,8 @@ class TestCauchyStudy:
         cfg = small_config()
         u0 = ex._lane_u0(cfg)
         lanes = [ex.Lane(0.1, u0, None), ex.Lane(0.1, u0, None)]
-        on_step, diffs = ex._lane_differences(cfg.grid, cfg.stepper, cfg.replicates, [(0, 1)])
-        ex._run_lanes(lanes, cfg.noise, cfg.stepper, cfg.grid, cfg.potential, cfg.seed, on_step=on_step)
+        hook, diffs = ex._lane_differences(cfg.grid, cfg.stepper, cfg.replicates, [(0, 1)])
+        ex._run_lanes(lanes, cfg.noise, cfg.stepper, cfg.grid, cfg.potential, cfg.seed, hooks=(hook,))
         assert len(diffs) == 1
         pa = diffs[0]
         assert np.all(pa["sup_diff_h_sq"] == 0.0)
@@ -267,8 +274,8 @@ class TestDependenceStudy:
                 dg_field = np.full(cfg.grid.shape, p.g_shift)
                 pert_g = dg_field if g_field is None else g_field + dg_field
             lanes = [ex.Lane(lam, u0, g_field), ex.Lane(lam, u0 + p.u0_shift, pert_g)]
-            on_step, (pa,) = ex._lane_differences(cfg.grid, cfg.stepper, cfg.replicates, [(0, 1)])
-            ex._run_lanes(lanes, cfg.noise, cfg.stepper, cfg.grid, cfg.potential, cfg.seed, on_step=on_step)
+            hook, (pa,) = ex._lane_differences(cfg.grid, cfg.stepper, cfg.replicates, [(0, 1)])
+            ex._run_lanes(lanes, cfg.noise, cfg.stepper, cfg.grid, cfg.potential, cfg.seed, hooks=(hook,))
             lhs = float(np.sqrt(np.mean(pa["sup_diff_h_sq"]))) + float(
                 np.sqrt(np.mean(pa["int_diff_h_sq"] + pa["int_diff_grad_sq"]))
             )
@@ -290,6 +297,14 @@ class TestDependenceStudy:
         assert lane_counts == [1 + len(perturbations)]
         assert len(set(rep.metadata["increments_digests"])) == 1
         assert len(rep.metadata["increments_digests"]) == len(perturbations)
+
+    def test_reads_no_path_statistics(self, monkeypatch):
+        def no_stats(*args, **kwargs):
+            raise AssertionError("dependence attached the path statistics it never reads")
+
+        monkeypatch.setattr(ex, "_path_statistics", no_stats)
+        rep = ex.dependence_study(small_config(), [ex.Perturbation(u0_shift=0.01), ex.Perturbation(g_shift=0.01)])
+        assert rep.failures == []
 
     def test_every_perturbation_checked_before_integrating(self, monkeypatch):
         def no_run(*args, **kwargs):
@@ -403,12 +418,30 @@ class TestOracles:
         assert rep.row("heat_temporal_order", math.nan).mean >= 0.8
         assert rep.row("ode_order", 0.05).mean >= 0.8
 
+    def test_take_no_norms(self, monkeypatch):
+        # the oracles attach no hook, so they pay for no path statistic
+        calls = []
+
+        def counted(norm):
+            def wrapper(*args):
+                calls.append(norm.__name__)
+                return norm(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(gr, "h_norm_sq", counted(gr.h_norm_sq))
+        monkeypatch.setattr(gr, "grad_norm_sq", counted(gr.grad_norm_sq))
+        assert ex.heat_and_ode_oracles(small_config()).failures == []
+        assert calls == []
+
     def test_zero_initial_data_stays_zero(self):
         g = gr.Grid(extent=(1.0,), cells=(32,))
         cfg = st.StepperConfig(dt=1e-3, t_end=0.05)
         quiet = nz.NoiseSpec(family="sine", modes=0, decay_exponent=2.0, amplitude=0.0)
         out = ex._run_lanes([ex.Lane(None, np.zeros((1, 32)), None)], quiet, cfg, g, None, seed=0)
         assert np.all(out["final"] == 0.0)
+        # the engine is the time loop only: every statistic comes from a hook
+        assert out.keys() == {"final", "increments_digest", "n_steps"}
 
     def test_heat_lanes_reject_noise(self):
         # the noise is evaluated at J_lam(u), which a lane without a level does not have
