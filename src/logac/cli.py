@@ -32,17 +32,10 @@ DEFAULT_PERTURBATION_SIZES = (0.1, 0.01, 0.001)
 LADDER_STUDIES = {"uniform": ex.uniform_bounds_study, "cauchy": ex.cauchy_study, "strong": ex.strong_solution_study}
 
 _DEFAULTS = {
-    "potential": {"kind": "logarithmic", "c": 2.0, "K": None},
+    "potential": {"c": 2.0},
     "noise": {"family": "sine", "modes": 16, "decay_exponent": 2.0, "amplitude": 0.5, "flatness": 1},
     "grid": {"extent": [1.0], "cells": [128]},
-    "stepper": {
-        "dt": 1e-3,
-        "t_end": 0.5,
-        "outer_newton_tol": 1e-10,
-        "outer_newton_max": 50,
-        "linear_tol": 1e-11,
-        "linear_max": 500,
-    },
+    "stepper": {"dt": 1e-3, "t_end": 0.5},
     "ensemble": {"replicates": 64, "seed": 12345, "lambda_levels": [0.2, 0.1, 0.05, 0.025]},
     "u0": {"kind": "cosine", "m0": 0.0, "amplitude": 0.5, "mode": 1, "width": 0.2, "modes": 4, "clamp": 0.05},
     "g": {"kind": "zero", "value": 0.0, "path": ""},
@@ -62,6 +55,7 @@ class RunConfig:
     def __post_init__(self):
         if int(self.snapshot_stride) != self.snapshot_stride or self.snapshot_stride < 0:
             raise ConfigError(f"snapshot_stride must be an integer >= 0, got {self.snapshot_stride}")
+        object.__setattr__(self, "snapshot_stride", int(self.snapshot_stride))
 
 
 @dataclass
@@ -103,7 +97,7 @@ def config_from_dict(raw: dict) -> RunConfig:
     def build(section, ctor, **kwargs):
         try:
             return ctor(**kwargs)
-        except ValueError as err:
+        except (ValueError, TypeError, OverflowError) as err:
             raise ConfigError(f"config {section}: {err}") from err
 
     def listed(section, name, value):
@@ -111,12 +105,7 @@ def config_from_dict(raw: dict) -> RunConfig:
             raise ConfigError(f"config {section}: {name} must be a list, got {value!r}")
         return tuple(value)
 
-    p = _merge_section(raw, "potential")
-    if not isinstance(p["c"], (int, float)) or not p["c"] > 1.0:
-        raise ConfigError(f"config potential: c must be > 1 for the logarithmic potential, got {p['c']}")
-    if p["K"] is None:
-        p["K"] = pot.default_offset(p["c"])
-    potential = build("potential", pot.PotentialParams, kind=p["kind"], c=float(p["c"]), K=float(p["K"]))
+    potential = build("potential", pot.PotentialParams, **_merge_section(raw, "potential"))
 
     n = _merge_section(raw, "noise")
     noise = build("noise", nz.NoiseSpec, **n)
@@ -151,10 +140,12 @@ def config_from_dict(raw: dict) -> RunConfig:
         u0=u0,
         g=gspec,
     )
-    return RunConfig(
+    return build(
+        "snapshot_stride",
+        RunConfig,
         ensemble=ensemble,
         output_dir=str(raw.get("output_dir", "out")),
-        snapshot_stride=int(raw.get("snapshot_stride", 0)),
+        snapshot_stride=raw.get("snapshot_stride", 0),
     )
 
 

@@ -6,10 +6,12 @@ The singular monotone part of the potential derivative is the graph
 
 with primitive beta_hat(r) = (1+r)ln(1+r) + (1-r)ln(1-r).  The full
 logarithmic potential is F(r) = beta_hat(r) - c r^2 + K with c > 1 and K
-the smallest offset making F nonnegative.  Everything downstream works
-with the resolvent J_lam = (I + lam*beta)^(-1) and the Yosida
-regularization beta_lam = (I - J_lam)/lam, which is globally Lipschitz
-with constant 1/lam and satisfies beta_lam = beta(J_lam(.)).
+the smallest offset making F nonnegative.  The dynamics read only the
+slope F' = beta - 2c r, so c is the one parameter; K is derived from it
+and enters the energies alone.  Everything downstream works with the
+resolvent J_lam = (I + lam*beta)^(-1) and the Yosida regularization
+beta_lam = (I - J_lam)/lam, which is globally Lipschitz with constant
+1/lam and satisfies beta_lam = beta(J_lam(.)).
 
 The resolvent is solved pointwise by a bracket-free Newton iteration on
 the folded graph equation (_graph_solve).  All evaluators are elementwise
@@ -23,8 +25,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
-LOGARITHMIC = "logarithmic"
-
 # Graph endpoints representable strictly inside (-1, 1).
 _R_HI = np.nextafter(1.0, 0.0)
 _R_LO = np.nextafter(-1.0, 0.0)
@@ -32,40 +32,20 @@ _R_LO = np.nextafter(-1.0, 0.0)
 
 @dataclass(frozen=True)
 class PotentialParams:
-    """The logarithmic double well on (-1, 1): c > 1 and a nonnegativity offset K.
+    """The logarithmic double well on (-1, 1), fixed by its concave coefficient c > 1."""
 
-    kind is always "logarithmic"; it is kept so configs name the potential.
-    """
-
-    kind: str
-    c: float = 0.0
-    K: float = 0.0
+    c: float
 
     def __post_init__(self):
-        if self.kind != LOGARITHMIC:
-            raise ValueError(f"potential kind must be 'logarithmic', got {self.kind!r}")
-        if not self.c > 1.0:
-            raise ValueError(f"potential c must be > 1 for the logarithmic kind, got {self.c}")
-        if not self.K >= 0.0:
-            raise ValueError(f"potential K must be >= 0, got {self.K}")
-        # K must dominate the well depth; the minimum of beta_hat - c r^2
-        # is attained at the positive root of beta(r) = 2 c r.
-        if self.K < default_offset(self.c) - 1e-9:
-            raise ValueError(
-                f"potential K={self.K} leaves F negative; need K >= {default_offset(self.c):.12g} for c={self.c}"
-            )
+        if not 1.0 < self.c < np.inf:
+            raise ValueError(f"potential c must be > 1 and finite, got {self.c}")
+        object.__setattr__(self, "c", float(self.c))  # a JSON 2 hashes as 2.0
 
 
 def default_offset(c: float) -> float:
-    """Smallest K with beta_hat(r) - c r^2 + K >= 0 on (-1, 1)."""
+    """Smallest K with beta_hat(r) - c r^2 + K >= 0 on (-1, 1), reached where beta(r) = 2 c r > 0."""
     rstar = brentq(lambda r: _beta(r) - 2.0 * c * r, 1e-12, _R_HI, xtol=1e-15)
     return float(c * rstar * rstar - _beta_hat(rstar))
-
-
-def logarithmic_params(c: float = 2.0, K: float | None = None) -> PotentialParams:
-    if K is None:
-        K = default_offset(c)
-    return PotentialParams(kind=LOGARITHMIC, c=c, K=K)
 
 
 # residual and iteration cap of the scalar resolvent Newton solve
@@ -128,7 +108,7 @@ def potential_eval(params: PotentialParams, r):
     """Return (F, F', F'') at r, |r| < 1 strictly."""
     beta, beta_prime, beta_hat = beta_family_eval(r)
     r = np.asarray(r, dtype=float)
-    F = beta_hat - params.c * r * r + params.K
+    F = beta_hat - params.c * r * r + default_offset(params.c)
     F1 = beta - 2.0 * params.c * r
     F2 = beta_prime - 2.0 * params.c
     return F, F1, F2
@@ -186,16 +166,16 @@ def resolvent_map(lam, x, tol: float = NEWTON_TOL, max_iter: int = NEWTON_MAX_IT
     return np.clip(_graph_solve(lam, x, tol, max_iter)[1], _R_LO, _R_HI)
 
 
-def yosida_pair(lam, x, tol: float = NEWTON_TOL, max_iter: int = NEWTON_MAX_ITER, b0=None):
+def yosida_pair(lam, x, b0=None):
     """(beta_lam(x), beta_lam'(x)) with lam broadcastable against x.
 
     Hot-path variant used by the field solvers, where lam may vary across
     batch lanes; J_lam(x) is the tanh(b/2) the graph solve ended on.
-    beta_lam(x) is that solve's b to within tol/lam, so the beta_lam of a
-    nearby point is a good warm start b0.
+    beta_lam(x) is that solve's b to within NEWTON_TOL/lam, so the beta_lam
+    of a nearby point is a good warm start b0.
     """
     x = np.asarray(x, dtype=float)
-    beta_l, r = _graph_solve(lam, x, tol, max_iter, b0)
+    beta_l, r = _graph_solve(lam, x, NEWTON_TOL, NEWTON_MAX_ITER, b0)
     np.clip(r, _R_LO, _R_HI, out=r)
     np.divide(np.subtract(x, r, out=beta_l), lam, out=beta_l)
     return beta_l, yosida_slope(lam, r)
@@ -225,7 +205,7 @@ def regularized_potential_eval(params: PotentialParams, level: YosidaLevel, r):
     """Return (F_lam, F_lam', F_lam'') at r, defined on all of R."""
     r = np.asarray(r, dtype=float)
     beta_l, beta_l_prime, beta_hat_l = yosida_eval(level, r)
-    Fl = params.K + beta_hat_l - params.c * r * r
+    Fl = default_offset(params.c) + beta_hat_l - params.c * r * r
     Fl1 = beta_l - 2.0 * params.c * r
     Fl2 = beta_l_prime - 2.0 * params.c
     return Fl, Fl1, Fl2

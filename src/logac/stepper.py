@@ -42,35 +42,32 @@ from . import potential as pot
 _TINY = np.finfo(float).tiny
 
 
+# outer Newton residual tolerance and iteration cap of the implicit solve
+NEWTON_TOL = 1e-10
+NEWTON_MAX_ITER = 50
+# relative residual and iteration cap of the 2-d conjugate-gradient solve;
+# the 1-d Newton systems are solved exactly
+CG_TOL = 1e-11
+CG_MAX_ITER = 500
+
+
 @dataclass(frozen=True)
 class StepperConfig:
-    """Time step, horizon and solver controls.
-
-    linear_tol and linear_max govern the 2-d conjugate-gradient solve
-    only; the 1-d Newton systems are solved exactly.
-    """
+    """Time step and horizon."""
 
     dt: float
     t_end: float
-    outer_newton_tol: float = 1e-10
-    outer_newton_max: int = 50
-    linear_tol: float = 1e-11
-    linear_max: int = 500
 
     def __post_init__(self):
+        for name in ("dt", "t_end"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.dt > 0.0:
             raise ValueError(f"dt must be positive, got {self.dt}")
         if self.t_end < 0.0:
             raise ValueError(f"t_end must be nonnegative, got {self.t_end}")
         if self.t_end > 0.0 and self.dt > self.t_end * (1.0 + 1e-12):
             raise ValueError(f"dt={self.dt} exceeds t_end={self.t_end}")
-        if not (self.outer_newton_tol > 0.0 and self.linear_tol > 0.0):
-            raise ValueError("solver tolerances must be positive")
-        for name in ("outer_newton_max", "linear_max"):
-            value = getattr(self, name)
-            if int(value) != value or value < 1:
-                raise ValueError(f"{name} must be an integer >= 1, got {value}")
-            object.__setattr__(self, name, int(value))
 
     @property
     def n_steps(self) -> int:
@@ -92,7 +89,7 @@ def _batch_sum(u, dim: int):
     return np.sum(u, axis=tuple(range(u.ndim - dim, u.ndim)))
 
 
-def _pcg(g: gr.Grid, dt: float, diag, b, cfg: StepperConfig):
+def _pcg(g: gr.Grid, dt: float, diag, b):
     """CG on (I - dt*lap + dt*diag) x = b with an exact heat preconditioner."""
     dim = g.dim
 
@@ -104,11 +101,11 @@ def _pcg(g: gr.Grid, dt: float, diag, b, cfg: StepperConfig):
 
     x = np.zeros_like(b)
     r = b.copy()
-    tol = np.maximum(cfg.linear_tol * np.sqrt(_batch_sum(b * b, dim)), _TINY)
+    tol = np.maximum(CG_TOL * np.sqrt(_batch_sum(b * b, dim)), _TINY)
     z = gr.helmholtz_solve(g, r, dt)
     p = z.copy()
     rz = _batch_sum(r * z, dim)
-    for _ in range(cfg.linear_max):
+    for _ in range(CG_MAX_ITER):
         active = np.sqrt(_batch_sum(r * r, dim)) > tol
         if not np.any(active):
             return x
@@ -122,7 +119,7 @@ def _pcg(g: gr.Grid, dt: float, diag, b, cfg: StepperConfig):
         beta = _expand(np.where(active, rz_new / np.maximum(rz, _TINY), 0.0), dim)
         p = z + beta * p
         rz = rz_new
-    raise RuntimeError(f"inner linear solve stagnated after {cfg.linear_max} iterations")
+    raise RuntimeError(f"inner linear solve stagnated after {CG_MAX_ITER} iterations")
 
 
 def _tridiag_solve(g: gr.Grid, dt: float, diag, b):
@@ -153,7 +150,7 @@ def _tridiag_solve(g: gr.Grid, dt: float, diag, b):
     return x.reshape(b.shape)
 
 
-def _monotone_solve(g: gr.Grid, lam, rhs, dt: float, cfg: StepperConfig, w0=None, b0=None):
+def _monotone_solve(g: gr.Grid, lam, rhs, dt: float, w0=None, b0=None):
     """Solve w - dt*lap(w) + dt*beta_lam(w) = rhs; lam=None drops the beta term.
 
     lam may be a scalar or an array broadcastable against the batch axes.
@@ -181,8 +178,8 @@ def _monotone_solve(g: gr.Grid, lam, rhs, dt: float, cfg: StepperConfig, w0=None
         bl, blp = b0, pot.yosida_slope(lam, np.clip(w - lam * b0, pot._R_LO, pot._R_HI))
     F = residual(w, bl)
     res = _batch_max_abs(F, dim)
-    for _ in range(cfg.outer_newton_max):
-        done = res <= cfg.outer_newton_tol
+    for _ in range(NEWTON_MAX_ITER):
+        done = res <= NEWTON_TOL
         if np.all(done):
             if bl is None:
                 bl = np.zeros_like(w)
@@ -190,7 +187,7 @@ def _monotone_solve(g: gr.Grid, lam, rhs, dt: float, cfg: StepperConfig, w0=None
         if dim == 1:
             delta = _tridiag_solve(g, dt, blp, F)
         else:
-            delta = _pcg(g, dt, blp, F, cfg)
+            delta = _pcg(g, dt, blp, F)
         # a converged member keeps its state bit for bit, whatever its batch mates do
         delta[done] = 0.0
         damp = np.ones_like(res)
@@ -200,7 +197,7 @@ def _monotone_solve(g: gr.Grid, lam, rhs, dt: float, cfg: StepperConfig, w0=None
             bl, blp_try = pair(w_try, bl)
             F_try = residual(w_try, bl)
             res_try = _batch_max_abs(F_try, dim)
-            bad = (res_try > res) & (res_try > cfg.outer_newton_tol)
+            bad = (res_try > res) & (res_try > NEWTON_TOL)
             if not np.any(bad):
                 break
             damp = np.where(bad, 0.5 * damp, damp)
@@ -210,7 +207,7 @@ def _monotone_solve(g: gr.Grid, lam, rhs, dt: float, cfg: StepperConfig, w0=None
             )
         w, F, blp, res = w_try, F_try, blp_try, res_try
     raise RuntimeError(
-        f"implicit step failed: residual {float(np.max(res)):.3e} after {cfg.outer_newton_max} Newton iterations"
+        f"implicit step failed: residual {float(np.max(res)):.3e} after {NEWTON_MAX_ITER} Newton iterations"
     )
 
 
@@ -232,7 +229,7 @@ def step(g: gr.Grid, lam, c: float, spec: nz.NoiseSpec, u, beta_u, dw, g_force, 
     rhs = u + dt * (2.0 * c) * u + noise_field
     if g_force is not None:
         rhs = rhs + dt * g_force
-    return _monotone_solve(g, lam, rhs, dt, cfg, w0=u, b0=beta_u)
+    return _monotone_solve(g, lam, rhs, dt, w0=u, b0=beta_u)
 
 
 def gateaux_check(

@@ -1,5 +1,7 @@
 import json
+import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,17 +11,10 @@ from logac import grid as gr
 
 GOLDEN_DEFAULTS = {
     "version": 1,
-    "potential": {"kind": "logarithmic", "c": 2.0, "K": 0.6530477748538479},
+    "potential": {"c": 2.0},
     "noise": {"family": "sine", "modes": 16, "decay_exponent": 2.0, "amplitude": 0.5, "flatness": 1},
     "grid": {"extent": [1.0], "cells": [128]},
-    "stepper": {
-        "dt": 0.001,
-        "t_end": 0.5,
-        "outer_newton_tol": 1e-10,
-        "outer_newton_max": 50,
-        "linear_tol": 1e-11,
-        "linear_max": 500,
-    },
+    "stepper": {"dt": 0.001, "t_end": 0.5},
     "ensemble": {"replicates": 64, "seed": 12345, "lambda_levels": [0.2, 0.1, 0.05, 0.025]},
     "u0": {"kind": "cosine", "m0": 0.0, "amplitude": 0.5, "mode": 1, "width": 0.2, "modes": 4, "clamp": 0.05},
     "g": {"kind": "zero", "value": 0.0, "path": ""},
@@ -60,9 +55,15 @@ class TestParseConfig:
         assert cli.parse_config(path2) == cfg
 
     def test_low_c_rejected_naming_constraint(self, tmp_path):
-        path = write_config(tmp_path, {"version": 1, "potential": {"kind": "logarithmic", "c": 0.5}})
+        path = write_config(tmp_path, {"version": 1, "potential": {"c": 0.5}})
         with pytest.raises(cli.ConfigError, match="c must be > 1"):
             cli.parse_config(path)
+
+    def test_readme_config_block_is_the_defaults(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("### Configuration file", 1)[1]
+        block = section.split("```json\n", 1)[1].split("```", 1)[0]
+        assert cli.config_from_dict(json.loads(block)) == cli.default_config()
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(cli.ConfigError, match="cannot read"):
@@ -106,10 +107,14 @@ class TestConfigHash:
             assert h not in seen
             seen.add(h)
 
+    def test_integral_c_hashes_as_its_float(self):
+        cfg = cli.config_from_dict({"version": 1, "potential": {"c": 2}})
+        assert cli.config_hash(cfg) == cli.config_hash(cli.default_config())
+
     def test_hash_stable_across_processes(self):
         # frozen value guards accidental formatting drift in the canonical form
         assert cli.config_hash(cli.default_config()) == (
-            "469320257e1eb237a1e0c7b10254d4bc1d19be1346fbd9d82fb476bb09bad99c"
+            "069c47375b1da12e4b1dd7c5e3557257a3eeb85fca31bf2e8aaf0366b3961c7b"
         )
 
 
@@ -208,9 +213,6 @@ class TestMainEntry:
         [
             {"ensemble": {"replicates": 4.0}},
             {"noise": {"modes": 4.0}},
-            {"stepper": {"outer_newton_max": 50.0}},
-            # the conjugate-gradient cap is read by the 2-d solve only
-            {"grid": {"extent": [1.0, 1.0], "cells": [8, 8]}, "stepper": {"linear_max": 500.0}},
             {"u0": {"kind": "random_fourier", "modes": 3.0}},
             {"u0": {"kind": "cosine", "mode": 2.0}},
         ],
@@ -227,8 +229,37 @@ class TestMainEntry:
             csvs.append((tmp_path / name / "out" / "uniform.csv").read_bytes())
         assert csvs[0] == csvs[1]
 
-    @pytest.mark.parametrize("field", ["outer_newton_max", "linear_max"])
-    def test_zero_iteration_cap_exits_2(self, tmp_path, capsys, field):
-        payload = small_run_payload(tmp_path, stepper={"dt": 1e-3, "t_end": 0.01, field: 0})
+    @pytest.mark.parametrize(
+        "section, field, value",
+        [
+            ("potential", "kind", "logarithmic"),
+            ("potential", "K", None),
+            ("stepper", "outer_newton_tol", 1e-10),
+            ("stepper", "outer_newton_max", 50),
+            ("stepper", "linear_tol", 1e-11),
+            ("stepper", "linear_max", 500),
+        ],
+    )
+    def test_removed_field_exits_2(self, tmp_path, capsys, section, field, value):
+        # the solver controls are stepper constants and K is derived from c; no config names them
+        payload = small_run_payload(tmp_path)
+        payload[section] = {**payload.get(section, {}), field: value}
         assert cli.main(["uniform", "--config", str(write_config(tmp_path, payload))]) == 2
-        assert f"config stepper: {field}" in capsys.readouterr().err
+        assert f"config section {section!r} has unknown fields [{field!r}]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "payload, named",
+        [
+            ({"ensemble": {"replicates": None}}, "config ensemble"),
+            ({"noise": {"modes": math.inf}}, "config noise"),
+            ({"grid": {"cells": [None]}}, "config grid"),
+            ({"snapshot_stride": None}, "config snapshot_stride"),
+            ({"stepper": {"t_end": math.inf}}, "config stepper: t_end must be finite"),
+            ({"stepper": {"t_end": math.nan}}, "config stepper: t_end must be finite"),
+            ({"potential": {"c": None}}, "config potential"),
+        ],
+    )
+    def test_malformed_value_exits_2(self, tmp_path, capsys, payload, named):
+        # JSON null, Infinity and NaN reach the section constructors as None, inf and nan
+        assert cli.main(["uniform", "--config", str(write_config(tmp_path, {"version": 1, **payload}))]) == 2
+        assert named in capsys.readouterr().err

@@ -23,7 +23,7 @@ def small_config(**overrides):
         grid=gr.Grid(extent=(1.0,), cells=(16,)),
         stepper=st.StepperConfig(dt=1e-3, t_end=0.02),
         noise=nz.NoiseSpec(family="sine", modes=6, decay_exponent=2.0, amplitude=0.4),
-        potential=pot.logarithmic_params(c=2.0),
+        potential=pot.PotentialParams(c=2.0),
         u0=dg.U0Spec(kind="cosine", amplitude=0.4),
         g=dg.GSpec(kind="zero"),
     )
@@ -381,7 +381,7 @@ class TestDerivativeStudy:
 
     def test_zero_data_gauge_integral(self):
         # G_n(0) = 1, so the time integral of its spatial integral is |D| * T
-        params = pot.logarithmic_params(c=2.0)
+        params = pot.PotentialParams(c=2.0)
         level = pot.YosidaLevel(0.05)
         g = gr.Grid(extent=(1.0,), cells=(16,))
         cfg = st.StepperConfig(dt=1e-3, t_end=0.02)

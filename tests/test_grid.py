@@ -124,12 +124,12 @@ class TestNorms:
 
 class TestEnergy:
     def test_zero_state_gives_offset_times_measure(self):
-        params = pot.logarithmic_params(c=2.0)
+        params = pot.PotentialParams(c=2.0)
         g = gr.Grid(extent=(2.0,), cells=(10,))
-        assert gr.energy(g, params, None, np.zeros(10)) == pytest.approx(params.K * 2.0, rel=1e-13)
+        assert gr.energy(g, params, None, np.zeros(10)) == pytest.approx(pot.default_offset(2.0) * 2.0, rel=1e-13)
 
     def test_regularized_below_sharp(self):
-        params = pot.logarithmic_params(c=2.0)
+        params = pot.PotentialParams(c=2.0)
         g = gr.Grid(extent=(1.0,), cells=(32,))
         rng = np.random.default_rng(0)
         for lam in (0.3, 0.05):
@@ -139,7 +139,7 @@ class TestEnergy:
                 assert gr.energy(g, params, level, u) <= gr.energy(g, params, None, u) + 1e-12
 
     def test_sharp_energy_needs_interior_state(self):
-        params = pot.logarithmic_params(c=2.0)
+        params = pot.PotentialParams(c=2.0)
         g = gr.Grid(extent=(1.0,), cells=(8,))
         with pytest.raises(ValueError):
             gr.energy(g, params, None, np.ones(8))
@@ -147,14 +147,14 @@ class TestEnergy:
 
 class TestDrift:
     def test_zero_at_origin(self):
-        params = pot.logarithmic_params(c=2.0)
+        params = pot.PotentialParams(c=2.0)
         g = gr.Grid(extent=(1.0,), cells=(16,))
         out = gr.drift_apply(g, params, pot.YosidaLevel(0.1), np.zeros(16), None)
         assert np.all(out == 0.0)
 
     def test_hemicontinuity_in_direction(self):
         # eta -> <A_lam(u + eta w), v> is continuous; differences shrink with eta
-        params = pot.logarithmic_params(c=2.0)
+        params = pot.PotentialParams(c=2.0)
         g = gr.Grid(extent=(1.0,), cells=(32,))
         level = pot.YosidaLevel(0.1)
         rng = np.random.default_rng(12)
@@ -172,7 +172,7 @@ class TestDrift:
         assert gaps[2] < 0.25 * gaps[1]
 
     def test_weak_monotonicity_and_coercivity(self):
-        params = pot.logarithmic_params(c=2.0)
+        params = pot.PotentialParams(c=2.0)
         g = gr.Grid(extent=(1.0,), cells=(64,))
         rng = np.random.default_rng(21)
         for lam in (0.4, 0.05):

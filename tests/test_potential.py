@@ -65,32 +65,29 @@ class TestBetaFamily:
 
 class TestPotentialEval:
     def test_logarithmic_at_zero(self):
-        params = pot.logarithmic_params(c=2.0)
+        params = pot.PotentialParams(c=2.0)
         F, F1, F2 = pot.potential_eval(params, 0.0)
-        assert F == params.K
+        assert F == pot.default_offset(2.0)
         assert F1 == 0.0
         assert F2 == 2.0 - 2.0 * params.c
 
     def test_logarithmic_slope_value(self):
-        params = pot.PotentialParams(kind="logarithmic", c=2.0, K=pot.default_offset(2.0))
+        params = pot.PotentialParams(c=2.0)
         _, F1, _ = pot.potential_eval(params, 0.9)
         assert F1 == pytest.approx(math.log(19.0) - 3.6, abs=1e-14)
 
     def test_default_offset_normalizes(self):
-        params = pot.logarithmic_params(c=2.0)
-        assert params.K == pytest.approx(0.6530477748538479, abs=1e-13)
+        params = pot.PotentialParams(c=2.0)
+        assert pot.default_offset(2.0) == pytest.approx(0.6530477748538479, abs=1e-13)
         r = np.linspace(-0.99999, 0.99999, 20001)
         F, _, _ = pot.potential_eval(params, r)
         assert np.min(F) >= -1e-10
         assert np.min(F) <= 1e-6  # the well bottoms touch zero
 
-    def test_insufficient_offset_rejected(self):
-        with pytest.raises(ValueError, match="leaves F negative"):
-            pot.PotentialParams(kind="logarithmic", c=2.0, K=0.1)
-
-    def test_c_must_exceed_one(self):
+    @pytest.mark.parametrize("c", [0.5, 1.0, math.inf, math.nan])
+    def test_c_must_exceed_one(self, c):
         with pytest.raises(ValueError, match="c must be > 1"):
-            pot.PotentialParams(kind="logarithmic", c=0.5, K=0.0)
+            pot.PotentialParams(c=c)
 
 
 class TestResolvent:
@@ -321,15 +318,15 @@ class TestNoisePoint:
 
 class TestRegularizedPotential:
     def test_at_zero(self):
-        params = pot.logarithmic_params(c=2.0)
+        params = pot.PotentialParams(c=2.0)
         for lam in (0.5, 0.05):
             Fl, Fl1, Fl2 = pot.regularized_potential_eval(params, pot.YosidaLevel(lam), 0.0)
-            assert Fl == params.K
+            assert Fl == pot.default_offset(2.0)
             assert Fl1 == 0.0
             assert Fl2 == pytest.approx(2.0 / (1.0 + 2.0 * lam) - 4.0, rel=1e-14)
 
     def test_below_sharp_potential(self):
-        params = pot.logarithmic_params(c=2.0)
+        params = pot.PotentialParams(c=2.0)
         r = np.linspace(-0.9999, 0.9999, 1001)
         F, _, _ = pot.potential_eval(params, r)
         for lam in (0.5, 0.1, 0.01):
@@ -337,7 +334,7 @@ class TestRegularizedPotential:
             assert np.all(Fl <= F + 1e-12)
 
     def test_frozen_slope_value(self):
-        params = pot.PotentialParams(kind="logarithmic", c=2.0, K=pot.default_offset(2.0))
+        params = pot.PotentialParams(c=2.0)
         _, Fl1, _ = pot.regularized_potential_eval(params, pot.YosidaLevel(0.5), 1.0)
         J = bisect_resolvent(0.5, 1.0)
         assert Fl1 == pytest.approx((1.0 - J) / 0.5 - 4.0, abs=1e-11)
@@ -345,7 +342,7 @@ class TestRegularizedPotential:
 
     def test_monotone_part_positive(self):
         # Fl2 + 2c = beta_lam' > 0 everywhere
-        params = pot.logarithmic_params(c=2.0)
+        params = pot.PotentialParams(c=2.0)
         x = np.linspace(-6, 6, 501)
         for lam in (0.9, 0.3, 0.01):
             _, _, Fl2 = pot.regularized_potential_eval(params, pot.YosidaLevel(lam), x)

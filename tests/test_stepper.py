@@ -52,8 +52,8 @@ def dense_implicit_oracle(g, lam, rhs, dt, iters=60):
     return w
 
 
-def solve(g, lam, rhs, dt, cfg):
-    w, _ = st._monotone_solve(g, lam, np.asarray(rhs, dtype=float), dt, cfg)
+def solve(g, lam, rhs, dt):
+    w, _ = st._monotone_solve(g, lam, np.asarray(rhs, dtype=float), dt)
     return w
 
 
@@ -137,29 +137,28 @@ def record_path(g, params, level, spec, u0, cfg, increments):
 class TestImplicitSolve:
     def test_zero_rhs(self):
         g = gr.Grid(extent=(1.0,), cells=(16,))
-        cfg = st.StepperConfig(dt=1e-2, t_end=1.0)
-        w = solve(g, 0.1, np.zeros(16), 1e-2, cfg)
+        w = solve(g, 0.1, np.zeros(16), 1e-2)
         assert np.all(w == 0.0)
 
-    def test_constant_rhs_matches_scalar_oracle(self):
+    def test_constant_rhs_matches_scalar_oracle(self, monkeypatch):
         g = gr.Grid(extent=(1.0,), cells=(8,))
-        cfg = st.StepperConfig(dt=1e-2, t_end=1.0, outer_newton_tol=1e-12)
+        monkeypatch.setattr(st, "NEWTON_TOL", 1e-12)
         for lam, dt, rho in ((0.2, 0.05, 0.8), (0.05, 0.01, -1.4), (0.5, 0.3, 2.0)):
-            w = solve(g, lam, np.full(8, rho), dt, cfg)
+            w = solve(g, lam, np.full(8, rho), dt)
             expected = scalar_implicit_oracle(lam, dt, rho)
             assert np.allclose(w, expected, atol=1e-10)
             assert np.ptp(w) < 1e-12  # constant in, constant out
 
-    def test_matches_dense_newton_and_preserves_order(self):
+    def test_matches_dense_newton_and_preserves_order(self, monkeypatch):
         g = gr.Grid(extent=(1.0,), cells=(8,))
-        cfg = st.StepperConfig(dt=1e-2, t_end=1.0, outer_newton_tol=1e-12)
+        monkeypatch.setattr(st, "NEWTON_TOL", 1e-12)
         rng = np.random.default_rng(17)
         lam, dt = 0.1, 0.04
         for _ in range(10):
             rhs2 = rng.uniform(-1.5, 1.5, size=8)
             rhs1 = rhs2 + rng.uniform(0.0, 1.0, size=8)
-            w1 = solve(g, lam, rhs1, dt, cfg)
-            w2 = solve(g, lam, rhs2, dt, cfg)
+            w1 = solve(g, lam, rhs1, dt)
+            w2 = solve(g, lam, rhs2, dt)
             assert np.allclose(w1, dense_implicit_oracle(g, lam, rhs1, dt), atol=1e-9)
             assert np.allclose(w2, dense_implicit_oracle(g, lam, rhs2, dt), atol=1e-9)
             assert np.all(w1 >= w2 - 1e-11)
@@ -170,10 +169,9 @@ class TestImplicitSolve:
         rng = np.random.default_rng(23)
         rhs = rng.uniform(-3, 3, size=32)
         for dt in (1e-3, 1e-2, 1e-1, 1.0):
-            cfg = st.StepperConfig(dt=dt, t_end=dt, outer_newton_tol=1e-10)
             for lam in (1e-3, 1e-2, 1e-1, 0.9):
                 level = pot.YosidaLevel(lam)
-                w = solve(g, lam, rhs, dt, cfg)
+                w = solve(g, lam, rhs, dt)
                 bl, _, _ = pot.yosida_eval(level, w)
                 resid = w - dt * gr.laplacian_neumann(g, w) + dt * bl - rhs
                 assert np.max(np.abs(resid)) <= 1e-10
@@ -182,16 +180,14 @@ class TestImplicitSolve:
     def test_converged_member_keeps_its_state(self, cells):
         # member 0 starts at its own solution; member 1 needs Newton iterations
         g = gr.Grid(extent=(1.0,) * len(cells), cells=cells)
-        cfg = st.StepperConfig(dt=1e-2, t_end=1.0)
         rhs = np.random.default_rng(7).uniform(-1.5, 1.5, size=(2, *cells))
-        alone = solve(g, 0.1, rhs[0], 1e-2, cfg)
-        w, _ = st._monotone_solve(g, 0.1, rhs, 1e-2, cfg, w0=np.stack([alone, rhs[1]]))
+        alone = solve(g, 0.1, rhs[0], 1e-2)
+        w, _ = st._monotone_solve(g, 0.1, rhs, 1e-2, w0=np.stack([alone, rhs[1]]))
         assert np.array_equal(w[0], alone)
 
     def test_first_residual_takes_the_given_beta(self, monkeypatch):
         # with b0 = beta_lam(w0) given, yosida_pair runs once per Newton trial and never at w0
         g = gr.Grid(extent=(1.0,), cells=(16,))
-        cfg = st.StepperConfig(dt=1e-2, t_end=1.0)
         rng = np.random.default_rng(5)
         lam = np.array([0.2, 0.01, 1e-3]).reshape(3, 1, 1)
         u = np.concatenate([rng.uniform(-0.99, 0.99, size=(3, 2, 12)), np.full((3, 2, 4), 1.3)], axis=-1)
@@ -215,7 +211,7 @@ class TestImplicitSolve:
         monkeypatch.setattr(pot, "yosida_pair", spy_pair)
         monkeypatch.setattr(st, "_tridiag_solve", spy_tridiag)
         monkeypatch.setattr(gr, "laplacian_neumann", spy_lap)
-        st._monotone_solve(g, lam, rhs, 1e-2, cfg, w0=u, b0=beta_u)
+        st._monotone_solve(g, lam, rhs, 1e-2, w0=u, b0=beta_u)
         assert len(residuals) >= 2
         assert len(points) == len(residuals) - 1
         assert not any(np.array_equal(p, u) for p in points)
@@ -225,21 +221,19 @@ class TestImplicitSolve:
     def test_backtracking_exhaustion_raises(self, monkeypatch):
         # a wrong-sign Jacobian solve gives an ascent direction, so every damping raises the residual
         g = gr.Grid(extent=(1.0,), cells=(16,))
-        cfg = st.StepperConfig(dt=1e-2, t_end=1.0)
         tridiag = st._tridiag_solve
         monkeypatch.setattr(st, "_tridiag_solve", lambda *args: -tridiag(*args))
         rhs = np.random.default_rng(3).uniform(-2.0, 2.0, size=16)
         with pytest.raises(RuntimeError, match="backtracking exhausted"):
-            solve(g, 0.1, rhs, 1e-2, cfg)
+            solve(g, 0.1, rhs, 1e-2)
 
     def test_backtracking_exhaustion_raises_2d(self, monkeypatch):
         g = gr.Grid(extent=(1.0, 1.0), cells=(8, 8))
-        cfg = st.StepperConfig(dt=1e-2, t_end=1.0)
         pcg = st._pcg
         monkeypatch.setattr(st, "_pcg", lambda *args: -pcg(*args))
         rhs = np.random.default_rng(3).uniform(-2.0, 2.0, size=(8, 8))
         with pytest.raises(RuntimeError, match="backtracking exhausted"):
-            solve(g, 0.1, rhs, 1e-2, cfg)
+            solve(g, 0.1, rhs, 1e-2)
 
 
 class TestTridiagSolve:
@@ -278,7 +272,7 @@ class TestTridiagSolve:
 class TestStep:
     def test_origin_is_fixed_point(self):
         g = gr.Grid(extent=(1.0,), cells=(16,))
-        params = pot.logarithmic_params(c=2.0)
+        params = pot.PotentialParams(c=2.0)
         cfg = st.StepperConfig(dt=1e-3, t_end=0.01)
         u, _ = st.step(g, 0.1, params.c, QUIET, np.zeros(16), None, None, None, cfg)
         assert np.all(u == 0.0)
@@ -297,7 +291,7 @@ class TestStep:
 
     def test_zero_dimensional_reduction(self):
         # spatially constant states follow u' = -F'_lam(u); mirror ghosts kill the Laplacian
-        params = pot.logarithmic_params(c=2.0)
+        params = pot.PotentialParams(c=2.0)
         level = pot.YosidaLevel(0.1)
         g = gr.Grid(extent=(1.0,), cells=(2,))
         cfg = st.StepperConfig(dt=1e-3, t_end=0.5)
@@ -312,13 +306,13 @@ class TestStep:
         assert abs(float(u[0]) - float(ref.y[0, -1])) < 2e-3
 
     def test_energy_dissipation_deterministic(self):
-        params = pot.logarithmic_params(c=2.0)
+        params = pot.PotentialParams(c=2.0)
         level = pot.YosidaLevel(0.05)
         g = gr.Grid(extent=(1.0,), cells=(64,))
         u = 0.5 * np.cos(np.pi * g.cell_centers())
         cfg = st.StepperConfig(dt=1e-3, t_end=0.2)
         e_prev = gr.energy(g, params, level, u)
-        slack = 10 * cfg.outer_newton_tol * g.measure
+        slack = 10 * st.NEWTON_TOL * g.measure
         for _ in range(cfg.n_steps):
             u, _ = st.step(g, level.lam, params.c, QUIET, u, None, None, None, cfg)
             e = float(gr.energy(g, params, level, u))
@@ -326,7 +320,7 @@ class TestStep:
             e_prev = e
 
     def test_bit_reproducible(self):
-        params = pot.logarithmic_params(c=2.0)
+        params = pot.PotentialParams(c=2.0)
         spec = nz.NoiseSpec(family="sine", modes=8, decay_exponent=2.0, amplitude=0.5)
         g = gr.Grid(extent=(1.0,), cells=(32,))
         u0 = np.broadcast_to(0.3 * np.cos(np.pi * g.cell_centers()), (4, 32)).copy()
@@ -338,7 +332,7 @@ class TestStep:
         assert np.array_equal(a["stats"]["sup_h_sq"], b["stats"]["sup_h_sq"])
 
     def test_zero_horizon_stats_from_datum(self):
-        params = pot.logarithmic_params(c=2.0)
+        params = pot.PotentialParams(c=2.0)
         g = gr.Grid(extent=(1.0,), cells=(16,))
         u0 = 0.4 * np.cos(np.pi * g.cell_centers())
         cfg = st.StepperConfig(dt=1e-3, t_end=0.0)
@@ -353,7 +347,7 @@ class TestStep:
     def test_excursion_recorded_not_fatal(self):
         # at lam = 0.2 and c = 2 the regularized well sits outside [-1, 1],
         # so a datum near the boundary is driven across it
-        params = pot.logarithmic_params(c=2.0)
+        params = pot.PotentialParams(c=2.0)
         g = gr.Grid(extent=(1.0,), cells=(8,))
         cfg = st.StepperConfig(dt=1e-2, t_end=0.5)
         out = run_path(np.full((1, 8), 0.9), 0.2, cfg, g, params)
@@ -362,7 +356,7 @@ class TestStep:
 
     def test_stable_with_dt_far_above_lambda(self):
         # the implicit monotone split needs no dt <= lam restriction
-        params = pot.logarithmic_params(c=2.0)
+        params = pot.PotentialParams(c=2.0)
         g = gr.Grid(extent=(1.0,), cells=(32,))
         u0 = 0.5 * np.cos(np.pi * g.cell_centers())
         cfg = st.StepperConfig(dt=0.1, t_end=1.0)
@@ -371,7 +365,7 @@ class TestStep:
         assert float(np.max(np.abs(u))) < 1.5
 
     def test_admissibility_enforced(self):
-        params = pot.logarithmic_params(c=2.0)
+        params = pot.PotentialParams(c=2.0)
         g = gr.Grid(extent=(1.0,), cells=(8,))
         cfg = st.StepperConfig(dt=1e-3, t_end=0.01)
         with pytest.raises(ValueError, match="u0"):
@@ -382,7 +376,7 @@ class TestWeakResidual:
     SPEC = nz.NoiseSpec(family="sine", modes=4, decay_exponent=2.0, amplitude=0.4)
 
     def _run(self, dt, increments):
-        params = pot.logarithmic_params(c=2.0)
+        params = pot.PotentialParams(c=2.0)
         g = gr.Grid(extent=(1.0,), cells=(32,))
         u0 = 0.4 * np.cos(np.pi * g.cell_centers())
         cfg = st.StepperConfig(dt=dt, t_end=0.04)
@@ -423,7 +417,7 @@ class TestWeakResidual:
 
 class TestGateaux:
     def _setup(self):
-        params = pot.logarithmic_params(c=2.0)
+        params = pot.PotentialParams(c=2.0)
         level = pot.YosidaLevel(0.1)
         g = gr.Grid(extent=(1.0,), cells=(24,))
         rng = np.random.default_rng(31)
