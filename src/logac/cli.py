@@ -13,7 +13,7 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from . import __version__
@@ -31,6 +31,8 @@ DEFAULT_PERTURBATION_SIZES = (0.1, 0.01, 0.001)
 # commands that reduce one ladder_run, the coupled run of every lambda level
 LADDER_STUDIES = {"uniform": ex.uniform_bounds_study, "cauchy": ex.cauchy_study, "strong": ex.strong_solution_study}
 
+# The schema of every setting: a field takes the JSON type of its default, and
+# a list field takes the type of its default's first element for each entry.
 _DEFAULTS = {
     "potential": {"c": 2.0},
     "noise": {"family": "sine", "modes": 16, "decay_exponent": 2.0, "amplitude": 0.5, "flatness": 1},
@@ -39,7 +41,21 @@ _DEFAULTS = {
     "ensemble": {"replicates": 64, "seed": 12345, "lambda_levels": [0.2, 0.1, 0.05, 0.025]},
     "u0": {"kind": "cosine", "m0": 0.0, "amplitude": 0.5, "mode": 1, "width": 0.2, "modes": 4, "clamp": 0.05},
     "g": {"kind": "zero", "value": 0.0, "path": ""},
+    "output_dir": "out",
+    "snapshot_stride": 0,
 }
+
+# the sections built from their own fields alone; ensemble is built from its fields and these
+_SECTIONS = {
+    "potential": pot.PotentialParams,
+    "noise": nz.NoiseSpec,
+    "grid": gr.Grid,
+    "stepper": st.StepperConfig,
+    "u0": dg.U0Spec,
+    "g": dg.GSpec,
+}
+
+_TYPE_NAMES = {str: "a string", int: "an integer", float: "a number"}
 
 
 class ConfigError(ValueError):
@@ -53,9 +69,8 @@ class RunConfig:
     snapshot_stride: int = 0
 
     def __post_init__(self):
-        if int(self.snapshot_stride) != self.snapshot_stride or self.snapshot_stride < 0:
-            raise ConfigError(f"snapshot_stride must be an integer >= 0, got {self.snapshot_stride}")
-        object.__setattr__(self, "snapshot_stride", int(self.snapshot_stride))
+        if self.snapshot_stride < 0:
+            raise ConfigError(f"snapshot_stride must be >= 0, got {self.snapshot_stride}")
 
 
 @dataclass
@@ -71,96 +86,71 @@ class RunManifest:
         return vars(self)
 
 
-def _merge_section(raw: dict, name: str) -> dict:
-    defaults = dict(_DEFAULTS[name])
-    given = raw.get(name, {})
-    if not isinstance(given, dict):
-        raise ConfigError(f"config section {name!r} must be an object")
-    unknown = set(given) - set(defaults)
-    if unknown:
-        raise ConfigError(f"config section {name!r} has unknown fields {sorted(unknown)}")
-    defaults.update(given)
-    return defaults
+def _typed(where: str, name: str, value, default):
+    """value as the JSON type of default; bools are not numbers, and a float field stores floats."""
+    if isinstance(default, list):
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"config {where}: {name} must be a list, got {value!r}")
+        return tuple(_typed(where, f"{name}[{i}]", v, default[0]) for i, v in enumerate(value))
+    if isinstance(default, str):
+        if isinstance(value, str):
+            return value
+    elif isinstance(value, (int, float)) and not isinstance(value, bool):
+        if isinstance(default, int) and (isinstance(value, int) or value.is_integer()):
+            return int(value)
+        # an int beyond the float range would overflow float()
+        if isinstance(default, float) and (isinstance(value, float) or abs(value) < 2**1023):
+            return float(value)
+    raise ConfigError(f"config {where}: {name} must be {_TYPE_NAMES[type(default)]}, got {value!r}")
 
 
 def config_from_dict(raw: dict) -> RunConfig:
+    """The one door for outside settings: every field is typed against _DEFAULTS here."""
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
     version = raw.get("version", 1)
     if version != 1:
         raise ConfigError(f"unsupported config version {version} (this build reads version 1)")
-    known = {"version", "potential", "noise", "grid", "stepper", "ensemble", "u0", "g", "output_dir", "snapshot_stride"}
-    unknown = set(raw) - known
+    unknown = set(raw) - {"version", *_DEFAULTS}
     if unknown:
         raise ConfigError(f"config has unknown top-level fields {sorted(unknown)}")
 
-    def build(section, ctor, **kwargs):
+    def section(name):
+        given = raw.get(name, {})
+        if not isinstance(given, dict):
+            raise ConfigError(f"config section {name!r} must be an object")
+        unknown = set(given) - set(_DEFAULTS[name])
+        if unknown:
+            raise ConfigError(f"config section {name!r} has unknown fields {sorted(unknown)}")
+        return {k: _typed(name, k, given.get(k, d), d) for k, d in _DEFAULTS[name].items()}
+
+    def build(name, ctor, **fields):
         try:
-            return ctor(**kwargs)
-        except (ValueError, TypeError, OverflowError) as err:
-            raise ConfigError(f"config {section}: {err}") from err
+            return ctor(**fields)
+        except ValueError as err:
+            raise ConfigError(f"config {name}: {err}") from err
 
-    def listed(section, name, value):
-        if not isinstance(value, (list, tuple)):
-            raise ConfigError(f"config {section}: {name} must be a list, got {value!r}")
-        return tuple(value)
-
-    potential = build("potential", pot.PotentialParams, **_merge_section(raw, "potential"))
-
-    n = _merge_section(raw, "noise")
-    noise = build("noise", nz.NoiseSpec, **n)
-
-    g_raw = _merge_section(raw, "grid")
-    grid = build(
-        "grid",
-        gr.Grid,
-        extent=listed("grid", "extent", g_raw["extent"]),
-        cells=listed("grid", "cells", g_raw["cells"]),
-    )
-
-    s = _merge_section(raw, "stepper")
-    stepper = build("stepper", st.StepperConfig, **s)
-
-    e = _merge_section(raw, "ensemble")
-    u0_raw = _merge_section(raw, "u0")
-    u0 = build("u0", dg.U0Spec, **u0_raw)
-    gf_raw = _merge_section(raw, "g")
-    gspec = build("g", dg.GSpec, **gf_raw)
-
-    ensemble = build(
-        "ensemble",
-        ex.EnsembleConfig,
-        replicates=e["replicates"],
-        seed=e["seed"],
-        lambda_levels=listed("ensemble", "lambda_levels", e["lambda_levels"]),
-        grid=grid,
-        stepper=stepper,
-        noise=noise,
-        potential=potential,
-        u0=u0,
-        g=gspec,
-    )
-    return build(
-        "snapshot_stride",
-        RunConfig,
-        ensemble=ensemble,
-        output_dir=str(raw.get("output_dir", "out")),
-        snapshot_stride=raw.get("snapshot_stride", 0),
-    )
+    built = {name: build(name, ctor, **section(name)) for name, ctor in _SECTIONS.items()}
+    ensemble = build("ensemble", ex.EnsembleConfig, **section("ensemble"), **built)
+    top = {k: _typed(k, k, raw.get(k, _DEFAULTS[k]), _DEFAULTS[k]) for k in ("output_dir", "snapshot_stride")}
+    return build("snapshot_stride", RunConfig, ensemble=ensemble, **top)
 
 
-def parse_config(path) -> RunConfig:
-    """Load and fully validate a run configuration file."""
+def _read_json(path):
     p = Path(path)
     try:
         text = p.read_text()
     except OSError as err:
         raise ConfigError(f"cannot read config {p}: {err}") from err
     try:
-        raw = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as err:
         raise ConfigError(f"config {p} is not valid JSON: {err}") from err
-    return config_from_dict(raw)
+
+
+def parse_config(path) -> RunConfig:
+    """Load and fully validate a run configuration file."""
+    return config_from_dict(_read_json(path))
 
 
 def default_config() -> RunConfig:
@@ -225,7 +215,7 @@ def _run_simulate(cfg: RunConfig, out_dir: Path) -> tuple[dict, list[str]]:
     return {"json": str(out_dir / "simulate.json"), "final_field": str(out_dir / "final.acf")}, []
 
 
-def run(command: str, cfg: RunConfig, seed_override: int | None = None) -> int:
+def run(command: str, cfg: RunConfig) -> int:
     """Execute one study command; returns the process exit status."""
     if command not in COMMANDS:
         print(f"unknown command {command!r}; expected one of {COMMANDS}", file=sys.stderr)
@@ -236,8 +226,6 @@ def run(command: str, cfg: RunConfig, seed_override: int | None = None) -> int:
     t0 = time.perf_counter()
     failures: list[str] = []
     try:
-        if seed_override is not None:
-            cfg = replace(cfg, ensemble=replace(cfg.ensemble, seed=int(seed_override)))
         if command == "simulate":
             outputs, failures = _run_simulate(cfg, out_dir)
         else:
@@ -253,7 +241,7 @@ def run(command: str, cfg: RunConfig, seed_override: int | None = None) -> int:
                 report = ex.heat_and_ode_oracles(cfg.ensemble)
             failures = report.failures
             outputs = _write_report(report, cfg, out_dir, time.perf_counter() - t0)
-    except (ConfigError, ValueError) as err:
+    except ValueError as err:
         print(f"{command}: {err}", file=sys.stderr)
         return 2
 
@@ -283,12 +271,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        cfg = parse_config(args.config) if args.config else default_config()
+        raw = _read_json(args.config) if args.config else {"version": 1}
+        if isinstance(raw, dict):  # the flags are config fields and pass the same door
+            flags = {"output_dir": args.out, "snapshot_stride": args.snapshot_stride}
+            raw = {**raw, **{k: v for k, v in flags.items() if v is not None}}
+            if args.seed is not None and isinstance(raw.get("ensemble", {}), dict):
+                raw["ensemble"] = {**raw.get("ensemble", {}), "seed": args.seed}
+        cfg = config_from_dict(raw)
     except ConfigError as err:
         print(str(err), file=sys.stderr)
         return 2
-    if args.out is not None:
-        cfg = replace(cfg, output_dir=args.out)
-    if args.snapshot_stride is not None:
-        cfg = replace(cfg, snapshot_stride=args.snapshot_stride)
-    return run(args.command, cfg, seed_override=args.seed)
+    return run(args.command, cfg)

@@ -37,16 +37,13 @@ class U0Spec:
             raise ValueError(f"u0 constant m0 must satisfy |m0| < 1, got {self.m0}")
         if self.kind in ("cosine", "smooth_bump") and not abs(self.amplitude) < 1.0:
             raise ValueError(f"u0 amplitude must satisfy |amplitude| < 1, got {self.amplitude}")
-        if self.kind == "cosine":
-            if int(self.mode) != self.mode or self.mode < 1:
-                raise ValueError(f"u0 cosine mode must be an integer >= 1, got {self.mode}")
-            object.__setattr__(self, "mode", int(self.mode))
+        if self.kind == "cosine" and self.mode < 1:
+            raise ValueError(f"u0 cosine mode must be >= 1, got {self.mode}")
         if self.kind == "smooth_bump" and not self.width > 0.0:
             raise ValueError(f"u0 smooth_bump width must be positive, got {self.width}")
         if self.kind == "random_fourier":
-            if int(self.modes) != self.modes or self.modes < 1:
-                raise ValueError(f"u0 random_fourier modes must be an integer >= 1, got {self.modes}")
-            object.__setattr__(self, "modes", int(self.modes))
+            if self.modes < 1:
+                raise ValueError(f"u0 random_fourier modes must be >= 1, got {self.modes}")
             if not 0.0 < self.clamp < 1.0:
                 raise ValueError(f"u0 random_fourier clamp must lie in (0, 1), got {self.clamp}")
 

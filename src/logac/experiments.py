@@ -50,13 +50,10 @@ class EnsembleConfig:
     g: dg.GSpec
 
     def __post_init__(self):
-        object.__setattr__(self, "lambda_levels", tuple(float(v) for v in self.lambda_levels))
-        if int(self.replicates) != self.replicates or self.replicates < 2:
-            raise ValueError(f"ensemble replicates must be an integer >= 2, got {self.replicates}")
-        object.__setattr__(self, "replicates", int(self.replicates))
-        if int(self.seed) != self.seed or not 0 <= self.seed < 2**64:
-            raise ValueError(f"ensemble seed must be an integer in [0, 2^64), got {self.seed}")
-        object.__setattr__(self, "seed", int(self.seed))  # a JSON 77.0 hashes as 77
+        if self.replicates < 2:
+            raise ValueError(f"ensemble replicates must be >= 2, got {self.replicates}")
+        if not 0 <= self.seed < 2**64:
+            raise ValueError(f"ensemble seed must lie in [0, 2^64), got {self.seed}")
         if len(self.lambda_levels) == 0:
             raise ValueError("ensemble needs at least one lambda level")
         if any(not 0.0 < v < 1.0 for v in self.lambda_levels):

@@ -28,8 +28,6 @@ class Grid:
     cells: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "extent", tuple(float(L) for L in self.extent))
-        object.__setattr__(self, "cells", tuple(int(n) for n in self.cells))
         if len(self.extent) != len(self.cells):
             raise ValueError("extent and cells must have the same length")
         if len(self.cells) not in (1, 2):

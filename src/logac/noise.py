@@ -68,19 +68,16 @@ class NoiseSpec:
     def __post_init__(self):
         if self.family not in (SINE, POLY_FLAT):
             raise ValueError(f"noise family must be 'sine' or 'poly_flat', got {self.family!r}")
-        if int(self.modes) != self.modes or self.modes < 0:
-            raise ValueError(f"noise modes must be an integer >= 0, got {self.modes}")
-        object.__setattr__(self, "modes", int(self.modes))
+        if self.modes < 0:
+            raise ValueError(f"noise modes must be >= 0, got {self.modes}")
         if not self.decay_exponent > 1.5:
             raise ValueError(
                 f"noise decay_exponent must exceed 3/2 for a summable W^(1,inf) series, got {self.decay_exponent}"
             )
         if not self.amplitude >= 0.0:
             raise ValueError(f"noise amplitude must be >= 0, got {self.amplitude}")
-        if self.family == POLY_FLAT:
-            if int(self.flatness) != self.flatness or self.flatness < 1:
-                raise ValueError(f"noise flatness must be an integer >= 1, got {self.flatness}")
-            object.__setattr__(self, "flatness", int(self.flatness))
+        if self.family == POLY_FLAT and self.flatness < 1:
+            raise ValueError(f"noise flatness must be >= 1, got {self.flatness}")
 
 
 def _sinpi(y):

@@ -39,7 +39,6 @@ class PotentialParams:
     def __post_init__(self):
         if not 1.0 < self.c < np.inf:
             raise ValueError(f"potential c must be > 1 and finite, got {self.c}")
-        object.__setattr__(self, "c", float(self.c))  # a JSON 2 hashes as 2.0
 
 
 def default_offset(c: float) -> float:

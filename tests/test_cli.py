@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -85,6 +88,11 @@ class TestParseConfig:
         with pytest.raises(cli.ConfigError, match="config noise"):
             cli.parse_config(path)
 
+    def test_integral_float_seed_parses_as_int(self):
+        # the seed keys the counter streams; the config door stores a JSON 77.0 as the int 77
+        seed = cli.config_from_dict({"version": 1, "ensemble": {"seed": 77.0}}).ensemble.seed
+        assert type(seed) is int and seed == 77
+
     def test_bad_constant_datum(self, tmp_path):
         path = write_config(tmp_path, {"version": 1, "u0": {"kind": "constant", "m0": 1.0}})
         with pytest.raises(cli.ConfigError, match=r"\|m0\| < 1"):
@@ -107,9 +115,18 @@ class TestConfigHash:
             assert h not in seen
             seen.add(h)
 
-    def test_integral_c_hashes_as_its_float(self):
-        cfg = cli.config_from_dict({"version": 1, "potential": {"c": 2}})
-        assert cli.config_hash(cfg) == cli.config_hash(cli.default_config())
+    @pytest.mark.parametrize(
+        "section, field, integral, as_float",
+        [
+            ("potential", "c", 2, 2.0),
+            ("stepper", "t_end", 1, 1.0),
+            ("noise", "amplitude", 1, 1.0),
+            ("grid", "extent", [2], [2.0]),
+        ],
+    )
+    def test_integral_number_hashes_as_its_float(self, section, field, integral, as_float):
+        cfgs = [cli.config_from_dict({"version": 1, section: {field: v}}) for v in (integral, as_float)]
+        assert cli.config_hash(cfgs[0]) == cli.config_hash(cfgs[1])
 
     def test_hash_stable_across_processes(self):
         # frozen value guards accidental formatting drift in the canonical form
@@ -142,21 +159,19 @@ class TestRunCommands:
         assert csv_a == csv_b
 
     def test_seed_override_changes_hash_and_rows(self, tmp_path):
-        payload = small_run_payload(tmp_path)
-        cfg = cli.parse_config(write_config(tmp_path, payload))
-        cfg_a = replace(cfg, output_dir=str(tmp_path / "a"))
-        cfg_b = replace(cfg, output_dir=str(tmp_path / "b"))
-        assert cli.run("uniform", cfg_a) == 0
-        assert cli.run("uniform", cfg_b, seed_override=8) == 0
+        path = str(write_config(tmp_path, small_run_payload(tmp_path)))
+        assert cli.main(["uniform", "--config", path, "--out", str(tmp_path / "a")]) == 0
+        assert cli.main(["uniform", "--config", path, "--out", str(tmp_path / "b"), "--seed", "8"]) == 0
         man_a = json.loads((tmp_path / "a" / "manifest.json").read_text())
         man_b = json.loads((tmp_path / "b" / "manifest.json").read_text())
         assert man_a["config_hash"] != man_b["config_hash"]
         assert (tmp_path / "a" / "uniform.csv").read_bytes() != (tmp_path / "b" / "uniform.csv").read_bytes()
 
-    def test_seed_override_outside_the_key_range_exits_2(self, tmp_path, capsys):
-        cfg = cli.parse_config(write_config(tmp_path, small_run_payload(tmp_path)))
-        assert cli.run("uniform", cfg, seed_override=2**64) == 2
-        assert "seed" in capsys.readouterr().err
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_override_outside_the_key_range_exits_2(self, tmp_path, capsys, seed):
+        path = str(write_config(tmp_path, small_run_payload(tmp_path)))
+        assert cli.main(["uniform", "--config", path, "--seed", str(seed)]) == 2
+        assert "config ensemble: ensemble seed" in capsys.readouterr().err
 
     def test_derivative_command_demands_suitable_noise(self, tmp_path, capsys):
         cfg = cli.parse_config(write_config(tmp_path, small_run_payload(tmp_path)))
@@ -257,9 +272,29 @@ class TestMainEntry:
             ({"stepper": {"t_end": math.inf}}, "config stepper: t_end must be finite"),
             ({"stepper": {"t_end": math.nan}}, "config stepper: t_end must be finite"),
             ({"potential": {"c": None}}, "config potential"),
+            ({"grid": {"cells": [16.7]}}, "config grid: cells"),
+            ({"ensemble": {"seed": True}}, "config ensemble: seed"),
+            ({"stepper": {"dt": True}}, "config stepper: dt"),
+            ({"noise": {"modes": False}}, "config noise: modes"),
+            ({"g": {"value": True}}, "config g: value"),
+            ({"u0": {"amplitude": "0.3"}}, "config u0: amplitude"),
+            ({"output_dir": 3}, "config output_dir"),
         ],
     )
     def test_malformed_value_exits_2(self, tmp_path, capsys, payload, named):
-        # JSON null, Infinity and NaN reach the section constructors as None, inf and nan
+        # a value of another JSON type than its default's, a bool for a number, or a
+        # non-integral number for an integer is a usage error, never a truncation
         assert cli.main(["uniform", "--config", str(write_config(tmp_path, {"version": 1, **payload}))]) == 2
         assert named in capsys.readouterr().err
+
+    def test_negative_snapshot_stride_flag_exits_2(self, tmp_path, capsys):
+        assert cli.main(["simulate", "--out", str(tmp_path), "--snapshot-stride", "-1"]) == 2
+        assert "config snapshot_stride" in capsys.readouterr().err
+
+    def test_module_entry_rejects_a_negative_stride(self, tmp_path):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        argv = [sys.executable, "-m", "logac", "simulate", "--out", str(tmp_path), "--snapshot-stride", "-1"]
+        proc = subprocess.run(argv, capture_output=True, text=True, env=env, cwd=tmp_path, timeout=300)
+        assert proc.returncode == 2
+        assert "config snapshot_stride" in proc.stderr and "Traceback" not in proc.stderr
