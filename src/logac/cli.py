@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 import time
 from dataclasses import asdict, dataclass
@@ -73,21 +74,8 @@ class RunConfig:
             raise ConfigError(f"snapshot_stride must be >= 0, got {self.snapshot_stride}")
 
 
-@dataclass
-class RunManifest:
-    config_hash: str
-    seed: int
-    code_version: str
-    study: str
-    outputs: dict
-    timings: dict
-
-    def to_json_dict(self) -> dict:
-        return vars(self)
-
-
 def _typed(where: str, name: str, value, default):
-    """value as the JSON type of default; bools are not numbers, and a float field stores floats."""
+    """value as the JSON type of default; bools are not numbers, and a float field stores finite floats."""
     if isinstance(default, list):
         if not isinstance(value, (list, tuple)):
             raise ConfigError(f"config {where}: {name} must be a list, got {value!r}")
@@ -100,6 +88,8 @@ def _typed(where: str, name: str, value, default):
             return int(value)
         # an int beyond the float range would overflow float()
         if isinstance(default, float) and (isinstance(value, float) or abs(value) < 2**1023):
+            if not math.isfinite(value):
+                raise ConfigError(f"config {where}: {name} must be finite, got {value!r}")
             return float(value)
     raise ConfigError(f"config {where}: {name} must be {_TYPE_NAMES[type(default)]}, got {value!r}")
 
@@ -245,15 +235,15 @@ def run(command: str, cfg: RunConfig) -> int:
         print(f"{command}: {err}", file=sys.stderr)
         return 2
 
-    manifest = RunManifest(
-        config_hash=config_hash(cfg),
-        seed=cfg.ensemble.seed,
-        code_version=__version__,
-        study=command,
-        outputs=outputs,
-        timings={"wall_time_s": time.perf_counter() - t0},
-    )
-    (out_dir / "manifest.json").write_text(json.dumps(manifest.to_json_dict(), indent=2, default=float) + "\n")
+    manifest = {
+        "config_hash": config_hash(cfg),
+        "seed": cfg.ensemble.seed,
+        "code_version": __version__,
+        "study": command,
+        "outputs": outputs,
+        "timings": {"wall_time_s": time.perf_counter() - t0},
+    }
+    (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, default=float) + "\n")
     if failures:
         for f in failures:
             print(f"{command}: FAILED: {f}", file=sys.stderr)

@@ -111,4 +111,6 @@ def make_g(spec: GSpec, g: gr.Grid) -> np.ndarray | None:
         abs(a - b) > 1e-12 * max(abs(a), 1.0) for a, b in zip(loaded_grid.extent, g.extent)
     ):
         raise ValueError(f"forcing snapshot {spec.path} was written for grid {loaded_grid}, run uses {g}")
+    if not np.all(np.isfinite(field)):
+        raise ValueError(f"forcing snapshot {spec.path} holds non-finite values")
     return field

@@ -87,12 +87,6 @@ class EstimateReport:
     metadata: dict = field(default_factory=dict)
     failures: list[str] = field(default_factory=list)
 
-    def row(self, quantity: str, lam: float) -> ReportRow:
-        for r in self.rows:
-            if r.quantity == quantity and (r.lam == lam or (math.isnan(r.lam) and math.isnan(lam))):
-                return r
-        raise KeyError(f"no row ({quantity!r}, {lam})")
-
     def to_csv_text(self) -> str:
         # csv quotes the names that hold commas, such as dep_ratio[du0=0,dg=0.001]
         out = io.StringIO()
@@ -131,13 +125,13 @@ def _lane_u0(cfg: EnsembleConfig) -> np.ndarray:
     return dg.make_u0_batch(cfg.u0, cfg.grid, cfg.seed, cfg.replicates)
 
 
-def _gauge_slice(g: gr.Grid, gauge: pot.GaugeOrder, u):
+def _gauge_slice(g: gr.Grid, n: int, u):
     """(masked integral of G_n, masked integral of |G_n'|).
 
     G_n is evaluated only where |u| < 1; samples outside are left out.
     """
     inside = np.abs(u) < 1.0
-    Gn, Gnp = pot.gauge_eval(gauge, np.where(inside, u, 0.0))
+    Gn, Gnp = pot.gauge_eval(n, np.where(inside, u, 0.0))
     axes = tuple(range(u.ndim - g.dim, u.ndim))
     ig = np.sum(np.where(inside, Gn, 0.0), axis=axes) * g.cell_volume
     igp = np.sum(np.where(inside, np.abs(Gnp), 0.0), axis=axes) * g.cell_volume
@@ -168,7 +162,7 @@ def _run_lanes(
     reps = lanes[0].u0.shape[0]
 
     u = np.stack([ln.u0 for ln in lanes]).astype(float)
-    if np.any(np.abs(u) >= 1.0):
+    if not np.all(np.abs(u) < 1.0):  # a NaN datum fails too
         raise ValueError("lane initial data must satisfy ||u0||_inf < 1")
     if params is None:
         if spec.modes > 0:
@@ -411,10 +405,11 @@ def strong_solution_study(cfg: EnsembleConfig, out: dict) -> EstimateReport:
     return report
 
 
-def derivative_study(cfg: EnsembleConfig, n: int | None = None) -> EstimateReport:
+def derivative_study(cfg: EnsembleConfig) -> EstimateReport:
     """Singularity-gauge statistics at the smallest level and its half.
 
-    Needs poly_flat noise with flatness n+1 and ||g||_inf <= 1.  Reports
+    The gauge order is n = flatness - 1 of the noise, which must be
+    poly_flat with flatness >= 3 (n >= 2); ||g||_inf <= 1.  Reports
     sup over output times of E int G_n(u) (over excursion-free samples),
     E int int |G_n'(u)|, and the excursion fraction; fails if either gauge
     statistic moves more than 30% when the level is halved.  A hook reads
@@ -424,11 +419,9 @@ def derivative_study(cfg: EnsembleConfig, n: int | None = None) -> EstimateRepor
     """
     if cfg.noise.family != nz.POLY_FLAT:
         raise ValueError("derivative study requires the poly_flat noise family")
-    if n is None:
-        n = cfg.noise.flatness - 1
-    if cfg.noise.flatness != n + 1:
-        raise ValueError(f"derivative study at order n={n} needs noise flatness m = n+1, got m={cfg.noise.flatness}")
-    gauge = pot.GaugeOrder(n)
+    n = cfg.noise.flatness - 1
+    if n < 2:
+        raise ValueError(f"derivative study needs gauge order n = flatness - 1 >= 2, got n={n}")
     g_field = dg.make_g(cfg.g, cfg.grid)
     if g_field is not None and np.max(np.abs(g_field)) > 1.0:
         raise ValueError("derivative study requires ||g||_inf <= 1")
@@ -439,7 +432,7 @@ def derivative_study(cfg: EnsembleConfig, n: int | None = None) -> EstimateRepor
     slices = []  # (int G_n, int |G_n'|) at every state, m = 0..n_steps
 
     def gauge_hook(m, u, beta_u):
-        slices.append(_gauge_slice(cfg.grid, gauge, u))
+        slices.append(_gauge_slice(cfg.grid, n, u))
 
     stats_hook, stats = _path_statistics(cfg.grid, cfg.stepper, cfg.potential, (len(lanes), cfg.replicates))
     out = _run_lanes(lanes, cfg.noise, cfg.stepper, cfg.grid, cfg.potential, cfg.seed, hooks=(gauge_hook, stats_hook))
@@ -540,13 +533,12 @@ def heat_and_ode_oracles(cfg: EnsembleConfig) -> EstimateReport:
     # 0-d reduction: spatially constant states obey u' = -F'_lam(u)
     params = cfg.potential
     lam = cfg.lambda_levels[-1]
-    level = pot.YosidaLevel(lam)
     g0 = gr.Grid(extent=(1.0,), cells=(2,))
     u_init = 0.1
     T0 = 0.5
 
     def rhs_ode(_t, y):
-        bl, _, _ = pot.yosida_eval(level, y)
+        bl, _, _ = pot.yosida_eval(lam, y)
         return -(bl - 2.0 * params.c * y)
 
     ref = solve_ivp(rhs_ode, (0.0, T0), [u_init], method="DOP853", rtol=1e-11, atol=1e-13)

@@ -17,8 +17,6 @@ from functools import lru_cache
 import numpy as np
 import scipy.fft
 
-from . import potential as pot
-
 _MAGIC = b"ACF1"
 
 
@@ -54,13 +52,6 @@ class Grid:
         v = 1.0
         for h in self.spacing:
             v *= h
-        return v
-
-    @property
-    def measure(self) -> float:
-        v = 1.0
-        for L in self.extent:
-            v *= L
         return v
 
     def cell_centers(self, axis: int = 0) -> np.ndarray:
@@ -134,36 +125,6 @@ def sup_norm(grid: Grid, u):
 def norms(grid: Grid, u):
     """(||u||_H^2, ||grad u||_H^2, ||u||_inf); the V-norm square is their sum of the first two."""
     return h_norm_sq(grid, u), grad_norm_sq(grid, u), sup_norm(grid, u)
-
-
-def energy(grid: Grid, params: pot.PotentialParams | None, level: pot.YosidaLevel | None, u):
-    """Free energy 1/2 ||grad u||^2 + integral of the (regularized) potential.
-
-    level=None evaluates the sharp potential, which requires
-    ||u||_inf < 1; a given level substitutes the Yosida regularization,
-    which never exceeds the sharp energy on (-1, 1).
-    """
-    u = _check_field(grid, u)
-    gsq = grad_norm_sq(grid, u)
-    if params is None:
-        return 0.5 * gsq
-    if level is None:
-        if np.any(sup_norm(grid, u) >= 1.0):
-            raise ValueError("sharp logarithmic energy requires ||u||_inf < 1; pass a Yosida level instead")
-        F, _, _ = pot.potential_eval(params, u)
-    else:
-        F, _, _ = pot.regularized_potential_eval(params, level, u)
-    return 0.5 * gsq + np.sum(F, axis=_grid_axes(grid, u)) * grid.cell_volume
-
-
-def drift_apply(grid: Grid, params: pot.PotentialParams, level: pot.YosidaLevel, u, g_force=None):
-    """A_lam(u) = -lap(u) + beta_lam(u) - 2c u - g, pointwise on the mesh."""
-    u = _check_field(grid, u)
-    beta_l, _, _ = pot.yosida_eval(level, u)
-    out = -laplacian_neumann(grid, u) + beta_l - 2.0 * params.c * u
-    if g_force is not None:
-        out = out - _check_field(grid, g_force)
-    return out
 
 
 @lru_cache(maxsize=32)

@@ -36,7 +36,7 @@ import numpy as np
 from scipy.special import ndtri
 
 # not called here: perfbench/spans.py traces the resolvent as nz.resolvent
-from .potential import resolvent  # noqa: F401
+from .potential import resolvent_map as resolvent  # noqa: F401
 
 SINE = "sine"
 POLY_FLAT = "poly_flat"
@@ -80,26 +80,8 @@ class NoiseSpec:
             raise ValueError(f"noise flatness must be >= 1, got {self.flatness}")
 
 
-def _sinpi(y):
-    # sin(pi*y) with exact zeros at integer y
-    y = np.asarray(y, dtype=float)
-    n = np.round(y)
-    s = np.sin(np.pi * (y - n))
-    return np.where(n.astype(np.int64) % 2 == 0, s, -s)
-
-
 def _mode_indices(spec: NoiseSpec, ndim: int):
     return np.arange(1, spec.modes + 1, dtype=float).reshape((-1,) + (1,) * ndim)
-
-
-def mode_values(spec: NoiseSpec, v):
-    """h_k(v) for k = 1..modes, stacked on a new leading axis."""
-    v = np.asarray(v, dtype=float)
-    k = _mode_indices(spec, v.ndim)
-    h = spec.amplitude * k ** (-spec.decay_exponent) * _sinpi(k * (1.0 + v) / 2.0)
-    if spec.family == POLY_FLAT:
-        h = h * (1.0 - v * v) ** spec.flatness
-    return h
 
 
 def _philox4x64(ctr, key):
@@ -170,9 +152,7 @@ def mix_modes(spec: NoiseSpec, v, dw, field_ndim: int):
     cancellation, d_k = c_k + mu b_{k+1} + d_{k+1}, b_k = d_k + b_{k+1}, from
     b = d = 0 down to b_1.  Rounding then grows like k*eps, as in the direct
     sum, where the plain recurrence in cos(t) ~ 1 grows like k^2*eps.  Only a
-    few field-sized buffers are used, never a modes x field tensor.  On the
-    fold range t = pi*y, y = (1 - |v|)/2 in [0, 1/2], round(y) = 0, so
-    np.sin/np.cos of pi*y are bit for bit what _sinpi would return there.
+    few field-sized buffers are used, never a modes x field tensor.
     """
     v = np.asarray(v, dtype=float)
     if spec.modes == 0:

@@ -4,14 +4,14 @@ The singular monotone part of the potential derivative is the graph
 
     beta(r) = ln((1+r)/(1-r)),   r in (-1, 1),
 
-with primitive beta_hat(r) = (1+r)ln(1+r) + (1-r)ln(1-r).  The full
-logarithmic potential is F(r) = beta_hat(r) - c r^2 + K with c > 1 and K
-the smallest offset making F nonnegative.  The dynamics read only the
-slope F' = beta - 2c r, so c is the one parameter; K is derived from it
-and enters the energies alone.  Everything downstream works with the
-resolvent J_lam = (I + lam*beta)^(-1) and the Yosida regularization
-beta_lam = (I - J_lam)/lam, which is globally Lipschitz with constant
-1/lam and satisfies beta_lam = beta(J_lam(.)).
+with primitive beta_hat(r) = (1+r)ln(1+r) + (1-r)ln(1-r).  The
+logarithmic potential is beta_hat(r) - c r^2 with c > 1; the dynamics
+read only its slope beta - 2c r, so c is the one parameter.  Everything
+downstream works with the resolvent J_lam = (I + lam*beta)^(-1) and the
+Yosida regularization beta_lam = (I - J_lam)/lam, which is globally
+Lipschitz with constant 1/lam and satisfies beta_lam = beta(J_lam(.)).
+A level lam in (0, 1) and a gauge order n >= 2 are plain numbers; their
+ranges are checked where they arrive (EnsembleConfig, derivative_study).
 
 The resolvent is solved pointwise by a bracket-free Newton iteration on
 the folded graph equation (_graph_solve).  All evaluators are elementwise
@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 # Graph endpoints representable strictly inside (-1, 1).
 _R_HI = np.nextafter(1.0, 0.0)
@@ -41,41 +40,9 @@ class PotentialParams:
             raise ValueError(f"potential c must be > 1 and finite, got {self.c}")
 
 
-def default_offset(c: float) -> float:
-    """Smallest K with beta_hat(r) - c r^2 + K >= 0 on (-1, 1), reached where beta(r) = 2 c r > 0."""
-    rstar = brentq(lambda r: _beta(r) - 2.0 * c * r, 1e-12, _R_HI, xtol=1e-15)
-    return float(c * rstar * rstar - _beta_hat(rstar))
-
-
 # residual and iteration cap of the scalar resolvent Newton solve
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 200
-
-
-@dataclass(frozen=True)
-class YosidaLevel:
-    """Regularization strength lam in (0,1)."""
-
-    lam: float
-
-    def __post_init__(self):
-        if not 0.0 < self.lam < 1.0:
-            raise ValueError(f"lam must lie in (0, 1), got {self.lam}")
-
-
-@dataclass(frozen=True)
-class GaugeOrder:
-    """Order n >= 2 of the singularity gauge G_n(r) = (1-r^2)^(1-n)."""
-
-    n: int
-
-    def __post_init__(self):
-        if int(self.n) != self.n or self.n < 2:
-            raise ValueError(f"gauge order n must be an integer >= 2, got {self.n}")
-
-
-def _beta(r):
-    return np.log1p(r) - np.log1p(-r)
 
 
 def _beta_hat(r):
@@ -93,24 +60,6 @@ def _check_open_interval(r, what: str):
     if np.any(~np.isfinite(r)) or np.any(np.abs(r) >= 1.0):
         raise ValueError(f"{what} requires |r| < 1 strictly")
     return r
-
-
-def beta_family_eval(r):
-    """Return (beta, beta', beta_hat) at r, |r| < 1 strictly."""
-    r = _check_open_interval(r, "beta_family_eval")
-    beta = _beta(r)
-    beta_prime = 2.0 / ((1.0 - r) * (1.0 + r))
-    return beta, beta_prime, _beta_hat(r)
-
-
-def potential_eval(params: PotentialParams, r):
-    """Return (F, F', F'') at r, |r| < 1 strictly."""
-    beta, beta_prime, beta_hat = beta_family_eval(r)
-    r = np.asarray(r, dtype=float)
-    F = beta_hat - params.c * r * r + default_offset(params.c)
-    F1 = beta - 2.0 * params.c * r
-    F2 = beta_prime - 2.0 * params.c
-    return F, F1, F2
 
 
 def _graph_solve(lam, x, tol, max_iter, b0=None):
@@ -155,14 +104,9 @@ def _graph_solve(lam, x, tol, max_iter, b0=None):
     raise RuntimeError(f"resolvent solve failed to reach residual {tol:g} in {max_iter} iterations (worst {worst:.3e})")
 
 
-def resolvent(level: YosidaLevel, x):
-    """J_lam(x) = (I + lam*beta)^(-1)(x), mapped strictly into (-1, 1)."""
-    return resolvent_map(level.lam, x)
-
-
-def resolvent_map(lam, x, tol: float = NEWTON_TOL, max_iter: int = NEWTON_MAX_ITER):
-    """J_lam(x) with lam broadcastable against x (hot-path array variant)."""
-    return np.clip(_graph_solve(lam, x, tol, max_iter)[1], _R_LO, _R_HI)
+def resolvent_map(lam, x):
+    """J_lam(x) = (I + lam*beta)^(-1)(x), mapped strictly into (-1, 1); lam broadcasts against x."""
+    return np.clip(_graph_solve(lam, x, NEWTON_TOL, NEWTON_MAX_ITER)[1], _R_LO, _R_HI)
 
 
 def yosida_pair(lam, x, b0=None):
@@ -185,7 +129,7 @@ def yosida_slope(lam, r):
     return 1.0 / (0.5 * (1.0 - r) * (1.0 + r) + lam)
 
 
-def yosida_eval(level: YosidaLevel, x):
+def yosida_eval(lam, x):
     """Return (beta_lam, beta_lam', beta_hat_lam) at x, defined on all of R.
 
     beta_lam(x) = (x - J_lam(x))/lam equals beta(J_lam(x)) up to the solve
@@ -194,26 +138,15 @@ def yosida_eval(level: YosidaLevel, x):
     exact for the quadratic regularization (no quadrature involved).
     """
     x = np.asarray(x, dtype=float)
-    lam = level.lam
     r = np.clip(_graph_solve(lam, x, NEWTON_TOL, NEWTON_MAX_ITER)[1], _R_LO, _R_HI)
     beta_l = (x - r) / lam
     return beta_l, yosida_slope(lam, r), _beta_hat(r) + 0.5 * lam * beta_l * beta_l
 
 
-def regularized_potential_eval(params: PotentialParams, level: YosidaLevel, r):
-    """Return (F_lam, F_lam', F_lam'') at r, defined on all of R."""
-    r = np.asarray(r, dtype=float)
-    beta_l, beta_l_prime, beta_hat_l = yosida_eval(level, r)
-    Fl = default_offset(params.c) + beta_hat_l - params.c * r * r
-    Fl1 = beta_l - 2.0 * params.c * r
-    Fl2 = beta_l_prime - 2.0 * params.c
-    return Fl, Fl1, Fl2
-
-
-def gauge_eval(order: GaugeOrder, r):
+def gauge_eval(n: int, r):
     """Return (G_n, G_n') with G_n(r) = (1-r^2)^(1-n) on |r| < 1."""
     r = _check_open_interval(r, "gauge_eval")
     one_m = (1.0 - r) * (1.0 + r)
-    Gn = one_m ** (1 - order.n)
-    Gn_prime = 2.0 * (order.n - 1) * r * one_m ** (-order.n)
+    Gn = one_m ** (1 - n)
+    Gn_prime = 2.0 * (n - 1) * r * one_m ** (-n)
     return Gn, Gn_prime

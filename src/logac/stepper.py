@@ -24,7 +24,7 @@ Fields may carry leading batch axes (replicates, coupled lanes) and
 everything here broadcasts over them.  This module holds one step; the
 time loop and the noise draws live in experiments._run_lanes, the
 package's only integration engine, and the path statistics in the hooks
-the studies attach to it.  The Gateaux diagnostic checks the potential.
+the studies attach to it.
 """
 
 from __future__ import annotations
@@ -230,41 +230,3 @@ def step(g: gr.Grid, lam, c: float, spec: nz.NoiseSpec, u, beta_u, dw, g_force, 
     if g_force is not None:
         rhs = rhs + dt * g_force
     return _monotone_solve(g, lam, rhs, dt, w0=u, b0=beta_u)
-
-
-def gateaux_check(
-    g: gr.Grid,
-    params: pot.PotentialParams,
-    level: pot.YosidaLevel,
-    u,
-    h_dir,
-    k_dir,
-    eps: float | None = None,
-) -> tuple[float, float]:
-    """Central-difference errors of the first and second derivatives of
-    Phi_lam(u) = integral of F_lam(u).
-
-    Both errors shrink like O(eps^2); the default eps is 1e-5*(1+||u||_inf).
-    """
-    u = np.asarray(u, dtype=float)
-    h_dir = np.asarray(h_dir, dtype=float)
-    k_dir = np.asarray(k_dir, dtype=float)
-    if eps is None:
-        eps = 1e-5 * (1.0 + float(np.max(np.abs(u))))
-
-    def phi(w):
-        Fl, _, _ = pot.regularized_potential_eval(params, level, w)
-        return float(np.sum(Fl)) * g.cell_volume
-
-    def dphi(w, d):
-        _, Fl1, _ = pot.regularized_potential_eval(params, level, w)
-        return float(gr.h_inner(g, Fl1, d))
-
-    d1_fd = (phi(u + eps * h_dir) - phi(u - eps * h_dir)) / (2.0 * eps)
-    d1_err = abs(d1_fd - dphi(u, h_dir))
-
-    d2_fd = (dphi(u + eps * k_dir, h_dir) - dphi(u - eps * k_dir, h_dir)) / (2.0 * eps)
-    _, _, Fl2 = pot.regularized_potential_eval(params, level, u)
-    d2_exact = float(np.sum(Fl2 * h_dir * k_dir)) * g.cell_volume
-    d2_err = abs(d2_fd - d2_exact)
-    return d1_err, d2_err

@@ -13,6 +13,15 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from helpers import (
+    drift_apply,
+    energy,
+    gateaux_check,
+    measure,
+    potential_eval,
+    regularized_potential_eval,
+    report_row,
+)
 from logac import cli
 from logac import datagen as dg
 from logac import experiments as ex
@@ -62,7 +71,7 @@ def test_criterion_01_yosida_suite():
     range_ok = bool(np.all(np.abs(r) < 1.0))
 
     y = rng.uniform(-10.0, 10.0, size=10_000)
-    ry = pot.resolvent_map(lam, y, level_tol, 200)
+    ry = pot.resolvent_map(lam, y)
     nonexp_ok = bool(np.all(np.abs(r - ry) <= np.abs(x - y) * (1 + 1e-12) + 1e-13))
 
     rs = rng.uniform(-8.0, 8.0, size=1_000)
@@ -73,7 +82,7 @@ def test_criterion_01_yosida_suite():
     beta_exact = math.log(3.0)
     errs = []
     for j in range(6):
-        bl, _, _ = pot.yosida_eval(pot.YosidaLevel(0.05 / 2**j), 0.5)
+        bl, _, _ = pot.yosida_eval(0.05 / 2**j, 0.5)
         errs.append(beta_exact - float(bl))
     ratios = [a / bnext for a, bnext in zip(errs, errs[1:])]
     conv_ok = all(rat >= 1.8 for rat in ratios)
@@ -97,10 +106,9 @@ def test_criterion_02_moreau_energy_suite():
     t0 = time.perf_counter()
     worst_quad = 0.0
     for lam in (0.3, 0.05):
-        level = pot.YosidaLevel(lam)
         for xv in np.linspace(-5.0, 5.0, 21):
-            q, _ = quad(lambda s: float(pot.yosida_eval(level, s)[0]), 0.0, float(xv), limit=200)
-            _, _, bh = pot.yosida_eval(level, float(xv))
+            q, _ = quad(lambda s: float(pot.yosida_eval(lam, s)[0]), 0.0, float(xv), limit=200)
+            _, _, bh = pot.yosida_eval(lam, float(xv))
             worst_quad = max(worst_quad, abs(float(bh) - q))
 
     params = pot.PotentialParams(c=2.0)
@@ -108,8 +116,8 @@ def test_criterion_02_moreau_energy_suite():
     dominated = True
     for lam in (0.2, 0.1, 0.05, 0.025):
         pts = rng.uniform(-0.999999, 0.999999, size=1_000)
-        F, _, _ = pot.potential_eval(params, pts)
-        Fl, _, _ = pot.regularized_potential_eval(params, pot.YosidaLevel(lam), pts)
+        F, _, _ = potential_eval(params, pts)
+        Fl, _, _ = regularized_potential_eval(params, lam, pts)
         dominated = dominated and bool(np.all(Fl <= F + 1e-12))
 
     elapsed = time.perf_counter() - t0
@@ -133,13 +141,12 @@ def test_criterion_03_operator_suite():
     slack = 1e-9
     violations = 0
     for lam in (0.4, 0.1, 0.04, 0.012):
-        level = pot.YosidaLevel(lam)
         C = 1.0 / lam + 2.0 * params.c
         u = rng.uniform(-2.0, 2.0, size=(250, 64))
         v = rng.uniform(-2.0, 2.0, size=(250, 64))
         gf = rng.uniform(-1.0, 1.0, size=(250, 64))
-        Au = gr.drift_apply(g, params, level, u, gf)
-        Av = gr.drift_apply(g, params, level, v, gf)
+        Au = drift_apply(g, params, lam, u, gf)
+        Av = drift_apply(g, params, lam, v, gf)
         mono = gr.h_inner(g, Au - Av, u - v) + C * gr.h_norm_sq(g, u - v)
         violations += int(np.sum(mono < -slack))
         hsq, gsq, _ = gr.norms(g, u)
@@ -165,9 +172,9 @@ def test_criterion_03_operator_suite():
 def test_criterion_04_discretization_oracles(reference_ensemble):
     t0 = time.perf_counter()
     rep = ex.heat_and_ode_oracles(reference_ensemble)
-    spatial = rep.row("heat_spatial_order", math.nan).mean
-    temporal = rep.row("heat_temporal_order", math.nan).mean
-    ode = rep.row("ode_order", reference_ensemble.lambda_levels[-1]).mean
+    spatial = report_row(rep, "heat_spatial_order", math.nan).mean
+    temporal = report_row(rep, "heat_temporal_order", math.nan).mean
+    ode = report_row(rep, "ode_order", reference_ensemble.lambda_levels[-1]).mean
     elapsed = time.perf_counter() - t0
     ok = spatial >= 1.6 and temporal >= 0.8 and ode >= 0.8 and not rep.failures and elapsed < 30.0
     report(
@@ -187,18 +194,18 @@ def test_criterion_04_discretization_oracles(reference_ensemble):
 def test_criterion_05_gradient_flow_and_gateaux():
     t0 = time.perf_counter()
     params = pot.PotentialParams(c=2.0)
-    level = pot.YosidaLevel(0.05)
+    lam = 0.05
     g = gr.Grid(extent=(1.0,), cells=(64,))
     u0 = 0.5 * np.cos(np.pi * g.cell_centers())
     cfg = st.StepperConfig(dt=1e-3, t_end=1.0)
     quiet = nz.NoiseSpec(family="sine", modes=0, decay_exponent=2.0, amplitude=0.0)
     u = u0
-    slack = 10.0 * st.NEWTON_TOL * g.measure
-    e_prev = float(gr.energy(g, params, level, u0))
+    slack = 10.0 * st.NEWTON_TOL * measure(g)
+    e_prev = float(energy(g, params, lam, u0))
     worst_rise = -math.inf
     for _ in range(cfg.n_steps):
-        u, _ = st.step(g, level.lam, params.c, quiet, u, None, None, None, cfg)
-        e = float(gr.energy(g, params, level, u))
+        u, _ = st.step(g, lam, params.c, quiet, u, None, None, None, cfg)
+        e = float(energy(g, params, lam, u))
         worst_rise = max(worst_rise, e - e_prev)
         e_prev = e
     decay_ok = worst_rise <= slack
@@ -207,7 +214,7 @@ def test_criterion_05_gradient_flow_and_gateaux():
     u = rng.uniform(-0.6, 0.6, size=64)
     hdir = rng.uniform(-1, 1, size=64)
     kdir = rng.uniform(-1, 1, size=64)
-    errs = [st.gateaux_check(g, params, level, u, hdir, kdir, eps=e) for e in (8e-3, 4e-3, 2e-3)]
+    errs = [gateaux_check(g, params, lam, u, hdir, kdir, eps=e) for e in (8e-3, 4e-3, 2e-3)]
     r1 = [errs[i][0] / errs[i + 1][0] for i in range(2)]
     r2 = [errs[i][1] / errs[i + 1][1] for i in range(2)]
     gateaux_ok = all(3.0 <= r <= 5.0 for r in r1 + r2)
@@ -323,9 +330,9 @@ def test_criterion_10_derivative_estimates(reference_ensemble):
             ),
             u0=dg.U0Spec(kind="constant", m0=0.2),
         )
-        rep = ex.derivative_study(cfg, n=n)
+        rep = ex.derivative_study(cfg)
         lam_small = rep.metadata["levels"][-1]
-        excursion = rep.row("excursion_fraction", lam_small).mean
+        excursion = report_row(rep, "excursion_fraction", lam_small).mean
         results[n] = (rep, excursion)
     elapsed = time.perf_counter() - t0
     stable = all(not rep.failures for rep, _ in results.values())
@@ -335,7 +342,7 @@ def test_criterion_10_derivative_estimates(reference_ensemble):
     )
     ok = stable and excursions_ok and finite and elapsed < 600.0
     detail = ", ".join(
-        f"n={n}: sup gauge {rep.row('sup_t_mean_gauge', rep.metadata['levels'][0]).mean:.4g}, "
+        f"n={n}: sup gauge {report_row(rep, 'sup_t_mean_gauge', rep.metadata['levels'][0]).mean:.4g}, "
         f"excursions {exc:.2%}"
         for n, (rep, exc) in results.items()
     )

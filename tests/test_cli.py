@@ -279,13 +279,28 @@ class TestMainEntry:
             ({"g": {"value": True}}, "config g: value"),
             ({"u0": {"amplitude": "0.3"}}, "config u0: amplitude"),
             ({"output_dir": 3}, "config output_dir"),
+            ({"g": {"kind": "constant", "value": math.nan}}, "config g: value must be finite"),
+            ({"grid": {"extent": [math.nan]}}, "config grid: extent[0] must be finite"),
+            ({"u0": {"kind": "random_fourier", "amplitude": math.inf}}, "config u0: amplitude must be finite"),
+            ({"noise": {"amplitude": math.inf}}, "config noise: amplitude must be finite"),
         ],
     )
     def test_malformed_value_exits_2(self, tmp_path, capsys, payload, named):
-        # a value of another JSON type than its default's, a bool for a number, or a
-        # non-integral number for an integer is a usage error, never a truncation
+        # a value of another JSON type than its default's, a bool for a number, a
+        # non-integral number for an integer, or a non-finite number is a usage
+        # error, never a truncation
         assert cli.main(["uniform", "--config", str(write_config(tmp_path, {"version": 1, **payload}))]) == 2
         assert named in capsys.readouterr().err
+
+    def test_non_finite_forcing_file_exits_2(self, tmp_path, capsys):
+        g = gr.Grid(extent=(1.0,), cells=(16,))
+        forcing = np.zeros(16)
+        forcing[5] = np.nan
+        path = tmp_path / "g.acf"
+        gr.save_field(path, g, forcing)
+        payload = small_run_payload(tmp_path, g={"kind": "file", "path": str(path)})
+        assert cli.main(["uniform", "--config", str(write_config(tmp_path, payload))]) == 2
+        assert f"forcing snapshot {path} holds non-finite values" in capsys.readouterr().err
 
     def test_negative_snapshot_stride_flag_exits_2(self, tmp_path, capsys):
         assert cli.main(["simulate", "--out", str(tmp_path), "--snapshot-stride", "-1"]) == 2

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
+from helpers import measure, report_row
 from logac import datagen as dg
 from logac import experiments as ex
 from logac import grid as gr
@@ -39,10 +40,9 @@ def ladder_study(study, cfg):
 def gauge_slices(lanes, spec, scfg, g, params, seed, order):
     """(int G_n, int |G_n'|) at every state of one _run_lanes run, via a hook."""
     slices = []
-    gauge = pot.GaugeOrder(order)
 
     def hook(m, u, beta_u):
-        slices.append(ex._gauge_slice(g, gauge, u))
+        slices.append(ex._gauge_slice(g, order, u))
 
     ex._run_lanes(lanes, spec, scfg, g, params, seed, hooks=(hook,))
     return slices
@@ -146,8 +146,8 @@ class TestUniformStudy:
         r32 = ladder_study(ex.uniform_bounds_study, small_config(replicates=32))
         lam = 0.05
         for q in ("sup_h_sq", "int_beta_sq"):
-            se8 = r8.row(q, lam).se
-            se32 = r32.row(q, lam).se
+            se8 = report_row(r8, q, lam).se
+            se32 = report_row(r32, q, lam).se
             assert se32 > 0.0
             # quadrupling M should shrink the error roughly twofold
             assert 1.2 <= se8 / se32 <= 3.5
@@ -278,7 +278,7 @@ class TestDependenceStudy:
                 np.sqrt(np.mean(pa["int_diff_h_sq"] + pa["int_diff_grad_sq"]))
             )
             assert lhs > 0.0
-            assert rep.row(f"dep_lhs[du0={p.u0_shift:g},dg={p.g_shift:g}]", lam).mean == lhs
+            assert report_row(rep, f"dep_lhs[du0={p.u0_shift:g},dg={p.g_shift:g}]", lam).mean == lhs
 
     def test_one_engine_run_of_one_plus_k_lanes(self, monkeypatch):
         lane_counts = []
@@ -351,8 +351,8 @@ class TestStrongStudy:
             reps[n] = ladder_study(ex.strong_solution_study, cfg)
         for q in ("sup_grad_sq", "int_lap_sq"):
             for lam in (0.2, 0.05):
-                coarse = reps[16].row(q, lam).mean
-                fine = reps[32].row(q, lam).mean
+                coarse = report_row(reps[16], q, lam).mean
+                fine = report_row(reps[32], q, lam).mean
                 assert fine == pytest.approx(coarse, rel=0.20)
 
 
@@ -366,29 +366,29 @@ class TestDerivativeStudy:
 
     def test_requires_poly_flat(self):
         with pytest.raises(ValueError, match="poly_flat"):
-            ex.derivative_study(small_config(), n=2)
+            ex.derivative_study(small_config())
 
-    def test_flatness_must_match_order(self):
-        with pytest.raises(ValueError, match="flatness"):
-            ex.derivative_study(self._cfg(2), n=3)
+    def test_gauge_order_below_two_rejected(self):
+        # poly_flat flatness 2 gives the gauge order n = 1
+        with pytest.raises(ValueError, match="n = flatness - 1 >= 2, got n=1"):
+            ex.derivative_study(self._cfg(1))
 
     def test_forcing_bound_enforced(self):
         cfg = self._cfg(2, g=dg.GSpec(kind="constant", value=1.5))
         with pytest.raises(ValueError, match="inf"):
-            ex.derivative_study(cfg, n=2)
+            ex.derivative_study(cfg)
 
     def test_zero_data_gauge_integral(self):
         # G_n(0) = 1, so the time integral of its spatial integral is |D| * T
         params = pot.PotentialParams(c=2.0)
-        level = pot.YosidaLevel(0.05)
         g = gr.Grid(extent=(1.0,), cells=(16,))
         cfg = st.StepperConfig(dt=1e-3, t_end=0.02)
         quiet = nz.NoiseSpec(family="poly_flat", modes=0, decay_exponent=2.0, amplitude=0.0, flatness=3)
-        lanes = [ex.Lane(level.lam, np.zeros((1, 16)), None)]
+        lanes = [ex.Lane(0.05, np.zeros((1, 16)), None)]
         slices = gauge_slices(lanes, quiet, cfg, g, params, 0, 2)
         int_gauge = cfg.dt * sum(ig for ig, _ in slices[:-1])  # left-endpoint rule
         int_gauge_prime = cfg.dt * sum(igp for _, igp in slices[:-1])
-        assert int_gauge[0, 0] == pytest.approx(g.measure * 0.02, rel=1e-12)
+        assert int_gauge[0, 0] == pytest.approx(measure(g) * 0.02, rel=1e-12)
         assert int_gauge_prime[0, 0] == pytest.approx(0.0, abs=1e-14)
 
     def test_higher_order_dominates(self):
@@ -401,7 +401,7 @@ class TestDerivativeStudy:
         assert np.all(series3 >= series2 - 1e-14)
 
     def test_study_reports_and_passes(self):
-        rep = ex.derivative_study(self._cfg(2), n=2)
+        rep = ex.derivative_study(self._cfg(2))
         assert rep.failures == []
         quantities = {r.quantity for r in rep.rows}
         assert quantities == {"sup_t_mean_gauge", "int_abs_gauge_prime", "excursion_fraction"}
@@ -412,9 +412,9 @@ class TestOracles:
     def test_orders_pass(self):
         rep = ex.heat_and_ode_oracles(small_config())
         assert rep.failures == []
-        assert rep.row("heat_spatial_order", math.nan).mean >= 1.6
-        assert rep.row("heat_temporal_order", math.nan).mean >= 0.8
-        assert rep.row("ode_order", 0.05).mean >= 0.8
+        assert report_row(rep, "heat_spatial_order", math.nan).mean >= 1.6
+        assert report_row(rep, "heat_temporal_order", math.nan).mean >= 0.8
+        assert report_row(rep, "ode_order", 0.05).mean >= 0.8
 
     def test_take_no_norms(self, monkeypatch):
         # the oracles attach no hook, so they pay for no path statistic

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import default_offset, drift_apply, energy, measure
 from logac import grid as gr
 from logac import potential as pot
 
@@ -16,7 +17,7 @@ class TestGridBasics:
         g = gr.Grid(extent=(2.0, 1.0), cells=(8, 4))
         assert g.spacing == (0.25, 0.25)
         assert g.cell_volume == pytest.approx(0.0625)
-        assert g.measure == 2.0
+        assert measure(g) == 2.0
 
     def test_cell_centers(self):
         g = gr.Grid(extent=(1.0,), cells=(4,))
@@ -126,48 +127,47 @@ class TestEnergy:
     def test_zero_state_gives_offset_times_measure(self):
         params = pot.PotentialParams(c=2.0)
         g = gr.Grid(extent=(2.0,), cells=(10,))
-        assert gr.energy(g, params, None, np.zeros(10)) == pytest.approx(pot.default_offset(2.0) * 2.0, rel=1e-13)
+        assert energy(g, params, None, np.zeros(10)) == pytest.approx(default_offset(2.0) * 2.0, rel=1e-13)
 
     def test_regularized_below_sharp(self):
         params = pot.PotentialParams(c=2.0)
         g = gr.Grid(extent=(1.0,), cells=(32,))
         rng = np.random.default_rng(0)
         for lam in (0.3, 0.05):
-            level = pot.YosidaLevel(lam)
             for _ in range(10):
                 u = rng.uniform(-0.98, 0.98, size=32)
-                assert gr.energy(g, params, level, u) <= gr.energy(g, params, None, u) + 1e-12
+                assert energy(g, params, lam, u) <= energy(g, params, None, u) + 1e-12
 
     def test_sharp_energy_needs_interior_state(self):
         params = pot.PotentialParams(c=2.0)
         g = gr.Grid(extent=(1.0,), cells=(8,))
         with pytest.raises(ValueError):
-            gr.energy(g, params, None, np.ones(8))
+            energy(g, params, None, np.ones(8))
 
 
 class TestDrift:
     def test_zero_at_origin(self):
         params = pot.PotentialParams(c=2.0)
         g = gr.Grid(extent=(1.0,), cells=(16,))
-        out = gr.drift_apply(g, params, pot.YosidaLevel(0.1), np.zeros(16), None)
+        out = drift_apply(g, params, 0.1, np.zeros(16), None)
         assert np.all(out == 0.0)
 
     def test_hemicontinuity_in_direction(self):
         # eta -> <A_lam(u + eta w), v> is continuous; differences shrink with eta
         params = pot.PotentialParams(c=2.0)
         g = gr.Grid(extent=(1.0,), cells=(32,))
-        level = pot.YosidaLevel(0.1)
+        lam = 0.1
         rng = np.random.default_rng(12)
         u = rng.uniform(-1, 1, size=32)
         w = rng.uniform(-1, 1, size=32)
         v = rng.uniform(-1, 1, size=32)
-        base = gr.h_inner(g, gr.drift_apply(g, params, level, u, None), v)
+        base = gr.h_inner(g, drift_apply(g, params, lam, u, None), v)
         gaps = []
         for eta in (1e-2, 1e-3, 1e-4):
-            pairing = gr.h_inner(g, gr.drift_apply(g, params, level, u + eta * w, None), v)
+            pairing = gr.h_inner(g, drift_apply(g, params, lam, u + eta * w, None), v)
             gaps.append(abs(pairing - base))
         # Lipschitz continuity in eta: gap bounded by (1/lam + 2c + lap scale) * eta
-        assert gaps[0] < 1e-2 * (1.0 / level.lam + 2 * params.c + 4.0 / g.spacing[0] ** 2)
+        assert gaps[0] < 1e-2 * (1.0 / lam + 2 * params.c + 4.0 / g.spacing[0] ** 2)
         assert gaps[1] < 0.25 * gaps[0]
         assert gaps[2] < 0.25 * gaps[1]
 
@@ -176,14 +176,13 @@ class TestDrift:
         g = gr.Grid(extent=(1.0,), cells=(64,))
         rng = np.random.default_rng(21)
         for lam in (0.4, 0.05):
-            level = pot.YosidaLevel(lam)
             C = 1.0 / lam + 2.0 * params.c
             for _ in range(30):
                 u = rng.uniform(-2, 2, size=64)
                 v = rng.uniform(-2, 2, size=64)
                 gf = rng.uniform(-1, 1, size=64)
-                Au = gr.drift_apply(g, params, level, u, gf)
-                Av = gr.drift_apply(g, params, level, v, gf)
+                Au = drift_apply(g, params, lam, u, gf)
+                Av = drift_apply(g, params, lam, v, gf)
                 lhs = gr.h_inner(g, Au - Av, u - v)
                 assert lhs >= -C * gr.h_norm_sq(g, u - v) - 1e-9
                 hsq, gsq, _ = gr.norms(g, u)
@@ -204,7 +203,7 @@ class TestHelmholtz:
         g = gr.Grid(extent=(2.0,), cells=(16,))
         delta = 0.37
         # constants are eigenfields of (I - lap) with eigenvalue 1
-        assert gr.vstar_norm_sq(g, np.full(g.shape, delta)) == pytest.approx(delta**2 * g.measure, rel=1e-12)
+        assert gr.vstar_norm_sq(g, np.full(g.shape, delta)) == pytest.approx(delta**2 * measure(g), rel=1e-12)
 
     def test_vstar_matches_dense_solve(self):
         g = gr.Grid(extent=(1.0,), cells=(12,))

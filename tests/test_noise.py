@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.special import ndtri
 
+from helpers import measure, mode_values
 from logac import noise as nz
 from logac.grid import Grid
 from logac.potential import resolvent_map
@@ -155,7 +156,7 @@ class TestDiffusionField:
 def direct_sum(spec, v, dw, field_ndim):
     """sum_k h_k(v) dW_k with every profile h_k materialised."""
     w = np.moveaxis(dw, -1, 0)
-    return np.sum(nz.mode_values(spec, v) * w.reshape(w.shape + (1,) * field_ndim), axis=0)
+    return np.sum(mode_values(spec, v) * w.reshape(w.shape + (1,) * field_ndim), axis=0)
 
 
 @st.composite
@@ -232,7 +233,7 @@ class TestClenshawMixing:
 
 def hs_norm_sq(spec, g, v):
     """Squared Hilbert-Schmidt norm sum_k ||h_k(v)||_H^2 in the discrete H-norm."""
-    return np.sum(nz.mode_values(spec, v) ** 2) * g.cell_volume
+    return np.sum(mode_values(spec, v) ** 2) * g.cell_volume
 
 
 def lipschitz_sq(spec):
@@ -253,7 +254,7 @@ class TestHsNorm:
         g = Grid(extent=(2.0,), cells=(16,))
         spec = spec_sine(modes=1, sigma0=0.5)
         val = hs_norm_sq(spec, g, np.zeros(16))
-        assert val == pytest.approx(0.25 * g.measure, rel=1e-14)
+        assert val == pytest.approx(0.25 * measure(g), rel=1e-14)
 
     def test_lipschitz_in_state(self):
         # ||B(x) - B(y)||_HS <= L ||x - y||_H on random pairs, L^2 = sum_k sup|h_k'|^2
@@ -264,7 +265,7 @@ class TestHsNorm:
             for _ in range(25):
                 x = rng.uniform(-1, 1, size=64)
                 y = rng.uniform(-1, 1, size=64)
-                hs = np.sum((nz.mode_values(spec, x) - nz.mode_values(spec, y)) ** 2) * g.cell_volume
+                hs = np.sum((mode_values(spec, x) - mode_values(spec, y)) ** 2) * g.cell_volume
                 assert hs <= lip_sq * np.sum((x - y) ** 2) * g.cell_volume * (1 + 1e-12)
 
 
@@ -280,8 +281,8 @@ class TestFlatness:
             coeffs = np.array([math.comb(order, i) * (-1) ** i for i in range(order + 1)])
             pts = r0 + (order / 2 - np.arange(order + 1)) * 2 * h / max(order, 1)
             if order == 0:
-                return nz.mode_values(spec, np.array([r0]))[:, 0]
-            vals = nz.mode_values(spec, pts)
+                return mode_values(spec, np.array([r0]))[:, 0]
+            vals = mode_values(spec, pts)
             return vals @ coeffs / (2 * h / max(order, 1)) ** order
 
         for r0 in (1.0, -1.0):
@@ -295,7 +296,7 @@ class TestFlatness:
     def test_flat_value_and_slope_zero_at_extremes(self):
         # h_k = O(eps^3) at distance eps from +-1: (1 - r^2)^2 = O(eps^2), sin = O(eps)
         spec = spec_flat(modes=4, m=2)
-        assert np.all(nz.mode_values(spec, np.array([1.0, -1.0])) == 0.0)
+        assert np.all(mode_values(spec, np.array([1.0, -1.0])) == 0.0)
         for eps in (1e-2, 1e-3):
-            h = nz.mode_values(spec, np.array([1.0 - eps, -1.0 + eps]))
+            h = mode_values(spec, np.array([1.0 - eps, -1.0 + eps]))
             assert np.all(np.abs(h) <= 10.0 * eps**3)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from helpers import energy, gateaux_check, measure, potential_eval, regularized_potential_eval
 from logac import experiments as ex
 from logac import grid as gr
 from logac import noise as nz
@@ -16,10 +17,9 @@ QUIET = nz.NoiseSpec(family="sine", modes=0, decay_exponent=2.0, amplitude=0.0)
 
 def scalar_implicit_oracle(lam, dt, rho, iters=200):
     """Bisection for w + dt*beta_lam(w) = rho (spatially constant states)."""
-    level = pot.YosidaLevel(lam)
 
     def f(w):
-        bl, _, _ = pot.yosida_eval(level, w)
+        bl, _, _ = pot.yosida_eval(lam, w)
         return w + dt * float(bl) - rho
 
     lo, hi = rho - dt * abs(rho) / lam - 1.0, rho + dt * abs(rho) / lam + 1.0
@@ -38,12 +38,11 @@ def dense_laplacian(g):
 
 def dense_implicit_oracle(g, lam, rhs, dt, iters=60):
     """Newton with dense linear algebra, independent of the stepper's linear solves."""
-    level = pot.YosidaLevel(lam)
     n = rhs.size
     L = dense_laplacian(g)
     w = rhs.copy()
     for _ in range(iters):
-        bl, blp, _ = pot.yosida_eval(level, w)
+        bl, blp, _ = pot.yosida_eval(lam, w)
         F = w - dt * (L @ w) + dt * bl - rhs
         if np.max(np.abs(F)) < 1e-13:
             break
@@ -70,7 +69,7 @@ class TrajectoryRecord:
 
     grid: gr.Grid
     params: pot.PotentialParams | None
-    level: pot.YosidaLevel | None
+    lam: float | None
     dt: float
     states: np.ndarray  # (n_steps+1, *field shape)
     stoch_integral: np.ndarray  # sum of the noise fields over the steps
@@ -109,9 +108,9 @@ def weak_residual_check(record: TrajectoryRecord, v) -> float:
         acc += dt * grad_inner(g, um, v)
         if record.params is not None:
             _, f1, _ = (
-                pot.regularized_potential_eval(record.params, record.level, um)
-                if record.level is not None
-                else pot.potential_eval(record.params, um)
+                regularized_potential_eval(record.params, record.lam, um)
+                if record.lam is not None
+                else potential_eval(record.params, um)
             )
             acc += dt * gr.h_inner(g, f1, v)
         if record.g_force is not None:
@@ -120,9 +119,8 @@ def weak_residual_check(record: TrajectoryRecord, v) -> float:
     return float(np.abs(acc))
 
 
-def record_path(g, params, level, spec, u0, cfg, increments):
+def record_path(g, params, lam, spec, u0, cfg, increments):
     """Step u0 through the given per-step increments, keeping every state."""
-    lam = None if level is None else level.lam
     c = 0.0 if params is None else params.c
     u, states, stoch = u0, [u0], np.zeros_like(u0)
     beta_u = None if lam is None else pot.yosida_pair(lam, u0)[0]
@@ -131,7 +129,7 @@ def record_path(g, params, level, spec, u0, cfg, increments):
             stoch = stoch + nz.mix_modes(spec, pot.resolvent_map(lam, u), dw, g.dim)
         u, beta_u = st.step(g, lam, c, spec, u, beta_u, dw, None, cfg)
         states.append(u)
-    return TrajectoryRecord(g, params, level, cfg.dt, np.asarray(states), stoch, None)
+    return TrajectoryRecord(g, params, lam, cfg.dt, np.asarray(states), stoch, None)
 
 
 class TestImplicitSolve:
@@ -170,9 +168,8 @@ class TestImplicitSolve:
         rhs = rng.uniform(-3, 3, size=32)
         for dt in (1e-3, 1e-2, 1e-1, 1.0):
             for lam in (1e-3, 1e-2, 1e-1, 0.9):
-                level = pot.YosidaLevel(lam)
                 w = solve(g, lam, rhs, dt)
-                bl, _, _ = pot.yosida_eval(level, w)
+                bl, _, _ = pot.yosida_eval(lam, w)
                 resid = w - dt * gr.laplacian_neumann(g, w) + dt * bl - rhs
                 assert np.max(np.abs(resid)) <= 1e-10
 
@@ -292,13 +289,13 @@ class TestStep:
     def test_zero_dimensional_reduction(self):
         # spatially constant states follow u' = -F'_lam(u); mirror ghosts kill the Laplacian
         params = pot.PotentialParams(c=2.0)
-        level = pot.YosidaLevel(0.1)
+        lam = 0.1
         g = gr.Grid(extent=(1.0,), cells=(2,))
         cfg = st.StepperConfig(dt=1e-3, t_end=0.5)
-        u = run_path(np.full((1, 2), 0.1), level.lam, cfg, g, params)["final"][0, 0]
+        u = run_path(np.full((1, 2), 0.1), lam, cfg, g, params)["final"][0, 0]
 
         def rhs(_t, y):
-            bl, _, _ = pot.yosida_eval(level, y)
+            bl, _, _ = pot.yosida_eval(lam, y)
             return -(bl - 2.0 * params.c * y)
 
         ref = solve_ivp(rhs, (0.0, 0.5), [0.1], method="DOP853", rtol=1e-11, atol=1e-13)
@@ -307,15 +304,15 @@ class TestStep:
 
     def test_energy_dissipation_deterministic(self):
         params = pot.PotentialParams(c=2.0)
-        level = pot.YosidaLevel(0.05)
+        lam = 0.05
         g = gr.Grid(extent=(1.0,), cells=(64,))
         u = 0.5 * np.cos(np.pi * g.cell_centers())
         cfg = st.StepperConfig(dt=1e-3, t_end=0.2)
-        e_prev = gr.energy(g, params, level, u)
-        slack = 10 * st.NEWTON_TOL * g.measure
+        e_prev = energy(g, params, lam, u)
+        slack = 10 * st.NEWTON_TOL * measure(g)
         for _ in range(cfg.n_steps):
-            u, _ = st.step(g, level.lam, params.c, QUIET, u, None, None, None, cfg)
-            e = float(gr.energy(g, params, level, u))
+            u, _ = st.step(g, lam, params.c, QUIET, u, None, None, None, cfg)
+            e = float(energy(g, params, lam, u))
             assert e <= e_prev + slack
             e_prev = e
 
@@ -371,6 +368,15 @@ class TestStep:
         with pytest.raises(ValueError, match="u0"):
             run_path(np.ones((1, 8)), 0.1, cfg, g, params)
 
+    def test_nan_datum_refused(self):
+        params = pot.PotentialParams(c=2.0)
+        g = gr.Grid(extent=(1.0,), cells=(8,))
+        cfg = st.StepperConfig(dt=1e-3, t_end=0.01)
+        u0 = np.zeros((1, 8))
+        u0[0, 3] = np.nan
+        with pytest.raises(ValueError, match="u0"):
+            run_path(u0, 0.1, cfg, g, params)
+
 
 class TestWeakResidual:
     SPEC = nz.NoiseSpec(family="sine", modes=4, decay_exponent=2.0, amplitude=0.4)
@@ -380,7 +386,7 @@ class TestWeakResidual:
         g = gr.Grid(extent=(1.0,), cells=(32,))
         u0 = 0.4 * np.cos(np.pi * g.cell_centers())
         cfg = st.StepperConfig(dt=dt, t_end=0.04)
-        return record_path(g, params, pot.YosidaLevel(0.1), self.SPEC, u0, cfg, increments)
+        return record_path(g, params, 0.1, self.SPEC, u0, cfg, increments)
 
     def _draws(self, dt):
         n = st.StepperConfig(dt=dt, t_end=0.04).n_steps
@@ -418,30 +424,30 @@ class TestWeakResidual:
 class TestGateaux:
     def _setup(self):
         params = pot.PotentialParams(c=2.0)
-        level = pot.YosidaLevel(0.1)
+        lam = 0.1
         g = gr.Grid(extent=(1.0,), cells=(24,))
         rng = np.random.default_rng(31)
         u = rng.uniform(-0.6, 0.6, size=24)
         h = rng.uniform(-1, 1, size=24)
         k = rng.uniform(-1, 1, size=24)
-        return g, params, level, u, h, k
+        return g, params, lam, u, h, k
 
     def test_zero_direction(self):
-        g, params, level, u, _, k = self._setup()
-        d1, d2 = st.gateaux_check(g, params, level, u, np.zeros(24), np.zeros(24))
+        g, params, lam, u, _, k = self._setup()
+        d1, d2 = gateaux_check(g, params, lam, u, np.zeros(24), np.zeros(24))
         assert d1 == 0.0 and d2 == 0.0
 
     def test_quadratic_eps_convergence(self):
-        g, params, level, u, h, k = self._setup()
-        errs = [st.gateaux_check(g, params, level, u, h, k, eps=e) for e in (8e-3, 4e-3, 2e-3)]
+        g, params, lam, u, h, k = self._setup()
+        errs = [gateaux_check(g, params, lam, u, h, k, eps=e) for e in (8e-3, 4e-3, 2e-3)]
         for i in range(2):
             assert 3.0 <= errs[i][0] / errs[i + 1][0] <= 5.0
             assert 3.0 <= errs[i][1] / errs[i + 1][1] <= 5.0
 
     def test_second_form_symmetric(self):
-        g, params, level, u, h, k = self._setup()
-        _, d2_hk = st.gateaux_check(g, params, level, u, h, k, eps=1e-4)
-        _, d2_kh = st.gateaux_check(g, params, level, u, k, h, eps=1e-4)
+        g, params, lam, u, h, k = self._setup()
+        _, d2_hk = gateaux_check(g, params, lam, u, h, k, eps=1e-4)
+        _, d2_kh = gateaux_check(g, params, lam, u, k, h, eps=1e-4)
         # both differences approximate the same symmetric bilinear form
         assert d2_hk == pytest.approx(d2_kh, rel=0.2, abs=1e-10)
 
