@@ -234,6 +234,9 @@ def run(command: str, cfg: RunConfig) -> int:
     except ValueError as err:
         print(f"{command}: {err}", file=sys.stderr)
         return 2
+    except RuntimeError as err:  # the numerical layers raise it only when a solve fails to converge
+        print(f"{command}: solver failed: {err}", file=sys.stderr)
+        return 3
 
     manifest = {
         "config_hash": config_hash(cfg),

@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from . import datagen as dg
 from . import grid as gr
@@ -540,6 +539,8 @@ def heat_and_ode_oracles(cfg: EnsembleConfig) -> EstimateReport:
     def rhs_ode(_t, y):
         bl, _, _ = pot.yosida_eval(lam, y)
         return -(bl - 2.0 * params.c * y)
+
+    from scipy.integrate import solve_ivp  # local: it loads scipy.optimize and scipy.sparse; only this oracle needs it
 
     ref = solve_ivp(rhs_ode, (0.0, T0), [u_init], method="DOP853", rtol=1e-11, atol=1e-13)
     ref_val = float(ref.y[0, -1])

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.fft
 
 _MAGIC = b"ACF1"
 
@@ -140,6 +139,8 @@ def _helmholtz_denominator(cells: tuple, spacing: tuple, alpha: float):
 
 def helmholtz_solve(grid: Grid, f, alpha: float) -> np.ndarray:
     """(I - alpha * lap)^(-1) f via the DCT-II eigenbasis of the mirror-ghost Laplacian."""
+    import scipy.fft  # local: only the 2-d preconditioner and the V* norm come here, so 1-d runs never load it
+
     f = _check_field(grid, f)
     axes = _grid_axes(grid, f)
     denom = _helmholtz_denominator(grid.cells, grid.spacing, float(alpha))

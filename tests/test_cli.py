@@ -45,6 +45,14 @@ def small_run_payload(tmp_path, **extra):
     return payload
 
 
+def run_module(cwd, *args):
+    """`python -m logac ARGS` in a new interpreter that imports logac from this checkout."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    argv = [sys.executable, "-m", "logac", *args]
+    return subprocess.run(argv, capture_output=True, text=True, env=env, cwd=cwd, timeout=300)
+
+
 class TestParseConfig:
     def test_minimal_config_fills_golden_defaults(self, tmp_path):
         path = write_config(tmp_path, {"version": 1})
@@ -307,9 +315,15 @@ class TestMainEntry:
         assert "config snapshot_stride" in capsys.readouterr().err
 
     def test_module_entry_rejects_a_negative_stride(self, tmp_path):
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-        argv = [sys.executable, "-m", "logac", "simulate", "--out", str(tmp_path), "--snapshot-stride", "-1"]
-        proc = subprocess.run(argv, capture_output=True, text=True, env=env, cwd=tmp_path, timeout=300)
+        proc = run_module(tmp_path, "simulate", "--out", str(tmp_path), "--snapshot-stride", "-1")
         assert proc.returncode == 2
         assert "config snapshot_stride" in proc.stderr and "Traceback" not in proc.stderr
+
+    def test_module_entry_solver_failure_exits_3(self, tmp_path):
+        # finite but absurd forcing passes the config door; the resolvent then fails to converge
+        payload = small_run_payload(tmp_path, g={"kind": "constant", "value": 1e300})
+        payload["ensemble"] = {**payload["ensemble"], "replicates": 2}
+        proc = run_module(tmp_path, "uniform", "--config", str(write_config(tmp_path, payload)))
+        assert proc.returncode == 3
+        assert "uniform: solver failed: resolvent solve failed" in proc.stderr and "Traceback" not in proc.stderr
+        assert not (tmp_path / "out" / "manifest.json").exists()

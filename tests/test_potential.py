@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -12,6 +13,8 @@ from scipy.integrate import quad
 
 from helpers import beta_family_eval, default_offset, potential_eval, regularized_potential_eval
 from logac import cli
+from logac import experiments as ex
+from logac import grid as gr
 from logac import potential as pot
 
 LN3 = 1.0986122886681098
@@ -391,10 +394,19 @@ class TestLevelValidation:
             cli.config_from_dict({"version": 1, "ensemble": {"lambda_levels": [lam]}})
 
 
+def run_fresh(code):
+    """Run code in a new interpreter that imports logac from this checkout; returns its stdout."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
 class TestImports:
     def test_numerical_layers_load_no_optimize_or_integrate(self):
-        # the grid, potential, noise and stepper layers need numpy and scipy's fft, special and linalg alone
-        code = (
+        # the grid, potential, noise and stepper layers need numpy and scipy's special and linalg alone
+        run_fresh(
             "import sys\n"
             "import logac.grid\n"
             "assert 'logac.potential' not in sys.modules, 'logac.grid imports logac.potential'\n"
@@ -402,7 +414,35 @@ class TestImports:
             "loaded = [m for m in ('scipy.optimize', 'scipy.integrate') if m in sys.modules]\n"
             "assert not loaded, loaded\n"
         )
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=300)
-        assert proc.returncode == 0, proc.stderr
+
+    def test_cli_loads_no_integrate_optimize_or_fft(self):
+        # only the oracles need scipy.integrate and only the Helmholtz solve scipy.fft; they import them on first use
+        run_fresh(
+            "import sys\n"
+            "import logac.cli\n"
+            "loaded = [m for m in ('scipy.integrate', 'scipy.optimize', 'scipy.fft') if m in sys.modules]\n"
+            "assert not loaded, loaded\n"
+        )
+
+    def test_lazy_imports_give_the_in_process_results(self):
+        # the first call imports scipy.fft or scipy.integrate itself and must give the numbers of a warm process
+        code = (
+            "import json, sys\n"
+            "import numpy as np\n"
+            "from logac import grid as gr\n"
+            "assert 'scipy.fft' not in sys.modules\n"
+            "g = gr.Grid(extent=(1.0, 2.0), cells=(8, 6))\n"
+            "f = np.random.default_rng(3).standard_normal((2, 8, 6))\n"
+            "w = gr.helmholtz_solve(g, f, 0.3)\n"
+            "v = gr.vstar_norm_sq(g, f)\n"
+            "from logac import cli, experiments as ex\n"
+            "assert 'scipy.integrate' not in sys.modules\n"
+            "csv = ex.heat_and_ode_oracles(cli.default_config().ensemble).to_csv_text()\n"
+            "print(json.dumps({'w': w.tolist(), 'v': v.tolist(), 'csv': csv}))\n"
+        )
+        fresh = json.loads(run_fresh(code))
+        g = gr.Grid(extent=(1.0, 2.0), cells=(8, 6))
+        f = np.random.default_rng(3).standard_normal((2, 8, 6))
+        assert np.array_equal(fresh["w"], gr.helmholtz_solve(g, f, 0.3))
+        assert np.array_equal(fresh["v"], gr.vstar_norm_sq(g, f))
+        assert fresh["csv"] == ex.heat_and_ode_oracles(cli.default_config().ensemble).to_csv_text()
