@@ -189,7 +189,7 @@ def _run_simulate(cfg: RunConfig, out_dir: Path) -> tuple[dict, list[str]]:
         if cfg.snapshot_stride > 0 and m % cfg.snapshot_stride == 0:
             gr.save_field(snap_dir / f"step_{m:06d}.acf", e.grid, u[0, 0])
 
-    stats_hook, stats = ex._path_statistics(e.grid, e.stepper, e.potential, (1, 1))
+    stats_hook, stats = ex._path_statistics(e.grid, e.stepper, e.potential.c, (1, 1))
     lane = ex.Lane(lam, dg.make_u0_batch(e.u0, e.grid, e.seed, 1), dg.make_g(e.g, e.grid))
     out = ex._run_lanes([lane], e.noise, e.stepper, e.grid, e.potential, e.seed, hooks=(stats_hook, snapshot))
     gr.save_field(out_dir / "final.acf", e.grid, out["final"][0, 0])

@@ -100,10 +100,10 @@ def make_u0_batch(spec: U0Spec, g: gr.Grid, seed: int, replicates: int) -> np.nd
     return np.repeat(field[None], replicates, axis=0)
 
 
-def make_g(spec: GSpec, g: gr.Grid) -> np.ndarray | None:
-    """Time-constant forcing field, or None for no forcing."""
+def make_g(spec: GSpec, g: gr.Grid) -> np.ndarray:
+    """Time-constant forcing field on the grid; the zero kind gives a zero field."""
     if spec.kind == "zero":
-        return None
+        return np.zeros(g.shape)
     if spec.kind == "constant":
         return np.full(g.shape, spec.value)
     loaded_grid, field = gr.load_field(spec.path)

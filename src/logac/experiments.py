@@ -117,7 +117,7 @@ class Lane:
 
     lam: float | None
     u0: np.ndarray  # (replicates, *grid shape)
-    g: np.ndarray | None
+    g: np.ndarray  # grid shape, zero for no forcing
 
 
 def _lane_u0(cfg: EnsembleConfig) -> np.ndarray:
@@ -150,12 +150,12 @@ def _run_lanes(
     """Lockstep integration of several lanes on shared noise increments.
 
     This is the package's one time loop; a single path is one lane of one
-    replicate.  params=None drops the potential (c = 0), which needs every
-    lane at lam=None and no noise modes, as the noise is taken at J_lam(u).
-    The engine computes no statistic: each hook(m, u, beta_u) sees the
-    state batch after m steps, m = 0..n_steps, and beta_lam(u) (zeros for
-    heat lanes), before the step is taken.  What a study measures is what
-    its hooks read, such as _path_statistics and _lane_differences.
+    replicate.  Lane forcings are fields; eps*dt*|g| > stepper.NEWTON_TOL
+    raises RuntimeError.  params=None drops the potential (c = 0), which
+    needs every lane at lam=None and no noise modes, as the noise is taken
+    at J_lam(u).  The engine computes no statistic: each hook(m, u, beta_u)
+    sees the state batch after m steps, m = 0..n_steps, and beta_lam(u)
+    (zeros for heat lanes), before stepping.  Studies measure through hooks.
     """
     n_lanes = len(lanes)
     reps = lanes[0].u0.shape[0]
@@ -166,16 +166,13 @@ def _run_lanes(
     if params is None:
         if spec.modes > 0:
             raise ValueError("noise needs a Yosida level; params=None lanes must have no noise modes")
-        lam, c = None, 0.0
-        beta_u = np.zeros_like(u)
+        lam, c, beta_u = None, 0.0, np.zeros_like(u)
     else:
         lam = np.array([ln.lam for ln in lanes]).reshape((n_lanes,) + (1,) * (1 + g.dim))
-        c = params.c
-        beta_u, _ = pot.yosida_pair(lam, u)
-    g_force = None
-    if any(ln.g is not None for ln in lanes):
-        g_force = np.stack([np.zeros(g.shape) if ln.g is None else np.asarray(ln.g, dtype=float) for ln in lanes])
-        g_force = g_force[:, None]
+        c, beta_u = params.c, pot.yosida_pair(lam, u)[0]
+    g_force = np.stack([ln.g for ln in lanes])[:, None]
+    if scfg.dt * np.abs(g_force).max() * np.finfo(float).eps > st.NEWTON_TOL:  # rounding alone would decide the test
+        raise RuntimeError(f"implicit step failed: dt*|g| {scfg.dt * np.abs(g_force).max():.3e} outgrows the tolerance")
 
     hasher = hashlib.sha256()
     for m in range(scfg.n_steps + 1):
@@ -193,12 +190,12 @@ def _run_lanes(
     return {"final": u, "increments_digest": hasher.hexdigest(), "n_steps": scfg.n_steps}
 
 
-def _path_statistics(g: gr.Grid, scfg: st.StepperConfig, params: pot.PotentialParams | None, shape):
+def _path_statistics(g: gr.Grid, scfg: st.StepperConfig, c: float, shape):
     """A _run_lanes hook and the path statistics it fills per (lane, replicate) of shape.
 
     Every norm of a state is taken once: the sups see m = 0..n_steps, the
-    left-endpoint integrals m < n_steps.  Heat lanes (params=None) keep
-    int_beta_sq and int_f1_sq at exact zeros.  The last call sets
+    left-endpoint integrals m < n_steps.  Heat lanes (c = 0, zero beta_u)
+    keep int_beta_sq and int_f1_sq at exact zeros.  The last call sets
     excursion_fraction, the share of samples with |u| >= 1.
     """
     names = ("sup_h_sq", "sup_grad_sq", "int_grad_sq", "int_f1_sq", "int_beta_sq", "int_lap_sq", "excursion_count")
@@ -214,9 +211,8 @@ def _path_statistics(g: gr.Grid, scfg: st.StepperConfig, params: pot.PotentialPa
             stats["excursion_fraction"] = stats["excursion_count"] / ((m + 1) * int(np.prod(g.shape)))
             return
         stats["int_grad_sq"] += scfg.dt * gsq
-        if params is not None:
-            stats["int_beta_sq"] += scfg.dt * gr.h_norm_sq(g, beta_u)
-            stats["int_f1_sq"] += scfg.dt * gr.h_norm_sq(g, beta_u - 2.0 * params.c * u)
+        stats["int_beta_sq"] += scfg.dt * gr.h_norm_sq(g, beta_u)
+        stats["int_f1_sq"] += scfg.dt * gr.h_norm_sq(g, beta_u - 2.0 * c * u)
         stats["int_lap_sq"] += scfg.dt * gr.h_norm_sq(g, gr.laplacian_neumann(g, u))
 
     return hook, stats
@@ -255,7 +251,7 @@ def ladder_run(cfg: EnsembleConfig) -> dict:
     g_field = dg.make_g(cfg.g, cfg.grid)
     lanes = [Lane(lam, u0, g_field) for lam in cfg.lambda_levels]
     pairs = [(i, i + 1) for i in range(len(lanes) - 1)]
-    stats_hook, stats = _path_statistics(cfg.grid, cfg.stepper, cfg.potential, (len(lanes), cfg.replicates))
+    stats_hook, stats = _path_statistics(cfg.grid, cfg.stepper, cfg.potential.c, (len(lanes), cfg.replicates))
     pairs_hook, diffs = _lane_differences(cfg.grid, cfg.stepper, cfg.replicates, pairs)
     out = _run_lanes(lanes, cfg.noise, cfg.stepper, cfg.grid, cfg.potential, cfg.seed, hooks=(stats_hook, pairs_hook))
     return {**out, "stats": stats, "pairs": diffs}
@@ -343,10 +339,7 @@ def dependence_study(cfg: EnsembleConfig, perturbations: list[Perturbation]) -> 
         u0_pert = u0 + du0
         if np.any(np.abs(u0_pert) >= 1.0):
             raise ValueError(f"perturbation {p} pushes the initial datum out of (-1, 1)")
-        pert_g = g_field
-        if p.g_shift != 0.0:
-            pert_g = dg_field if g_field is None else g_field + dg_field
-        lanes.append(Lane(lam, u0_pert, pert_g))
+        lanes.append(Lane(lam, u0_pert, g_field + dg_field))
         rhs.append(float(np.sqrt(gr.h_norm_sq(g, du0))) + float(np.sqrt(t_total * gr.vstar_norm_sq(g, dg_field))))
     hook, diffs = _lane_differences(g, cfg.stepper, cfg.replicates, [(0, i) for i in range(1, len(lanes))])
     out = _run_lanes(lanes, cfg.noise, cfg.stepper, g, cfg.potential, cfg.seed, hooks=(hook,))
@@ -410,11 +403,11 @@ def derivative_study(cfg: EnsembleConfig) -> EstimateReport:
     The gauge order is n = flatness - 1 of the noise, which must be
     poly_flat with flatness >= 3 (n >= 2); ||g||_inf <= 1.  Reports
     sup over output times of E int G_n(u) (over excursion-free samples),
-    E int int |G_n'(u)|, and the excursion fraction; fails if either gauge
-    statistic moves more than 30% when the level is halved.  A hook reads
-    the gauge off every state, one _gauge_slice per state; its time
-    integral takes the left-endpoint rule of _path_statistics, which
-    supplies the excursion fraction.
+    E int int |G_n'(u)|, and the excursion fraction (the share of samples
+    with |u| >= 1); fails if either gauge statistic moves more than 30%
+    when the level is halved.  A hook reads the gauge and the excursions
+    off every state, one _gauge_slice per state; its time integral takes
+    the left-endpoint rule of _path_statistics.
     """
     if cfg.noise.family != nz.POLY_FLAT:
         raise ValueError("derivative study requires the poly_flat noise family")
@@ -422,19 +415,20 @@ def derivative_study(cfg: EnsembleConfig) -> EstimateReport:
     if n < 2:
         raise ValueError(f"derivative study needs gauge order n = flatness - 1 >= 2, got n={n}")
     g_field = dg.make_g(cfg.g, cfg.grid)
-    if g_field is not None and np.max(np.abs(g_field)) > 1.0:
+    if np.max(np.abs(g_field)) > 1.0:
         raise ValueError("derivative study requires ||g||_inf <= 1")
     u0 = _lane_u0(cfg)
     lam_min = cfg.lambda_levels[-1]
     levels = [lam_min, 0.5 * lam_min]
     lanes = [Lane(lam, u0, g_field) for lam in levels]
-    slices = []  # (int G_n, int |G_n'|) at every state, m = 0..n_steps
+    slices, excursions = [], []  # per state m = 0..n_steps: (int G_n, int |G_n'|), count of |u| >= 1
 
     def gauge_hook(m, u, beta_u):
         slices.append(_gauge_slice(cfg.grid, n, u))
+        excursions.append(np.sum(np.abs(u) >= 1.0, axis=tuple(range(2, u.ndim))))
 
-    stats_hook, stats = _path_statistics(cfg.grid, cfg.stepper, cfg.potential, (len(lanes), cfg.replicates))
-    out = _run_lanes(lanes, cfg.noise, cfg.stepper, cfg.grid, cfg.potential, cfg.seed, hooks=(gauge_hook, stats_hook))
+    out = _run_lanes(lanes, cfg.noise, cfg.stepper, cfg.grid, cfg.potential, cfg.seed, hooks=(gauge_hook,))
+    excursion_fraction = np.sum(excursions, axis=0) / (len(excursions) * int(np.prod(cfg.grid.shape)))
     series = np.asarray([ig for ig, _ in slices])  # (n_steps+1, lanes, reps)
     int_gauge_prime = np.zeros(series.shape[1:])
     for _, igp in slices[:-1]:
@@ -454,7 +448,7 @@ def derivative_study(cfg: EnsembleConfig) -> EstimateReport:
         row = _mc_row("int_abs_gauge_prime", lam, int_gauge_prime[i])
         rows.append(row)
         int_means.append(row.mean)
-        rows.append(_mc_row("excursion_fraction", lam, stats["excursion_fraction"][i]))
+        rows.append(_mc_row("excursion_fraction", lam, excursion_fraction[i]))
     report.metadata["gauge_order"] = n
     report.metadata["levels"] = levels
     report.metadata["increments_digest"] = out["increments_digest"]
@@ -493,7 +487,7 @@ def heat_and_ode_oracles(cfg: EnsembleConfig) -> EstimateReport:
 
     def final_state(u0, lam, scfg, g, params):
         # one noiseless path: one lane of one replicate
-        out = _run_lanes([Lane(lam, u0[None], None)], quiet, scfg, g, params, seed=0)
+        out = _run_lanes([Lane(lam, u0[None], np.zeros(g.shape))], quiet, scfg, g, params, seed=0)
         return out["final"][0, 0]
 
     def refinement(name, lam, runs, key, what, floor):

@@ -43,6 +43,7 @@ class PotentialParams:
 # residual and iteration cap of the scalar resolvent Newton solve
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 200
+_ULP4 = 4.0 * np.finfo(float).eps  # per unit |x|, the least residual bound of _graph_solve
 
 
 def _beta_hat(r):
@@ -73,11 +74,12 @@ def _graph_solve(lam, x, tol, max_iter, b0=None):
     iterates then rise to it, with no bracket; copysign restores the sign.
     The start is sign(x)*b0 clipped into [0, |x|/lam], which holds the root
     (from farther out the first step rounds past it), or |x|/(lam + 1/2).
-    A point stops once its residual is within tol, so its result depends on
-    its own x, lam and b0 alone.
+    A point stops once its residual is within max(tol, 4*eps*|x|), above the
+    rounding of lam*b - |x|, so it depends on its own x, lam and b0 alone.
     """
     x = np.asarray(x, dtype=float)
     a = np.abs(x)
+    hi = np.maximum(tol, _ULP4 * a)
     b = np.asarray(a / (lam + 0.5) if b0 is None else np.clip(np.sign(x) * b0, 0.0, a / lam))
     t, f, done = np.empty_like(b), np.empty_like(b), np.empty(b.shape, dtype=bool)
     for it in range(max_iter + 1):
@@ -85,8 +87,8 @@ def _graph_solve(lam, x, tol, max_iter, b0=None):
         np.multiply(lam, b, out=f)
         f += t
         f -= a
-        np.less_equal(f, tol, out=done)
-        done &= f >= -tol
+        np.less_equal(f, hi, out=done)
+        done &= f >= -hi
         if done.all():
             return np.copysign(b, x, out=b), np.copysign(t, x, out=t)
         if it == max_iter:
@@ -101,7 +103,7 @@ def _graph_solve(lam, x, tol, max_iter, b0=None):
         b -= np.divide(f, t, out=f)
         np.maximum(b, 0.0, out=b)
     worst = float(np.max(np.abs(f)))
-    raise RuntimeError(f"resolvent solve failed to reach residual {tol:g} in {max_iter} iterations (worst {worst:.3e})")
+    raise RuntimeError(f"resolvent solve failed: residual {worst:.3e} above max({tol:g}, 4eps|x|) in {max_iter} iterations")
 
 
 def resolvent_map(lam, x):
@@ -114,8 +116,8 @@ def yosida_pair(lam, x, b0=None):
 
     Hot-path variant used by the field solvers, where lam may vary across
     batch lanes; J_lam(x) is the tanh(b/2) the graph solve ended on.
-    beta_lam(x) is that solve's b to within NEWTON_TOL/lam, so the beta_lam
-    of a nearby point is a good warm start b0.
+    beta_lam(x) is that solve's b to within max(NEWTON_TOL, 4*eps*|x|)/lam,
+    so the beta_lam of a nearby point is a good warm start b0.
     """
     x = np.asarray(x, dtype=float)
     beta_l, r = _graph_solve(lam, x, NEWTON_TOL, NEWTON_MAX_ITER, b0)

@@ -18,7 +18,7 @@ one LAPACK LDL^T call; in 2-d it goes to conjugate gradients
 preconditioned by the exact heat operator (I - dt*lap)^(-1), applied
 spectrally.  The first residual takes beta_lam(u) from the step's caller,
 so only the Newton trials solve the resolvent, each starting from the
-beta_lam of the evaluation before.
+beta_lam of the evaluation before.  Absent terms are zero arrays.
 
 Fields may carry leading batch axes (replicates, coupled lanes) and
 everything here broadcasts over them.  This module holds one step; the
@@ -94,10 +94,7 @@ def _pcg(g: gr.Grid, dt: float, diag, b):
     dim = g.dim
 
     def matvec(p):
-        out = p - dt * gr.laplacian_neumann(g, p)
-        if diag is not None:
-            out = out + dt * diag * p
-        return out
+        return p - dt * gr.laplacian_neumann(g, p) + dt * diag * p
 
     x = np.zeros_like(b)
     r = b.copy()
@@ -128,17 +125,13 @@ def _tridiag_solve(g: gr.Grid, dt: float, diag, b):
     The batch is laid out as one block-diagonal tridiagonal system with zero
     couplings between blocks and solved by LAPACK's LDL^T solver dptsv,
     which does not pivot, so each block's solution is that of the block
-    alone.  diag must be nonnegative (or None for zero); a system that is
-    not positive definite raises.
+    alone.  diag must be nonnegative; a system that is not positive
+    definite raises.
     """
     n = g.cells[0]
     k = dt / (g.spacing[0] * g.spacing[0])
-    d = np.empty(b.shape)
-    if diag is None:
-        d[...] = 1.0
-    else:
-        np.multiply(diag, dt, out=d)
-        d += 1.0
+    d = np.multiply(diag, dt, out=np.empty(b.shape))
+    d += 1.0
     d[..., 1:-1] += 2.0 * k
     d[..., 0] += k
     d[..., -1] += k
@@ -150,39 +143,31 @@ def _tridiag_solve(g: gr.Grid, dt: float, diag, b):
     return x.reshape(b.shape)
 
 
-def _monotone_solve(g: gr.Grid, lam, rhs, dt: float, w0=None, b0=None):
-    """Solve w - dt*lap(w) + dt*beta_lam(w) = rhs; lam=None drops the beta term.
+def _monotone_solve(g: gr.Grid, lam, rhs, dt: float, w0, b0):
+    """Solve w - dt*lap(w) + dt*beta_lam(w) = rhs by Newton from w0, b0 = beta_lam(w0).
 
-    lam may be a scalar or an array broadcastable against the batch axes.
-    b0, when given, is beta_lam(w0): the first residual takes it as it is,
-    and beta_lam'(w0) from J_lam(w0) = w0 - lam*b0, so only the Newton
-    trials solve the resolvent, each warm-started from the beta_lam of the
-    evaluation before.  Returns (w, beta_lam(w)) so callers can reuse the
-    final evaluation.
+    lam is a scalar or an array broadcastable against the batch axes, or
+    None to drop the beta term, with b0 a zero field that comes back as
+    beta.  The first residual takes b0 and beta_lam'(w0) from
+    J_lam(w0) = w0 - lam*b0, so only the Newton trials solve the resolvent,
+    each warm-started from the beta_lam of the evaluation before.  Returns
+    (w, beta_lam(w)) so callers can reuse the final evaluation.
     """
     dim = g.dim
-    w = rhs.copy() if w0 is None else np.array(w0, dtype=float, copy=True)
 
     def pair(w_, bl_prev):
-        return (None, None) if lam is None else pot.yosida_pair(lam, w_, b0=bl_prev)
+        return (b0, b0) if lam is None else pot.yosida_pair(lam, w_, b0=bl_prev)
 
     def residual(w_, bl):
-        F = w_ - dt * gr.laplacian_neumann(g, w_)
-        if bl is not None:
-            F = F + dt * bl
-        return F - rhs
+        return w_ - dt * gr.laplacian_neumann(g, w_) + dt * bl - rhs
 
-    if lam is None or b0 is None:
-        bl, blp = pair(w, None)
-    else:
-        bl, blp = b0, pot.yosida_slope(lam, np.clip(w - lam * b0, pot._R_LO, pot._R_HI))
+    w, bl = w0, b0
+    blp = b0 if lam is None else pot.yosida_slope(lam, np.clip(w - lam * b0, pot._R_LO, pot._R_HI))
     F = residual(w, bl)
     res = _batch_max_abs(F, dim)
     for _ in range(NEWTON_MAX_ITER):
         done = res <= NEWTON_TOL
         if np.all(done):
-            if bl is None:
-                bl = np.zeros_like(w)
             return w, bl
         if dim == 1:
             delta = _tridiag_solve(g, dt, blp, F)
@@ -214,19 +199,17 @@ def _monotone_solve(g: gr.Grid, lam, rhs, dt: float, w0=None, b0=None):
 def step(g: gr.Grid, lam, c: float, spec: nz.NoiseSpec, u, beta_u, dw, g_force, cfg: StepperConfig):
     """One scheme step from u; returns (u_next, beta_lam(u_next)).
 
-    The explicit part is the concave term 2c*u, the forcing and the noise
-    sum_k h_k(J_lam(u)) dW_k; dw holds the mode increments with shape
-    u's batch axes + (modes,) and is ignored when spec has no modes.
-    J_lam(u) comes from beta_u = beta_lam(u), which the previous step (or
-    yosida_pair at the datum) returned: J_lam(u) = u - lam*beta_lam(u) up to
-    round-off, clipped into (-1, 1), with no resolvent solve of its own.
-    lam=None with c=0 and no noise modes integrates the plain heat equation.
+    The explicit part is the concave term 2c*u, the forcing field g_force
+    and the noise sum_k h_k(J_lam(u)) dW_k; dw holds the mode increments
+    with shape u's batch axes + (modes,) and is ignored when spec has no
+    modes.  J_lam(u) comes from beta_u = beta_lam(u), which the previous
+    step (or yosida_pair at the datum) returned: J_lam(u) = u - lam*beta_u
+    up to round-off, clipped into (-1, 1), with no resolvent solve of its
+    own.  lam=None, c=0, zero beta_u and no noise modes give the heat flow.
     """
     dt = cfg.dt
     noise_field = 0.0
     if spec.modes > 0:
         noise_field = nz.mix_modes(spec, np.clip(u - lam * beta_u, pot._R_LO, pot._R_HI), dw, g.dim)
-    rhs = u + dt * (2.0 * c) * u + noise_field
-    if g_force is not None:
-        rhs = rhs + dt * g_force
-    return _monotone_solve(g, lam, rhs, dt, w0=u, b0=beta_u)
+    rhs = u + dt * (2.0 * c) * u + noise_field + dt * g_force
+    return _monotone_solve(g, lam, rhs, dt, u, beta_u)

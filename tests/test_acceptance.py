@@ -203,8 +203,9 @@ def test_criterion_05_gradient_flow_and_gateaux():
     slack = 10.0 * st.NEWTON_TOL * measure(g)
     e_prev = float(energy(g, params, lam, u0))
     worst_rise = -math.inf
+    beta_u = pot.yosida_pair(lam, u)[0]
     for _ in range(cfg.n_steps):
-        u, _ = st.step(g, lam, params.c, quiet, u, None, None, None, cfg)
+        u, beta_u = st.step(g, lam, params.c, quiet, u, beta_u, None, np.zeros(64), cfg)
         e = float(energy(g, params, lam, u))
         worst_rise = max(worst_rise, e - e_prev)
         e_prev = e

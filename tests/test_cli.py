@@ -320,10 +320,20 @@ class TestMainEntry:
         assert "config snapshot_stride" in proc.stderr and "Traceback" not in proc.stderr
 
     def test_module_entry_solver_failure_exits_3(self, tmp_path):
-        # finite but absurd forcing passes the config door; the resolvent then fails to converge
+        # finite but absurd forcing passes the config door; the engine then refuses it before the first implicit
+        # step, whose residual test rounding alone would decide
         payload = small_run_payload(tmp_path, g={"kind": "constant", "value": 1e300})
         payload["ensemble"] = {**payload["ensemble"], "replicates": 2}
         proc = run_module(tmp_path, "uniform", "--config", str(write_config(tmp_path, payload)))
         assert proc.returncode == 3
-        assert "uniform: solver failed: resolvent solve failed" in proc.stderr and "Traceback" not in proc.stderr
+        assert "uniform: solver failed: implicit step failed" in proc.stderr and "Traceback" not in proc.stderr
         assert not (tmp_path / "out" / "manifest.json").exists()
+
+    def test_large_forcing_runs(self, tmp_path):
+        # |x| near 5e4 puts the resolvent's residual floor, eps*|x|, above its 1e-12 tolerance
+        payload = small_run_payload(tmp_path, g={"kind": "constant", "value": 1e5})
+        payload["ensemble"] = {**payload["ensemble"], "replicates": 2}
+        payload["stepper"] = {"dt": 1e-3, "t_end": 0.5}
+        assert cli.main(["uniform", "--config", str(write_config(tmp_path, payload))]) == 0
+        rows = json.loads((tmp_path / "out" / "uniform.json").read_text())["rows"]
+        assert rows and all(math.isfinite(r[k]) for r in rows for k in ("mean", "se"))

@@ -116,10 +116,10 @@ class TestBatchIndependence:
         u0 = ex._lane_u0(cfg)
 
         def run(batch):
-            lanes = [ex.Lane(lam, batch, None) for lam in cfg.lambda_levels]
+            lanes = [ex.Lane(lam, batch, np.zeros(cfg.grid.shape)) for lam in cfg.lambda_levels]
             pairs = [(i, i + 1) for i in range(len(lanes) - 1)]
             shape = (len(lanes), batch.shape[0])
-            stats_hook, stats = ex._path_statistics(cfg.grid, cfg.stepper, cfg.potential, shape)
+            stats_hook, stats = ex._path_statistics(cfg.grid, cfg.stepper, cfg.potential.c, shape)
             pairs_hook, diffs = ex._lane_differences(cfg.grid, cfg.stepper, batch.shape[0], pairs)
             hooks = (stats_hook, pairs_hook)
             out = ex._run_lanes(lanes, cfg.noise, cfg.stepper, cfg.grid, cfg.potential, cfg.seed, hooks=hooks)
@@ -174,7 +174,7 @@ class TestCauchyStudy:
     def test_identical_levels_give_zero_delta(self):
         cfg = small_config()
         u0 = ex._lane_u0(cfg)
-        lanes = [ex.Lane(0.1, u0, None), ex.Lane(0.1, u0, None)]
+        lanes = [ex.Lane(0.1, u0, np.zeros(cfg.grid.shape)), ex.Lane(0.1, u0, np.zeros(cfg.grid.shape))]
         hook, diffs = ex._lane_differences(cfg.grid, cfg.stepper, cfg.replicates, [(0, 1)])
         ex._run_lanes(lanes, cfg.noise, cfg.stepper, cfg.grid, cfg.potential, cfg.seed, hooks=(hook,))
         assert len(diffs) == 1
@@ -267,10 +267,7 @@ class TestDependenceStudy:
         g_field = dg.make_g(cfg.g, cfg.grid)
         for p in perturbations:
             # the unperturbed lane and one perturbed lane, integrated on their own
-            pert_g = g_field
-            if p.g_shift != 0.0:
-                dg_field = np.full(cfg.grid.shape, p.g_shift)
-                pert_g = dg_field if g_field is None else g_field + dg_field
+            pert_g = g_field + np.full(cfg.grid.shape, p.g_shift)
             lanes = [ex.Lane(lam, u0, g_field), ex.Lane(lam, u0 + p.u0_shift, pert_g)]
             hook, (pa,) = ex._lane_differences(cfg.grid, cfg.stepper, cfg.replicates, [(0, 1)])
             ex._run_lanes(lanes, cfg.noise, cfg.stepper, cfg.grid, cfg.potential, cfg.seed, hooks=(hook,))
@@ -324,6 +321,27 @@ class TestInitialDatum:
         assert full.shape == (8,) + g.shape
         assert np.array_equal(full[:3], dg.make_u0_batch(spec, g, seed, 3))
         assert not np.array_equal(full[0], full[1])  # each replicate draws its own stream
+
+
+class TestForcing:
+    @pytest.mark.parametrize("cells", [(16,), (8, 8)])
+    def test_zero_kind_is_a_zero_field(self, cells):
+        g = gr.Grid(extent=(1.0,) * len(cells), cells=cells)
+        field = dg.make_g(dg.GSpec(kind="zero"), g)
+        assert field.shape == g.shape
+        assert not np.any(field)
+
+    def test_forcing_beyond_the_tolerance_resolution_raises_before_stepping(self):
+        # dt*|g| = 1e6 rounds by about eps*1e6 ~ 2e-10, more than NEWTON_TOL = 1e-10
+        g = gr.Grid(extent=(1.0,), cells=(16,))
+        scfg = st.StepperConfig(dt=1e-2, t_end=0.1)
+        lanes = [ex.Lane(lam=0.1, u0=np.zeros((2, 16)), g=np.full(16, 1e8))]
+        quiet = nz.NoiseSpec(family="sine", modes=0, decay_exponent=2.0, amplitude=0.0)
+        seen = []
+        message = "implicit step failed: dt[*][|]g[|] 1.000e[+]06 outgrows the tolerance"
+        with pytest.raises(RuntimeError, match=message):
+            ex._run_lanes(lanes, quiet, scfg, g, pot.PotentialParams(c=1.5), 7, hooks=[lambda m, u, b: seen.append(m)])
+        assert seen == []
 
 
 class TestStrongStudy:
@@ -384,7 +402,7 @@ class TestDerivativeStudy:
         g = gr.Grid(extent=(1.0,), cells=(16,))
         cfg = st.StepperConfig(dt=1e-3, t_end=0.02)
         quiet = nz.NoiseSpec(family="poly_flat", modes=0, decay_exponent=2.0, amplitude=0.0, flatness=3)
-        lanes = [ex.Lane(0.05, np.zeros((1, 16)), None)]
+        lanes = [ex.Lane(0.05, np.zeros((1, 16)), np.zeros(16))]
         slices = gauge_slices(lanes, quiet, cfg, g, params, 0, 2)
         int_gauge = cfg.dt * sum(ig for ig, _ in slices[:-1])  # left-endpoint rule
         int_gauge_prime = cfg.dt * sum(igp for _, igp in slices[:-1])
@@ -394,7 +412,7 @@ class TestDerivativeStudy:
     def test_higher_order_dominates(self):
         # G_3 >= G_2 pointwise on (-1, 1), so every statistic is ordered
         cfg = self._cfg(2)  # same noise/flatness for both gauges
-        lanes = [ex.Lane(0.05, ex._lane_u0(cfg), None)]
+        lanes = [ex.Lane(0.05, ex._lane_u0(cfg), np.zeros(cfg.grid.shape))]
         args = (lanes, cfg.noise, cfg.stepper, cfg.grid, cfg.potential, cfg.seed)
         series2 = np.asarray([ig for ig, _ in gauge_slices(*args, 2)])
         series3 = np.asarray([ig for ig, _ in gauge_slices(*args, 3)])
@@ -436,7 +454,7 @@ class TestOracles:
         g = gr.Grid(extent=(1.0,), cells=(32,))
         cfg = st.StepperConfig(dt=1e-3, t_end=0.05)
         quiet = nz.NoiseSpec(family="sine", modes=0, decay_exponent=2.0, amplitude=0.0)
-        out = ex._run_lanes([ex.Lane(None, np.zeros((1, 32)), None)], quiet, cfg, g, None, seed=0)
+        out = ex._run_lanes([ex.Lane(None, np.zeros((1, 32)), np.zeros(32))], quiet, cfg, g, None, seed=0)
         assert np.all(out["final"] == 0.0)
         # the engine is the time loop only: every statistic comes from a hook
         assert out.keys() == {"final", "increments_digest", "n_steps"}
@@ -447,7 +465,7 @@ class TestOracles:
         cfg = st.StepperConfig(dt=1e-3, t_end=0.01)
         spec = nz.NoiseSpec(family="sine", modes=4, decay_exponent=2.0, amplitude=0.5)
         with pytest.raises(ValueError, match="noise needs a Yosida level"):
-            ex._run_lanes([ex.Lane(None, np.zeros((1, 8)), None)], spec, cfg, g, None, seed=0)
+            ex._run_lanes([ex.Lane(None, np.zeros((1, 8)), np.zeros(8))], spec, cfg, g, None, seed=0)
 
     def test_deterministic_in_seed(self):
         a = ex.heat_and_ode_oracles(small_config(seed=1))

@@ -10,11 +10,20 @@ outer Newton tolerance is 1e-10) and catches any change of the computed
 result.  Regenerate the pins only from a commit whose results are trusted:
 
     PYTHONPATH=src python3 tests/test_pinned.py
+
+A refactor that must not move a byte can be checked against another
+checkout: --digests prints the sha256 of every CSV, simulate.json and .acf
+file of the DIGEST_RUNS, and the two listings must be identical:
+
+    PYTHONPATH=src python3 tests/test_pinned.py --digests > after.txt
+    PYTHONPATH=../parent/src python3 tests/test_pinned.py --digests > before.txt
+    diff before.txt after.txt
 """
 
+import argparse
+import hashlib
 import json
 import math
-import sys
 import tempfile
 from pathlib import Path
 
@@ -40,6 +49,14 @@ OVERRIDES = {
         "u0": {"kind": "constant", "m0": 0.2},
     },
 }
+# name -> (command, config fields on top of CONFIG and the command's OVERRIDES)
+DIGEST_RUNS = {
+    **{c: (c, {}) for c in COMMANDS},
+    "simulate-snapshots": ("simulate", {"snapshot_stride": 10}),
+    "uniform-forced": ("uniform", {"g": {"kind": "constant", "value": 0.3}}),
+    "dependence-forced": ("dependence", {"g": {"kind": "constant", "value": 0.3}}),
+    "uniform-2d": ("uniform", {"grid": {"extent": [1.0, 1.0], "cells": [16, 16]}}),
+}
 
 
 def summarize(command: str, out_dir: Path) -> dict:
@@ -54,10 +71,21 @@ def summarize(command: str, out_dir: Path) -> dict:
     return {"digests": digests, "means": {f"{r['quantity']}|{r['lam']!r}": r["mean"] for r in report["rows"]}}
 
 
-def run_command(command: str, out_dir: Path) -> dict:
-    cfg = cli.config_from_dict({**CONFIG, **OVERRIDES.get(command, {}), "output_dir": str(out_dir)})
+def run_command(command: str, out_dir: Path, extra=None) -> dict:
+    cfg = cli.config_from_dict({**CONFIG, **OVERRIDES.get(command, {}), **(extra or {}), "output_dir": str(out_dir)})
     assert cli.run(command, cfg) == 0
     return summarize(command, out_dir)
+
+
+def digests(out_root: Path, runs=DIGEST_RUNS) -> list[str]:
+    """`sha256  run/file` for every CSV, simulate.json and .acf file the runs write under out_root."""
+    lines = []
+    for name, (command, extra) in runs.items():
+        run_command(command, out_root / name, extra)
+        for path in sorted((out_root / name).rglob("*")):
+            if path.suffix in (".csv", ".acf") or path.name == "simulate.json":
+                lines.append(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.relative_to(out_root)}")
+    return lines
 
 
 @pytest.mark.parametrize("command", COMMANDS)
@@ -71,9 +99,23 @@ def test_matches_pinned_outputs(command, tmp_path):
         assert math.isclose(got, want, rel_tol=REL_TOL, abs_tol=ABS_TOL), (key, got, want)
 
 
+def test_digests_list_every_output_file(tmp_path):
+    runs = {"simulate-snapshots": DIGEST_RUNS["simulate-snapshots"]}
+    lines = digests(tmp_path / "a", runs)
+    files = [line.split("  ")[1] for line in lines]
+    snapshots = [f"simulate-snapshots/snapshots/step_{m:06d}.acf" for m in range(0, 51, 10)]
+    assert files == ["simulate-snapshots/final.acf", "simulate-snapshots/simulate.json", *snapshots]
+    assert digests(tmp_path / "b", runs) == lines
+
+
 if __name__ == "__main__":
+    parser = argparse.ArgumentParser(description="regenerate the pinned outputs, or print output digests")
+    parser.add_argument("--digests", action="store_true", help="print `sha256  run/file` per output file instead")
+    args = parser.parse_args()
     with tempfile.TemporaryDirectory() as tmp:
-        pins = {c: run_command(c, Path(tmp) / c) for c in COMMANDS}
-    PINNED_PATH.parent.mkdir(exist_ok=True)
-    PINNED_PATH.write_text(json.dumps(pins, indent=1, sort_keys=True) + "\n")
-    sys.exit(0)
+        if args.digests:
+            print("\n".join(digests(Path(tmp))))
+        else:
+            pins = {c: run_command(c, Path(tmp) / c) for c in COMMANDS}
+            PINNED_PATH.parent.mkdir(exist_ok=True)
+            PINNED_PATH.write_text(json.dumps(pins, indent=1, sort_keys=True) + "\n")

@@ -158,6 +158,17 @@ class TestResolvent:
             assert abs(bets[-1] - beta_exact) < 2.0 * bias + 1e-12
 
 
+class TestLargeArguments:
+    @pytest.mark.parametrize("lam", [0.2, 0.025])
+    def test_converges_to_the_rounding_floor(self, lam):
+        # lam*b - |x| alone rounds by about eps*|x|, beyond 1e-12 once |x| exceeds ~1e4
+        x = np.outer([2e4, 1e6, 1e9, -2e4, -1e6, -1e9], np.linspace(1.0, 1.01, 64))
+        b, t = pot._graph_solve(lam, x, pot.NEWTON_TOL, pot.NEWTON_MAX_ITER)
+        floor = 4.0 * np.finfo(float).eps * np.abs(x)
+        assert np.all(np.abs(t + lam * b - x) <= floor)
+        assert np.all(np.sign(b) == np.sign(x))
+
+
 class TestWarmStart:
     def cases(self, seed, x_max, size=4000):
         rng = np.random.default_rng(seed)

@@ -52,14 +52,16 @@ def dense_implicit_oracle(g, lam, rhs, dt, iters=60):
 
 
 def solve(g, lam, rhs, dt):
-    w, _ = st._monotone_solve(g, lam, np.asarray(rhs, dtype=float), dt)
+    """The implicit solve started at rhs itself."""
+    rhs = np.asarray(rhs, dtype=float)
+    w, _ = st._monotone_solve(g, lam, rhs, dt, rhs, pot.yosida_pair(lam, rhs)[0])
     return w
 
 
 def run_path(u0, lam, cfg, g, params, spec=QUIET, seed=0, hooks=()):
     """One lane of the engine and its path statistics; u0 is a (replicates, *grid) batch."""
-    stats_hook, stats = ex._path_statistics(g, cfg, params, (1, u0.shape[0]))
-    out = ex._run_lanes([ex.Lane(lam, u0, None)], spec, cfg, g, params, seed, hooks=(stats_hook, *hooks))
+    stats_hook, stats = ex._path_statistics(g, cfg, 0.0 if params is None else params.c, (1, u0.shape[0]))
+    out = ex._run_lanes([ex.Lane(lam, u0, np.zeros(g.shape))], spec, cfg, g, params, seed, hooks=(stats_hook, *hooks))
     return {**out, "stats": stats}
 
 
@@ -73,7 +75,7 @@ class TrajectoryRecord:
     dt: float
     states: np.ndarray  # (n_steps+1, *field shape)
     stoch_integral: np.ndarray  # sum of the noise fields over the steps
-    g_force: np.ndarray | None
+    g_force: np.ndarray
 
 
 def grad_inner(g: gr.Grid, u, v):
@@ -113,8 +115,7 @@ def weak_residual_check(record: TrajectoryRecord, v) -> float:
                 else potential_eval(record.params, um)
             )
             acc += dt * gr.h_inner(g, f1, v)
-        if record.g_force is not None:
-            acc -= dt * gr.h_inner(g, record.g_force, v)
+        acc -= dt * gr.h_inner(g, record.g_force, v)
     acc -= gr.h_inner(g, record.stoch_integral, v)
     return float(np.abs(acc))
 
@@ -122,14 +123,14 @@ def weak_residual_check(record: TrajectoryRecord, v) -> float:
 def record_path(g, params, lam, spec, u0, cfg, increments):
     """Step u0 through the given per-step increments, keeping every state."""
     c = 0.0 if params is None else params.c
-    u, states, stoch = u0, [u0], np.zeros_like(u0)
-    beta_u = None if lam is None else pot.yosida_pair(lam, u0)[0]
+    u, states, stoch, g_force = u0, [u0], np.zeros_like(u0), np.zeros(g.shape)
+    beta_u = np.zeros_like(u0) if lam is None else pot.yosida_pair(lam, u0)[0]
     for dw in increments:
         if spec.modes:
             stoch = stoch + nz.mix_modes(spec, pot.resolvent_map(lam, u), dw, g.dim)
-        u, beta_u = st.step(g, lam, c, spec, u, beta_u, dw, None, cfg)
+        u, beta_u = st.step(g, lam, c, spec, u, beta_u, dw, g_force, cfg)
         states.append(u)
-    return TrajectoryRecord(g, params, lam, cfg.dt, np.asarray(states), stoch, None)
+    return TrajectoryRecord(g, params, lam, cfg.dt, np.asarray(states), stoch, g_force)
 
 
 class TestImplicitSolve:
@@ -179,7 +180,8 @@ class TestImplicitSolve:
         g = gr.Grid(extent=(1.0,) * len(cells), cells=cells)
         rhs = np.random.default_rng(7).uniform(-1.5, 1.5, size=(2, *cells))
         alone = solve(g, 0.1, rhs[0], 1e-2)
-        w, _ = st._monotone_solve(g, 0.1, rhs, 1e-2, w0=np.stack([alone, rhs[1]]))
+        w0 = np.stack([alone, rhs[1]])
+        w, _ = st._monotone_solve(g, 0.1, rhs, 1e-2, w0, pot.yosida_pair(0.1, w0)[0])
         assert np.array_equal(w[0], alone)
 
     def test_first_residual_takes_the_given_beta(self, monkeypatch):
@@ -241,11 +243,12 @@ class TestTridiagSolve:
         dt = 1e-2
         rng = np.random.default_rng(n)
         b = rng.normal(size=(3, 4, n))
-        diag = rng.uniform(0.0, 50.0, size=b.shape) if with_diag else None
+        # a zero diagonal leaves the heat operator I - dt*lap
+        diag = rng.uniform(0.0, 50.0, size=b.shape) if with_diag else np.zeros(b.shape)
         x = st._tridiag_solve(g, dt, diag, b)
         heat = np.eye(n) - dt * dense_laplacian(g)
         for i in np.ndindex(b.shape[:-1]):
-            J = heat if diag is None else heat + dt * np.diag(diag[i])
+            J = heat + dt * np.diag(diag[i])
             assert np.linalg.norm(J @ x[i] - b[i]) <= 1e-13 * np.linalg.norm(b[i])
             assert np.allclose(x[i], np.linalg.solve(J, b[i]), rtol=1e-12, atol=1e-14)
 
@@ -271,7 +274,7 @@ class TestStep:
         g = gr.Grid(extent=(1.0,), cells=(16,))
         params = pot.PotentialParams(c=2.0)
         cfg = st.StepperConfig(dt=1e-3, t_end=0.01)
-        u, _ = st.step(g, 0.1, params.c, QUIET, np.zeros(16), None, None, None, cfg)
+        u, _ = st.step(g, 0.1, params.c, QUIET, np.zeros(16), np.zeros(16), None, np.zeros(16), cfg)
         assert np.all(u == 0.0)
 
     def test_heat_limit(self):
@@ -283,7 +286,7 @@ class TestStep:
         out = run_path(u0[None], None, cfg, g, None)
         exact = 0.5 * math.exp(-np.pi**2 * 0.05) * np.cos(np.pi * x)
         assert np.max(np.abs(out["final"][0, 0] - exact)) < 2e-3
-        # no potential: the beta quadratures are skipped and stay exact zeros
+        # no potential: the beta quadratures see c = 0 and a zero beta, and stay exact zeros
         assert not np.any(out["stats"]["int_beta_sq"]) and not np.any(out["stats"]["int_f1_sq"])
 
     def test_zero_dimensional_reduction(self):
@@ -310,8 +313,9 @@ class TestStep:
         cfg = st.StepperConfig(dt=1e-3, t_end=0.2)
         e_prev = energy(g, params, lam, u)
         slack = 10 * st.NEWTON_TOL * measure(g)
+        beta_u = pot.yosida_pair(lam, u)[0]
         for _ in range(cfg.n_steps):
-            u, _ = st.step(g, lam, params.c, QUIET, u, None, None, None, cfg)
+            u, beta_u = st.step(g, lam, params.c, QUIET, u, beta_u, None, np.zeros(64), cfg)
             e = float(energy(g, params, lam, u))
             assert e <= e_prev + slack
             e_prev = e
