@@ -75,19 +75,21 @@ def laplacian_neumann(grid: Grid, u) -> np.ndarray:
     """Second-order mirror-ghost Laplacian, assembled from face fluxes.
 
     Boundary fluxes are identically zero, so the discrete integral of the
-    output telescopes to round-off.
+    output telescopes to round-off.  Adding from 0.0 leaves no -0.0 in it.
     """
     u = _check_field(grid, u)
-    out = np.zeros_like(u)
-    for ax in range(grid.dim):
-        a = u.ndim - grid.dim + ax
-        h = grid.spacing[ax]
-        n = grid.cells[ax]
-        flux = np.diff(u, axis=a) / h
-        term = np.zeros_like(u)
-        term[_axis_slice(u.ndim, a, slice(0, n - 1))] += flux
-        term[_axis_slice(u.ndim, a, slice(1, n))] -= flux
-        out += term / h
+    out = 0.0
+    for a, h in zip(range(u.ndim - grid.dim, u.ndim), grid.spacing):
+        lo, hi = _axis_slice(u.ndim, a, slice(None, -1)), _axis_slice(u.ndim, a, slice(1, None))
+        flux = u[hi] - u[lo]
+        flux /= h
+        term = np.empty_like(u)
+        term[lo] = flux
+        term[_axis_slice(u.ndim, a, -1)] = 0.0
+        term[hi] -= flux
+        term /= h
+        term += out
+        out = term
     return out
 
 

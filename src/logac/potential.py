@@ -82,26 +82,27 @@ def _graph_solve(lam, x, tol, max_iter, b0=None):
     hi = np.maximum(tol, _ULP4 * a)
     b = np.asarray(a / (lam + 0.5) if b0 is None else np.clip(np.sign(x) * b0, 0.0, a / lam))
     t, f, done = np.empty_like(b), np.empty_like(b), np.empty(b.shape, dtype=bool)
-    for it in range(max_iter + 1):
-        np.tanh(np.multiply(b, 0.5, out=t), out=t)
-        np.multiply(lam, b, out=f)
-        f += t
-        f -= a
-        np.less_equal(f, hi, out=done)
-        done &= f >= -hi
-        if done.all():
-            return np.copysign(b, x, out=b), np.copysign(t, x, out=t)
-        if it == max_iter:
-            break
-        # a converged point takes a zero step, so it keeps its b bit for bit
-        f[done] = 0.0
-        # f' = sech(b/2)^2/2 + lam via cosh, as 1 - t^2 understates it where t rounds to 1
-        with np.errstate(over="ignore"):
+    # cosh(b/2) overflows to inf for large b, which correctly gives f' = lam
+    with np.errstate(over="ignore"):
+        for it in range(max_iter + 1):
+            np.tanh(np.multiply(b, 0.5, out=t), out=t)
+            np.multiply(lam, b, out=f)
+            f += t
+            f -= a
+            np.less_equal(f, hi, out=done)
+            done &= f >= -hi
+            if done.all():
+                return np.copysign(b, x, out=b), np.copysign(t, x, out=t)
+            if it == max_iter:
+                break
+            # a converged point takes a zero step, so it keeps its b bit for bit
+            f[done] = 0.0
+            # f' = sech(b/2)^2/2 + lam via cosh, as 1 - t^2 understates it where t rounds to 1
             np.square(np.cosh(np.multiply(b, 0.5, out=t), out=t), out=t)
-        np.divide(0.5, t, out=t)
-        t += lam
-        b -= np.divide(f, t, out=f)
-        np.maximum(b, 0.0, out=b)
+            np.divide(0.5, t, out=t)
+            t += lam
+            b -= np.divide(f, t, out=f)
+            np.maximum(b, 0.0, out=b)
     worst = float(np.max(np.abs(f)))
     raise RuntimeError(f"resolvent solve failed: residual {worst:.3e} above max({tol:g}, 4eps|x|) in {max_iter} iterations")
 

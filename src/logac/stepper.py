@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import lapack
@@ -82,7 +83,7 @@ def _expand(a, ndim: int):
 
 
 def _batch_max_abs(u, dim: int):
-    return np.max(np.abs(u), axis=tuple(range(u.ndim - dim, u.ndim)))
+    return np.abs(u).max(axis=tuple(range(u.ndim - dim, u.ndim)))
 
 
 def _batch_sum(u, dim: int):
@@ -119,25 +120,33 @@ def _pcg(g: gr.Grid, dt: float, diag, b):
     raise RuntimeError(f"inner linear solve stagnated after {CG_MAX_ITER} iterations")
 
 
+@lru_cache(maxsize=32)
+def _tridiag_stencil(n: int, members: int, k: float):
+    """Read-only ([k, 2k, ..., 2k, k], off-diagonal) of -k*lap for `members` blocks of n cells."""
+    kd = np.full(n, 2.0 * k)
+    kd[0] = kd[-1] = k
+    e = np.full(n * members - 1, -k)
+    e[n - 1 :: n] = 0.0
+    kd.flags.writeable = e.flags.writeable = False
+    return kd, e
+
+
 def _tridiag_solve(g: gr.Grid, dt: float, diag, b):
     """Exact (I - dt*lap + dt*diag) x = b on a 1-d grid, every batch member at once.
 
     The batch is laid out as one block-diagonal tridiagonal system with zero
     couplings between blocks and solved by LAPACK's LDL^T solver dptsv,
     which does not pivot, so each block's solution is that of the block
-    alone.  diag must be nonnegative; a system that is not positive
-    definite raises.
+    alone.  The Laplacian's part of both diagonals comes read-only from the
+    _tridiag_stencil cache.  diag must be nonnegative; a system that is not
+    positive definite raises.
     """
     n = g.cells[0]
-    k = dt / (g.spacing[0] * g.spacing[0])
+    kd, e = _tridiag_stencil(n, b.size // n, dt / (g.spacing[0] * g.spacing[0]))
     d = np.multiply(diag, dt, out=np.empty(b.shape))
     d += 1.0
-    d[..., 1:-1] += 2.0 * k
-    d[..., 0] += k
-    d[..., -1] += k
-    e = np.full(b.size - 1, -k)
-    e[n - 1 :: n] = 0.0
-    _, _, x, info = lapack.dptsv(d.reshape(-1), e, b.reshape(-1), overwrite_d=1, overwrite_e=1)
+    d += kd
+    _, _, x, info = lapack.dptsv(d.reshape(-1), e, b.reshape(-1), overwrite_d=1)
     if info != 0:
         raise RuntimeError(f"tridiagonal Newton system is not positive definite (dptsv info {info})")
     return x.reshape(b.shape)
@@ -150,10 +159,13 @@ def _monotone_solve(g: gr.Grid, lam, rhs, dt: float, w0, b0):
     None to drop the beta term, with b0 a zero field that comes back as
     beta.  The first residual takes b0 and beta_lam'(w0) from
     J_lam(w0) = w0 - lam*b0, so only the Newton trials solve the resolvent,
-    each warm-started from the beta_lam of the evaluation before.  Returns
-    (w, beta_lam(w)) so callers can reuse the final evaluation.
+    each warm-started from the beta_lam of the evaluation before.  A member
+    stops at residual max(NEWTON_TOL, 4*eps*max|rhs|): as |w| <= max|rhs|
+    (maximum principle), w - rhs alone rounds by up to eps*max|rhs|.
+    Returns (w, beta_lam(w)) so callers can reuse the final evaluation.
     """
     dim = g.dim
+    tol = np.maximum(NEWTON_TOL, pot._ULP4 * _batch_max_abs(rhs, dim))
 
     def pair(w_, bl_prev):
         return (b0, b0) if lam is None else pot.yosida_pair(lam, w_, b0=bl_prev)
@@ -166,8 +178,8 @@ def _monotone_solve(g: gr.Grid, lam, rhs, dt: float, w0, b0):
     F = residual(w, bl)
     res = _batch_max_abs(F, dim)
     for _ in range(NEWTON_MAX_ITER):
-        done = res <= NEWTON_TOL
-        if np.all(done):
+        done = res <= tol
+        if done.all():
             return w, bl
         if dim == 1:
             delta = _tridiag_solve(g, dt, blp, F)
@@ -175,15 +187,15 @@ def _monotone_solve(g: gr.Grid, lam, rhs, dt: float, w0, b0):
             delta = _pcg(g, dt, blp, F)
         # a converged member keeps its state bit for bit, whatever its batch mates do
         delta[done] = 0.0
-        damp = np.ones_like(res)
+        damp = np.ones(res.shape)
         for _bt in range(12):
             w_try = w - _expand(damp, dim) * delta
             # bl follows the latest evaluation, which warm-starts the next one
             bl, blp_try = pair(w_try, bl)
             F_try = residual(w_try, bl)
             res_try = _batch_max_abs(F_try, dim)
-            bad = (res_try > res) & (res_try > NEWTON_TOL)
-            if not np.any(bad):
+            bad = (res_try > res) & (res_try > tol)
+            if not bad.any():
                 break
             damp = np.where(bad, 0.5 * damp, damp)
         else:

@@ -4,7 +4,7 @@ The library integrates with the slope of the potential alone; the free
 energies, the sharp potential and its offset K, the drift operator, the
 Gateaux check and the directly evaluated noise profiles live here, where
 the checks of the paper's structural claims use them, beside the domain
-measure and a report-row lookup.
+measure, a report-row lookup and a reference Laplacian.
 """
 
 from __future__ import annotations
@@ -64,6 +64,22 @@ def measure(grid: gr.Grid) -> float:
     for L in grid.extent:
         v *= L
     return v
+
+
+def laplacian_face_flux(grid: gr.Grid, u):
+    """Reference for gr.laplacian_neumann: each axis's face fluxes added into and subtracted from zero fields."""
+    u = np.asarray(u, dtype=float)
+    out = np.zeros_like(u)
+    for ax in range(grid.dim):
+        a = u.ndim - grid.dim + ax
+        h = grid.spacing[ax]
+        n = grid.cells[ax]
+        flux = np.diff(u, axis=a) / h
+        term = np.zeros_like(u)
+        term[gr._axis_slice(u.ndim, a, slice(0, n - 1))] += flux
+        term[gr._axis_slice(u.ndim, a, slice(1, n))] -= flux
+        out += term / h
+    return out
 
 
 def report_row(report: ex.EstimateReport, quantity: str, lam: float) -> ex.ReportRow:

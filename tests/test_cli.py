@@ -329,9 +329,11 @@ class TestMainEntry:
         assert "uniform: solver failed: implicit step failed" in proc.stderr and "Traceback" not in proc.stderr
         assert not (tmp_path / "out" / "manifest.json").exists()
 
-    def test_large_forcing_runs(self, tmp_path):
-        # |x| near 5e4 puts the resolvent's residual floor, eps*|x|, above its 1e-12 tolerance
-        payload = small_run_payload(tmp_path, g={"kind": "constant", "value": 1e5})
+    @pytest.mark.parametrize("value", [1e5, 1e6, 1e8], ids=["1e5", "1e6", "1e8"])
+    def test_large_forcing_runs(self, tmp_path, value):
+        # |x| near 5e4 puts the resolvent's residual floor, eps*|x|, above its 1e-12 tolerance;
+        # from |u| ~ 5e5 the implicit residual rounds by eps*|u| > 1e-10, so the outer Newton stops at 4*eps*max|rhs|
+        payload = small_run_payload(tmp_path, g={"kind": "constant", "value": value})
         payload["ensemble"] = {**payload["ensemble"], "replicates": 2}
         payload["stepper"] = {"dt": 1e-3, "t_end": 0.5}
         assert cli.main(["uniform", "--config", str(write_config(tmp_path, payload))]) == 0

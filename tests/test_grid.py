@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import default_offset, drift_apply, energy, measure
+from helpers import default_offset, drift_apply, energy, laplacian_face_flux, measure
 from logac import grid as gr
 from logac import potential as pot
 
@@ -95,6 +95,32 @@ class TestLaplacian:
         out = gr.laplacian_neumann(g, batch)
         for i in range(5):
             assert np.array_equal(out[i], gr.laplacian_neumann(g, batch[i]))
+
+    @pytest.mark.parametrize(
+        "extent, shape",
+        [
+            ((1.0,), (2,)),
+            ((1.0,), (5, 2)),
+            ((0.7,), (3, 3)),
+            ((2.5,), (2, 4, 128)),
+            ((1.0, 1.0), (3, 5, 7)),
+            ((0.6, 1.9), (2, 3, 16, 9)),
+        ],
+    )
+    def test_bit_identical_to_the_face_flux_reference(self, extent, shape):
+        g = gr.Grid(extent=extent, cells=shape[len(shape) - len(extent) :])
+        rng = np.random.default_rng(sum(shape))
+        u = rng.normal(size=shape) * 10.0 ** rng.integers(-8, 8, size=shape)
+        # signed zeros, constant runs and a non-contiguous view as well
+        u.flat[::3] = 0.0
+        u.flat[1::7] = -0.0
+        u.flat[2::5] = u.flat[0]
+        for field in (u, np.swapaxes(np.swapaxes(u, 0, -1).copy(), 0, -1)):
+            out = gr.laplacian_neumann(g, field)
+            ref = laplacian_face_flux(g, field)
+            assert np.array_equal(out, ref)
+            assert np.array_equal(np.signbit(out), np.signbit(ref))
+            assert not np.any(np.signbit(out[out == 0.0]))
 
 
 class TestNorms:

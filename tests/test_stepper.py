@@ -263,10 +263,43 @@ class TestTridiagSolve:
 
     def test_not_positive_definite_raises(self):
         g = gr.Grid(extent=(1.0,), cells=(16,))
+        b = np.ones((2, 16))
+        # the failing solve reuses the cached stencil of a good one and leaves it intact
+        good = st._tridiag_solve(g, 1e-2, np.ones(b.shape), b)
         diag = np.full((2, 16), 1.0)
         diag[1, 7] = -1e3
         with pytest.raises(RuntimeError, match="not positive definite"):
             st._tridiag_solve(g, 1e-2, diag, np.ones((2, 16)))
+        assert np.array_equal(st._tridiag_solve(g, 1e-2, np.ones(b.shape), b), good)
+
+    def test_cached_stencil_is_read_only_and_survives_solves(self):
+        g = gr.Grid(extent=(1.0,), cells=(8,))
+        b = np.random.default_rng(3).normal(size=(3, 8))
+        st._tridiag_solve(g, 1e-2, np.zeros(b.shape), b)
+        kd, e = st._tridiag_stencil(8, 3, 1e-2 / (g.spacing[0] * g.spacing[0]))
+        k = 1e-2 * 64
+        assert np.array_equal(kd, [k] + [2 * k] * 6 + [k])
+        assert np.array_equal(e, np.where(np.arange(23) % 8 == 7, 0.0, -k))
+        for arr in (kd, e):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+        kept = kd.copy(), e.copy()
+        st._tridiag_solve(g, 1e-2, np.full(b.shape, 5.0), b)
+        assert np.array_equal(kd, kept[0]) and np.array_equal(e, kept[1])
+
+    def test_alternating_calls_match_a_fresh_stencil(self):
+        rng = np.random.default_rng(11)
+        calls = [(n, m, dt) for n in (2, 3, 16) for m in (1, 4) for dt in (1e-3, 5e-2)] * 2
+        calls = [calls[i] for i in rng.permutation(len(calls))]
+        cached = []
+        for n, m, dt in calls:
+            g = gr.Grid(extent=(1.0,), cells=(n,))
+            b, diag = rng.normal(size=(m, n)), rng.uniform(0.0, 20.0, size=(m, n))
+            cached.append((g, dt, diag, b, st._tridiag_solve(g, dt, diag, b)))
+        for g, dt, diag, b, x in cached:
+            st._tridiag_stencil.cache_clear()
+            assert np.array_equal(st._tridiag_solve(g, dt, diag, b), x)
 
 
 class TestStep:
