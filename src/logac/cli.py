@@ -177,7 +177,7 @@ def _write_report(report: ex.EstimateReport, cfg: RunConfig, out_dir: Path, wall
     return {"csv": str(csv_path), "json": str(json_path)}
 
 
-def _run_simulate(cfg: RunConfig, out_dir: Path) -> tuple[dict, list[str]]:
+def _run_simulate(cfg: RunConfig, out_dir: Path) -> dict:
     """One path (replicate 0) at the smallest level: one lane of one replicate."""
     e = cfg.ensemble
     lam = e.lambda_levels[-1]
@@ -202,7 +202,7 @@ def _run_simulate(cfg: RunConfig, out_dir: Path) -> tuple[dict, list[str]]:
         "increments_digest": out["increments_digest"],
     }
     (out_dir / "simulate.json").write_text(json.dumps(summary, indent=2, default=float) + "\n")
-    return {"json": str(out_dir / "simulate.json"), "final_field": str(out_dir / "final.acf")}, []
+    return {"json": str(out_dir / "simulate.json"), "final_field": str(out_dir / "final.acf")}
 
 
 def run(command: str, cfg: RunConfig) -> int:
@@ -217,7 +217,7 @@ def run(command: str, cfg: RunConfig) -> int:
     failures: list[str] = []
     try:
         if command == "simulate":
-            outputs, failures = _run_simulate(cfg, out_dir)
+            outputs = _run_simulate(cfg, out_dir)
         else:
             if command in LADDER_STUDIES:
                 report = LADDER_STUDIES[command](cfg.ensemble, ex.ladder_run(cfg.ensemble))

@@ -61,15 +61,18 @@ class GSpec:
             raise ValueError("g kind 'file' needs a path")
 
 
-def _cosine_product(g: gr.Grid, mode: int) -> np.ndarray:
+def _separable(g: gr.Grid, profile) -> np.ndarray:
+    """The product over the axes of profile(x, L), x the axis' cell centres and L its extent."""
     field = np.ones(g.shape)
     for ax in range(g.dim):
-        x = g.cell_centers(ax)
-        prof = np.cos(mode * np.pi * x / g.extent[ax])
         shape = [1] * g.dim
         shape[ax] = g.cells[ax]
-        field = field * prof.reshape(shape)
+        field = field * profile(g.cell_centers(ax), g.extent[ax]).reshape(shape)
     return field
+
+
+def _cosine_product(g: gr.Grid, mode: int) -> np.ndarray:
+    return _separable(g, lambda x, L: np.cos(mode * np.pi * x / L))
 
 
 def make_u0_batch(spec: U0Spec, g: gr.Grid, seed: int, replicates: int) -> np.ndarray:
@@ -87,15 +90,7 @@ def make_u0_batch(spec: U0Spec, g: gr.Grid, seed: int, replicates: int) -> np.nd
     elif spec.kind == "cosine":
         field = spec.amplitude * _cosine_product(g, spec.mode)
     else:  # smooth_bump
-        field = np.ones(g.shape)
-        for ax in range(g.dim):
-            L = g.extent[ax]
-            x = g.cell_centers(ax)
-            prof = np.exp(-0.5 * ((x - 0.5 * L) / (spec.width * L)) ** 2)
-            shape = [1] * g.dim
-            shape[ax] = g.cells[ax]
-            field = field * prof.reshape(shape)
-        field = spec.amplitude * field
+        field = spec.amplitude * _separable(g, lambda x, L: np.exp(-0.5 * ((x - 0.5 * L) / (spec.width * L)) ** 2))
     # the other kinds are one field, the same for every replicate
     return np.repeat(field[None], replicates, axis=0)
 

@@ -23,7 +23,7 @@ import csv
 import hashlib
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -96,12 +96,7 @@ class EstimateReport:
         return out.getvalue()
 
     def to_json_dict(self) -> dict:
-        return {
-            "study": self.study,
-            "rows": [vars(r) for r in self.rows],
-            "metadata": self.metadata,
-            "failures": self.failures,
-        }
+        return asdict(self)
 
 
 def _mc_row(quantity: str, lam: float, values) -> ReportRow:
@@ -267,6 +262,18 @@ def _spread(means: list[float]) -> float:
     return math.inf if lo == 0.0 else hi / lo
 
 
+def _level_report(study: str, cfg: EnsembleConfig, out: dict, quantities) -> EstimateReport:
+    """One _mc_row per (quantity, level) of ladder_run's statistics, and each quantity's spread across levels."""
+    rows = []
+    spreads = {}
+    for q in quantities:
+        level_rows = [_mc_row(q, lam, out["stats"][q][i]) for i, lam in enumerate(cfg.lambda_levels)]
+        rows += level_rows
+        spreads[q] = _spread([r.mean for r in level_rows])
+    metadata = {"spread_max_over_min": spreads, "increments_digest": out["increments_digest"]}
+    return EstimateReport(study, rows, metadata)
+
+
 def uniform_bounds_study(cfg: EnsembleConfig, out: dict) -> EstimateReport:
     """Per-level estimates of the four uniform-bound statistics of ladder_run(cfg).
 
@@ -274,16 +281,7 @@ def uniform_bounds_study(cfg: EnsembleConfig, out: dict) -> EstimateReport:
     E int ||F'_lam(u)||_H^2, E int ||beta_lam(u)||_H^2; the spread of each
     across levels is reported as a max/min ratio in the metadata.
     """
-    rows = []
-    spreads = {}
-    for q in _UNIFORM_QUANTITIES:
-        level_rows = [_mc_row(q, lam, out["stats"][q][i]) for i, lam in enumerate(cfg.lambda_levels)]
-        rows += level_rows
-        spreads[q] = _spread([r.mean for r in level_rows])
-    report = EstimateReport(study="uniform", rows=rows)
-    report.metadata["spread_max_over_min"] = spreads
-    report.metadata["increments_digest"] = out["increments_digest"]
-    return report
+    return _level_report("uniform", cfg, out, _UNIFORM_QUANTITIES)
 
 
 def cauchy_study(cfg: EnsembleConfig, out: dict) -> EstimateReport:
@@ -292,7 +290,7 @@ def cauchy_study(cfg: EnsembleConfig, out: dict) -> EstimateReport:
     Delta(lam_i) = E sup_t ||u_i - u_{i+1}||_H^2 + E int ||grad(u_i - u_{i+1})||^2
     for consecutive level pairs; the study fails unless Delta decreases
     strictly along the level list, and reports the dyadic order
-    log2(Delta_i / Delta_{i+1}).
+    log2(Delta_i / Delta_{i+1}); a zero Delta_i has the ratio nan.
     """
     if len(cfg.lambda_levels) < 3:
         raise ValueError("cauchy study needs at least 3 lambda levels")
@@ -304,14 +302,14 @@ def cauchy_study(cfg: EnsembleConfig, out: dict) -> EstimateReport:
     report = EstimateReport(study="cauchy", rows=rows)
     report.metadata["increments_digest"] = out["increments_digest"]
     report.metadata["deltas"] = deltas
-    ratios = [b / a for a, b in zip(deltas, deltas[1:])]
+    ratios = [b / a if a != 0.0 else math.nan for a, b in zip(deltas, deltas[1:])]
     report.metadata["successive_ratios"] = ratios
-    report.metadata["orders"] = [math.log2(a / b) if b > 0 else math.inf for a, b in zip(deltas, deltas[1:])]
-    for k, r in enumerate(ratios):
-        if not r < 1.0:
+    report.metadata["orders"] = _observed_orders(deltas)
+    for k, (a, b) in enumerate(zip(deltas, deltas[1:])):
+        if not b < a:
             report.failures.append(
-                f"cauchy delta not strictly decreasing: Delta(lam={cfg.lambda_levels[k + 1]}) / "
-                f"Delta(lam={cfg.lambda_levels[k]}) = {r:.4f} >= 1"
+                f"cauchy delta not strictly decreasing: Delta(lam={cfg.lambda_levels[k + 1]}) = {b:.4g} >= "
+                f"Delta(lam={cfg.lambda_levels[k]}) = {a:.4g}"
             )
     return report
 
@@ -383,17 +381,10 @@ def strong_solution_study(cfg: EnsembleConfig, out: dict) -> EstimateReport:
     """
     if not np.all(np.isfinite(gr.grad_norm_sq(cfg.grid, _lane_u0(cfg)))):
         raise ValueError("strong-solution study needs a datum with finite Dirichlet energy")
-    rows = []
-    report = EstimateReport(study="strong", rows=rows)
-    spreads = {}
-    for q in ("sup_grad_sq", "int_lap_sq"):
-        level_rows = [_mc_row(q, lam, out["stats"][q][i]) for i, lam in enumerate(cfg.lambda_levels)]
-        rows += level_rows
-        spreads[q] = _spread([r.mean for r in level_rows])
-        if not spreads[q] <= 1.2:
-            report.failures.append(f"strong-solution statistic {q} spread {spreads[q]:.4f} exceeds the 1.2 band")
-    report.metadata["spread_max_over_min"] = spreads
-    report.metadata["increments_digest"] = out["increments_digest"]
+    report = _level_report("strong", cfg, out, ("sup_grad_sq", "int_lap_sq"))
+    for q, spread in report.metadata["spread_max_over_min"].items():
+        if not spread <= 1.2:
+            report.failures.append(f"strong-solution statistic {q} spread {spread:.4f} exceeds the 1.2 band")
     return report
 
 
@@ -439,12 +430,10 @@ def derivative_study(cfg: EnsembleConfig) -> EstimateReport:
     sup_means = []
     int_means = []
     for i, lam in enumerate(levels):
-        mean_t = np.mean(series[:, i, :], axis=1)
-        k_sup = int(np.argmax(mean_t))
-        sup_val = float(mean_t[k_sup])
-        se = float(np.std(series[k_sup, i, :], ddof=1) / np.sqrt(cfg.replicates))
-        rows.append(ReportRow("sup_t_mean_gauge", lam, sup_val, se, sup_val - Z95 * se, sup_val + Z95 * se))
-        sup_means.append(sup_val)
+        k_sup = int(np.argmax(np.mean(series[:, i, :], axis=1)))
+        row = _mc_row("sup_t_mean_gauge", lam, series[k_sup, i, :])
+        rows.append(row)
+        sup_means.append(row.mean)
         row = _mc_row("int_abs_gauge_prime", lam, int_gauge_prime[i])
         rows.append(row)
         int_means.append(row.mean)

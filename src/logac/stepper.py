@@ -72,8 +72,6 @@ class StepperConfig:
 
     @property
     def n_steps(self) -> int:
-        if self.t_end == 0.0:
-            return 0
         return int(math.ceil(self.t_end / self.dt - 1e-12))
 
 
@@ -82,38 +80,31 @@ def _expand(a, ndim: int):
     return np.asarray(a)[(...,) + (None,) * ndim]
 
 
-def _batch_max_abs(u, dim: int):
-    return np.abs(u).max(axis=tuple(range(u.ndim - dim, u.ndim)))
-
-
-def _batch_sum(u, dim: int):
-    return np.sum(u, axis=tuple(range(u.ndim - dim, u.ndim)))
-
-
 def _pcg(g: gr.Grid, dt: float, diag, b):
     """CG on (I - dt*lap + dt*diag) x = b with an exact heat preconditioner."""
     dim = g.dim
+    axes = tuple(range(b.ndim - dim, b.ndim))
 
     def matvec(p):
         return p - dt * gr.laplacian_neumann(g, p) + dt * diag * p
 
     x = np.zeros_like(b)
     r = b.copy()
-    tol = np.maximum(CG_TOL * np.sqrt(_batch_sum(b * b, dim)), _TINY)
+    tol = np.maximum(CG_TOL * np.sqrt((b * b).sum(axis=axes)), _TINY)
     z = gr.helmholtz_solve(g, r, dt)
     p = z.copy()
-    rz = _batch_sum(r * z, dim)
+    rz = (r * z).sum(axis=axes)
     for _ in range(CG_MAX_ITER):
-        active = np.sqrt(_batch_sum(r * r, dim)) > tol
+        active = np.sqrt((r * r).sum(axis=axes)) > tol
         if not np.any(active):
             return x
         Ap = matvec(p)
-        pAp = _batch_sum(p * Ap, dim)
+        pAp = (p * Ap).sum(axis=axes)
         alpha = _expand(np.where(active, rz / np.maximum(pAp, _TINY), 0.0), dim)
         x = x + alpha * p
         r = r - alpha * Ap
         z = gr.helmholtz_solve(g, r, dt)
-        rz_new = _batch_sum(r * z, dim)
+        rz_new = (r * z).sum(axis=axes)
         beta = _expand(np.where(active, rz_new / np.maximum(rz, _TINY), 0.0), dim)
         p = z + beta * p
         rz = rz_new
@@ -121,12 +112,12 @@ def _pcg(g: gr.Grid, dt: float, diag, b):
 
 
 @lru_cache(maxsize=32)
-def _tridiag_stencil(n: int, members: int, k: float):
-    """Read-only ([k, 2k, ..., 2k, k], off-diagonal) of -k*lap for `members` blocks of n cells."""
+def _tridiag_stencil(n: int, k: float):
+    """Read-only [k, 2k, ..., 2k, k] and [-k, ..., -k, 0] of -k*lap on n cells; the 0 uncouples batch blocks."""
     kd = np.full(n, 2.0 * k)
     kd[0] = kd[-1] = k
-    e = np.full(n * members - 1, -k)
-    e[n - 1 :: n] = 0.0
+    e = np.full(n, -k)
+    e[-1] = 0.0
     kd.flags.writeable = e.flags.writeable = False
     return kd, e
 
@@ -137,16 +128,18 @@ def _tridiag_solve(g: gr.Grid, dt: float, diag, b):
     The batch is laid out as one block-diagonal tridiagonal system with zero
     couplings between blocks and solved by LAPACK's LDL^T solver dptsv,
     which does not pivot, so each block's solution is that of the block
-    alone.  The Laplacian's part of both diagonals comes read-only from the
-    _tridiag_stencil cache.  diag must be nonnegative; a system that is not
-    positive definite raises.
+    alone.  The Laplacian's part of both diagonals comes read-only, one
+    block's worth, from the _tridiag_stencil cache and is laid over fresh
+    arrays that dptsv may overwrite.  diag must be nonnegative; a system
+    that is not positive definite raises.
     """
-    n = g.cells[0]
-    kd, e = _tridiag_stencil(n, b.size // n, dt / (g.spacing[0] * g.spacing[0]))
+    kd, e_block = _tridiag_stencil(g.cells[0], dt / (g.spacing[0] * g.spacing[0]))
     d = np.multiply(diag, dt, out=np.empty(b.shape))
     d += 1.0
     d += kd
-    _, _, x, info = lapack.dptsv(d.reshape(-1), e, b.reshape(-1), overwrite_d=1)
+    e = np.empty(b.shape)
+    e[...] = e_block
+    _, _, x, info = lapack.dptsv(d.reshape(-1), e.reshape(-1)[:-1], b.reshape(-1), overwrite_d=1, overwrite_e=1)
     if info != 0:
         raise RuntimeError(f"tridiagonal Newton system is not positive definite (dptsv info {info})")
     return x.reshape(b.shape)
@@ -165,7 +158,8 @@ def _monotone_solve(g: gr.Grid, lam, rhs, dt: float, w0, b0):
     Returns (w, beta_lam(w)) so callers can reuse the final evaluation.
     """
     dim = g.dim
-    tol = np.maximum(NEWTON_TOL, pot._ULP4 * _batch_max_abs(rhs, dim))
+    axes = tuple(range(rhs.ndim - dim, rhs.ndim))
+    tol = np.maximum(NEWTON_TOL, pot._ULP4 * np.abs(rhs).max(axis=axes))
 
     def pair(w_, bl_prev):
         return (b0, b0) if lam is None else pot.yosida_pair(lam, w_, b0=bl_prev)
@@ -176,7 +170,7 @@ def _monotone_solve(g: gr.Grid, lam, rhs, dt: float, w0, b0):
     w, bl = w0, b0
     blp = b0 if lam is None else pot.yosida_slope(lam, np.clip(w - lam * b0, pot._R_LO, pot._R_HI))
     F = residual(w, bl)
-    res = _batch_max_abs(F, dim)
+    res = np.abs(F).max(axis=axes)
     for _ in range(NEWTON_MAX_ITER):
         done = res <= tol
         if done.all():
@@ -193,7 +187,7 @@ def _monotone_solve(g: gr.Grid, lam, rhs, dt: float, w0, b0):
             # bl follows the latest evaluation, which warm-starts the next one
             bl, blp_try = pair(w_try, bl)
             F_try = residual(w_try, bl)
-            res_try = _batch_max_abs(F_try, dim)
+            res_try = np.abs(F_try).max(axis=axes)
             bad = (res_try > res) & (res_try > tol)
             if not bad.any():
                 break

@@ -329,6 +329,15 @@ class TestMainEntry:
         assert "uniform: solver failed: implicit step failed" in proc.stderr and "Traceback" not in proc.stderr
         assert not (tmp_path / "out" / "manifest.json").exists()
 
+    def test_cauchy_on_identical_paths_fails_its_check(self, tmp_path):
+        # the origin is a fixed point: every level runs the same path, so every coupled difference is 0
+        payload = small_run_payload(tmp_path, noise={"modes": 0}, u0={"kind": "constant", "m0": 0.0})
+        proc = run_module(tmp_path, "cauchy", "--config", str(write_config(tmp_path, payload)))
+        assert proc.returncode == 1 and "Traceback" not in proc.stderr
+        assert "cauchy: FAILED: cauchy delta not strictly decreasing" in proc.stderr
+        report = json.loads((tmp_path / "out" / "cauchy.json").read_text())
+        assert len(report["failures"]) == 1 and math.isnan(report["metadata"]["successive_ratios"][0])
+
     @pytest.mark.parametrize("value", [1e5, 1e6, 1e8], ids=["1e5", "1e6", "1e8"])
     def test_large_forcing_runs(self, tmp_path, value):
         # |x| near 5e4 puts the resolvent's residual floor, eps*|x|, above its 1e-12 tolerance;

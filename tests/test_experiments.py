@@ -193,6 +193,13 @@ class TestCauchyStudy:
         deltas = rep.metadata["deltas"]
         assert all(a > b > 0.0 for a, b in zip(deltas, deltas[1:]))
 
+    def test_identical_paths_fail_by_name(self):
+        # the origin is a fixed point, so every level runs the same path and every Delta is 0
+        rep = ladder_study(ex.cauchy_study, quiet_config())
+        assert rep.metadata["deltas"] == [0.0, 0.0]
+        assert math.isnan(rep.metadata["successive_ratios"][0])
+        assert rep.failures == ["cauchy delta not strictly decreasing: Delta(lam=0.1) = 0 >= Delta(lam=0.2) = 0"]
+
     def test_needs_three_levels(self):
         with pytest.raises(ValueError, match="3 lambda"):
             ladder_study(ex.cauchy_study, small_config(lambda_levels=(0.2, 0.1)))
@@ -321,6 +328,26 @@ class TestInitialDatum:
         assert full.shape == (8,) + g.shape
         assert np.array_equal(full[:3], dg.make_u0_batch(spec, g, seed, 3))
         assert not np.array_equal(full[0], full[1])  # each replicate draws its own stream
+
+    @pytest.mark.parametrize("extent, cells", [((1.0,), (16,)), ((1.0, 2.0), (12, 8))])
+    def test_smooth_bump_is_the_centred_gaussian_product(self, extent, cells):
+        g = gr.Grid(extent=extent, cells=cells)
+
+        def bump(amplitude):
+            return dg.make_u0_batch(dg.U0Spec(kind="smooth_bump", amplitude=amplitude, width=0.2), g, 0, 2)
+
+        batch = bump(0.6)
+        assert batch.shape == (2,) + g.shape and np.array_equal(batch[0], batch[1])
+        centres = np.meshgrid(*(g.cell_centers(ax) for ax in range(g.dim)), indexing="ij")
+        r2 = sum(((x - 0.5 * L) / (0.2 * L)) ** 2 for x, L in zip(centres, extent))
+        np.testing.assert_allclose(batch[0], 0.6 * np.exp(-0.5 * r2), rtol=1e-14)
+        for ax in range(g.dim):
+            np.testing.assert_allclose(batch[0], np.flip(batch[0], axis=ax), rtol=1e-14)
+        # even cell counts: the peak cells lie half a cell from the centre on every axis
+        peak = 0.6 * math.exp(-0.5 * sum((0.5 / (0.2 * n)) ** 2 for n in cells))
+        assert math.isclose(batch[0].max(), peak, rel_tol=1e-14) and peak < 0.6
+        assert all(n // 2 - 1 <= i <= n // 2 for i, n in zip(np.unravel_index(np.argmax(batch[0]), g.shape), cells))
+        assert np.array_equal(bump(-0.3), -0.5 * batch)
 
 
 class TestForcing:

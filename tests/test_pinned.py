@@ -12,8 +12,10 @@ result.  Regenerate the pins only from a commit whose results are trusted:
     PYTHONPATH=src python3 tests/test_pinned.py
 
 A refactor that must not move a byte can be checked against another
-checkout: --digests prints the sha256 of every CSV, simulate.json and .acf
-file of the DIGEST_RUNS, and the two listings must be identical:
+checkout: --digests prints the sha256 of every CSV, .acf and JSON file of
+the DIGEST_RUNS but manifest.json, which holds paths and timings; a study
+report is hashed without its metadata.wall_time_s.  The two listings must
+be identical:
 
     PYTHONPATH=src python3 tests/test_pinned.py --digests > after.txt
     PYTHONPATH=../parent/src python3 tests/test_pinned.py --digests > before.txt
@@ -56,6 +58,11 @@ DIGEST_RUNS = {
     "uniform-forced": ("uniform", {"g": {"kind": "constant", "value": 0.3}}),
     "dependence-forced": ("dependence", {"g": {"kind": "constant", "value": 0.3}}),
     "uniform-2d": ("uniform", {"grid": {"extent": [1.0, 1.0], "cells": [16, 16]}}),
+    # the step-0 snapshot is the datum itself
+    "simulate-bump-2d": (
+        "simulate",
+        {"grid": {"extent": [1.0, 2.0], "cells": [12, 8]}, "u0": {"kind": "smooth_bump"}, "snapshot_stride": 25},
+    ),
 }
 
 
@@ -77,14 +84,23 @@ def run_command(command: str, out_dir: Path, extra=None) -> dict:
     return summarize(command, out_dir)
 
 
+def digested_bytes(path: Path) -> bytes:
+    """The file's bytes; a study report's as cli._write_report writes it, without metadata.wall_time_s."""
+    if path.suffix != ".json" or path.name == "simulate.json":
+        return path.read_bytes()
+    report = json.loads(path.read_text())
+    del report["metadata"]["wall_time_s"]
+    return (json.dumps(report, indent=2, default=float) + "\n").encode()
+
+
 def digests(out_root: Path, runs=DIGEST_RUNS) -> list[str]:
-    """`sha256  run/file` for every CSV, simulate.json and .acf file the runs write under out_root."""
+    """`sha256  run/file` for every CSV, .acf and JSON file but manifest.json that the runs write under out_root."""
     lines = []
     for name, (command, extra) in runs.items():
         run_command(command, out_root / name, extra)
         for path in sorted((out_root / name).rglob("*")):
-            if path.suffix in (".csv", ".acf") or path.name == "simulate.json":
-                lines.append(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.relative_to(out_root)}")
+            if path.suffix in (".csv", ".acf", ".json") and path.name != "manifest.json":
+                lines.append(f"{hashlib.sha256(digested_bytes(path)).hexdigest()}  {path.relative_to(out_root)}")
     return lines
 
 
