@@ -169,6 +169,7 @@ def _run_lanes(
     if scfg.dt * np.abs(g_force).max() * np.finfo(float).eps > st.NEWTON_TOL:  # rounding alone would decide the test
         raise RuntimeError(f"implicit step failed: dt*|g| {scfg.dt * np.abs(g_force).max():.3e} outgrows the tolerance")
 
+    a_u = st.implicit_operator(g, scfg.dt, u, beta_u)
     hasher = hashlib.sha256()
     for m in range(scfg.n_steps + 1):
         for hook in hooks:
@@ -180,7 +181,7 @@ def _run_lanes(
             dw = nz.sample_increment_block(seed, reps, m, spec, scfg.dt)
             hasher.update(np.ascontiguousarray(dw).tobytes())
             dw = np.broadcast_to(dw, (n_lanes, reps, spec.modes))
-        u, beta_u = st.step(g, lam, c, spec, u, beta_u, dw, g_force, scfg)
+        u, beta_u, a_u = st.step(g, lam, c, spec, u, beta_u, a_u, dw, g_force, scfg)
 
     return {"final": u, "increments_digest": hasher.hexdigest(), "n_steps": scfg.n_steps}
 
@@ -455,7 +456,11 @@ def derivative_study(cfg: EnsembleConfig) -> EstimateReport:
 
 
 def _observed_orders(errors: list[float]) -> list[float]:
-    return [math.log2(a / b) if (a > 0 and b > 0) else math.inf for a, b in zip(errors, errors[1:])]
+    """log2(e_i / e_{i+1}) per refinement; an exact 0 gives the limit: -inf from 0, inf to 0, nan 0 to 0."""
+    return [
+        math.log2(a / b) if (a > 0 and b > 0) else -math.inf if b > 0 else math.inf if a > 0 else math.nan
+        for a, b in zip(errors, errors[1:])
+    ]
 
 
 def heat_and_ode_oracles(cfg: EnsembleConfig) -> EstimateReport:
@@ -484,9 +489,11 @@ def heat_and_ode_oracles(cfg: EnsembleConfig) -> EstimateReport:
         rows.extend(ReportRow(f"{name}_err[{label}]", lam, err, 0.0, err, err) for label, err in runs)
         orders = _observed_orders([err for _, err in runs])
         report.metadata[key] = orders
-        rows.append(ReportRow(f"{name}_order", lam, min(orders), 0.0, min(orders), min(orders)))
-        if min(orders) < floor:
-            report.failures.append(f"observed {what} order {min(orders):.3f} < {floor}")
+        # an undefined order (nan: the error was 0 before and after) is the worst, and fails
+        worst = min(orders, key=lambda o: -math.inf if math.isnan(o) else o)
+        rows.append(ReportRow(f"{name}_order", lam, worst, 0.0, worst, worst))
+        if not worst >= floor:
+            report.failures.append(f"observed {what} order {worst:.3f} < {floor}")
 
     # spatial refinement, dt tied to h^2
     def spatial_error(N, dt):

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -34,7 +34,8 @@ class Grid:
         if any(n < 2 for n in self.cells):
             raise ValueError(f"grid needs at least 2 cells per axis, got {self.cells}")
 
-    @property
+    # the geometry is computed once per grid; the solvers read it every step
+    @cached_property
     def dim(self) -> int:
         return len(self.cells)
 
@@ -42,11 +43,11 @@ class Grid:
     def shape(self) -> tuple[int, ...]:
         return self.cells
 
-    @property
+    @cached_property
     def spacing(self) -> tuple[float, ...]:
         return tuple(L / n for L, n in zip(self.extent, self.cells))
 
-    @property
+    @cached_property
     def cell_volume(self) -> float:
         v = 1.0
         for h in self.spacing:
@@ -71,6 +72,15 @@ def _axis_slice(ndim, axis, s):
     return tuple(idx)
 
 
+@lru_cache(maxsize=32)
+def _face_slices(ndim: int, dim: int) -> tuple:
+    """Per grid axis of an ndim-array, the index tuples (lo, hi, last) of its cells."""
+    return tuple(
+        (_axis_slice(ndim, a, slice(None, -1)), _axis_slice(ndim, a, slice(1, None)), _axis_slice(ndim, a, -1))
+        for a in range(ndim - dim, ndim)
+    )
+
+
 def laplacian_neumann(grid: Grid, u) -> np.ndarray:
     """Second-order mirror-ghost Laplacian, assembled from face fluxes.
 
@@ -79,13 +89,12 @@ def laplacian_neumann(grid: Grid, u) -> np.ndarray:
     """
     u = _check_field(grid, u)
     out = 0.0
-    for a, h in zip(range(u.ndim - grid.dim, u.ndim), grid.spacing):
-        lo, hi = _axis_slice(u.ndim, a, slice(None, -1)), _axis_slice(u.ndim, a, slice(1, None))
+    for (lo, hi, last), h in zip(_face_slices(u.ndim, grid.dim), grid.spacing):
         flux = u[hi] - u[lo]
         flux /= h
         term = np.empty_like(u)
         term[lo] = flux
-        term[_axis_slice(u.ndim, a, -1)] = 0.0
+        term[last] = 0.0
         term[hi] -= flux
         term /= h
         term += out

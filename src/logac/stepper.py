@@ -16,9 +16,11 @@ Jacobian I - dt*lap + dt*diag(beta_lam'(w)) is SPD.  In 1-d it is
 tridiagonal and each Newton system is solved exactly, the whole batch in
 one LAPACK LDL^T call; in 2-d it goes to conjugate gradients
 preconditioned by the exact heat operator (I - dt*lap)^(-1), applied
-spectrally.  The first residual takes beta_lam(u) from the step's caller,
-so only the Newton trials solve the resolvent, each starting from the
-beta_lam of the evaluation before.  Absent terms are zero arrays.
+spectrally.  The caller carries beta_lam(u) and the implicit operator
+A(u) = u - dt*lap(u) + dt*beta_lam(u) from the step before, so the first
+residual is A(u) - rhs: only the Newton trials solve the resolvent and
+apply the Laplacian, and the accepted trial's A is the next step's.
+Absent terms are zero arrays.
 
 Fields may carry leading batch axes (replicates, coupled lanes) and
 everything here broadcasts over them.  This module holds one step; the
@@ -145,17 +147,23 @@ def _tridiag_solve(g: gr.Grid, dt: float, diag, b):
     return x.reshape(b.shape)
 
 
-def _monotone_solve(g: gr.Grid, lam, rhs, dt: float, w0, b0):
-    """Solve w - dt*lap(w) + dt*beta_lam(w) = rhs by Newton from w0, b0 = beta_lam(w0).
+def implicit_operator(g: gr.Grid, dt: float, w, bl):
+    """A(w) = w - dt*lap(w) + dt*bl with bl = beta_lam(w); the residual of the implicit step is A(w) - rhs."""
+    return w - dt * gr.laplacian_neumann(g, w) + dt * bl
+
+
+def _monotone_solve(g: gr.Grid, lam, rhs, dt: float, w0, b0, a0):
+    """Solve A(w) = rhs by Newton from w0, b0 = beta_lam(w0), a0 = A(w0); A is implicit_operator.
 
     lam is a scalar or an array broadcastable against the batch axes, or
     None to drop the beta term, with b0 a zero field that comes back as
-    beta.  The first residual takes b0 and beta_lam'(w0) from
-    J_lam(w0) = w0 - lam*b0, so only the Newton trials solve the resolvent,
-    each warm-started from the beta_lam of the evaluation before.  A member
-    stops at residual max(NEWTON_TOL, 4*eps*max|rhs|): as |w| <= max|rhs|
-    (maximum principle), w - rhs alone rounds by up to eps*max|rhs|.
-    Returns (w, beta_lam(w)) so callers can reuse the final evaluation.
+    beta.  The first residual is a0 - rhs and its Newton system takes
+    beta_lam'(w0) from J_lam(w0) = w0 - lam*b0, so only the Newton trials
+    solve the resolvent (warm-started from the evaluation before) and apply
+    the Laplacian.  Residuals are A - rhs temporaries.  A member stops at
+    residual max(NEWTON_TOL, 4*eps*max|rhs|): as |w| <= max|rhs| (maximum
+    principle), w - rhs alone rounds by up to eps*max|rhs|.  Returns the
+    final evaluation (w, beta_lam(w), A(w)) for the caller to carry.
     """
     dim = g.dim
     axes = tuple(range(rhs.ndim - dim, rhs.ndim))
@@ -164,30 +172,26 @@ def _monotone_solve(g: gr.Grid, lam, rhs, dt: float, w0, b0):
     def pair(w_, bl_prev):
         return (b0, b0) if lam is None else pot.yosida_pair(lam, w_, b0=bl_prev)
 
-    def residual(w_, bl):
-        return w_ - dt * gr.laplacian_neumann(g, w_) + dt * bl - rhs
-
-    w, bl = w0, b0
+    w, bl, A = w0, b0, a0
     blp = b0 if lam is None else pot.yosida_slope(lam, np.clip(w - lam * b0, pot._R_LO, pot._R_HI))
-    F = residual(w, bl)
-    res = np.abs(F).max(axis=axes)
+    res = np.abs(A - rhs).max(axis=axes)
     for _ in range(NEWTON_MAX_ITER):
         done = res <= tol
         if done.all():
-            return w, bl
+            return w, bl, A
         if dim == 1:
-            delta = _tridiag_solve(g, dt, blp, F)
+            delta = _tridiag_solve(g, dt, blp, A - rhs)
         else:
-            delta = _pcg(g, dt, blp, F)
-        # a converged member keeps its state bit for bit, whatever its batch mates do
+            delta = _pcg(g, dt, blp, A - rhs)
+        # a converged member keeps its w bit for bit, whatever its batch mates do (its trials re-evaluate beta_lam)
         delta[done] = 0.0
-        damp = np.ones(res.shape)
+        damp = 1.0
         for _bt in range(12):
             w_try = w - _expand(damp, dim) * delta
             # bl follows the latest evaluation, which warm-starts the next one
             bl, blp_try = pair(w_try, bl)
-            F_try = residual(w_try, bl)
-            res_try = np.abs(F_try).max(axis=axes)
+            A_try = implicit_operator(g, dt, w_try, bl)
+            res_try = np.abs(A_try - rhs).max(axis=axes)
             bad = (res_try > res) & (res_try > tol)
             if not bad.any():
                 break
@@ -196,14 +200,14 @@ def _monotone_solve(g: gr.Grid, lam, rhs, dt: float, w0, b0):
             raise RuntimeError(
                 f"implicit step failed: backtracking exhausted, 12 dampings all raise residual {float(np.max(res)):.3e}"
             )
-        w, F, blp, res = w_try, F_try, blp_try, res_try
+        w, A, blp, res = w_try, A_try, blp_try, res_try
     raise RuntimeError(
         f"implicit step failed: residual {float(np.max(res)):.3e} after {NEWTON_MAX_ITER} Newton iterations"
     )
 
 
-def step(g: gr.Grid, lam, c: float, spec: nz.NoiseSpec, u, beta_u, dw, g_force, cfg: StepperConfig):
-    """One scheme step from u; returns (u_next, beta_lam(u_next)).
+def step(g: gr.Grid, lam, c: float, spec: nz.NoiseSpec, u, beta_u, a_u, dw, g_force, cfg: StepperConfig):
+    """One scheme step from u; returns (u_next, beta_lam(u_next), A(u_next)).
 
     The explicit part is the concave term 2c*u, the forcing field g_force
     and the noise sum_k h_k(J_lam(u)) dW_k; dw holds the mode increments
@@ -211,11 +215,13 @@ def step(g: gr.Grid, lam, c: float, spec: nz.NoiseSpec, u, beta_u, dw, g_force, 
     modes.  J_lam(u) comes from beta_u = beta_lam(u), which the previous
     step (or yosida_pair at the datum) returned: J_lam(u) = u - lam*beta_u
     up to round-off, clipped into (-1, 1), with no resolvent solve of its
-    own.  lam=None, c=0, zero beta_u and no noise modes give the heat flow.
+    own.  a_u = implicit_operator(g, cfg.dt, u, beta_u) is carried alike.
+    lam=None, c=0, zero beta_u and no noise modes give the heat flow.
     """
     dt = cfg.dt
     noise_field = 0.0
     if spec.modes > 0:
         noise_field = nz.mix_modes(spec, np.clip(u - lam * beta_u, pot._R_LO, pot._R_HI), dw, g.dim)
     rhs = u + dt * (2.0 * c) * u + noise_field + dt * g_force
-    return _monotone_solve(g, lam, rhs, dt, u, beta_u)
+    del noise_field  # freed before the solve, which holds the peak
+    return _monotone_solve(g, lam, rhs, dt, u, beta_u, a_u)

@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from helpers import measure, report_row
+from logac import cli
 from logac import datagen as dg
 from logac import experiments as ex
 from logac import grid as gr
@@ -87,6 +89,22 @@ class TestLadderRun:
         assert a["final"] is not b["final"]
         assert np.array_equal(a["final"], b["final"])
 
+    def test_peak_memory_of_the_reference_ensemble(self):
+        # one ladder_run of the reference shape (128 cells, 64 replicates, 4 levels, 16 modes):
+        # the solver's residuals are A - rhs temporaries, so the traced peak is 16.69 field
+        # batches (16.79 when each step recomputed its first residual, 17.69 with a residual
+        # field kept alongside each trial's A)
+        cfg = cli.config_from_dict({"stepper": {"t_end": 0.002}}).ensemble
+        field_batch = 8 * len(cfg.lambda_levels) * cfg.replicates * cfg.grid.cells[0]
+        ex.ladder_run(cfg)  # caches and lazy imports are not the run's working set
+        tracemalloc.start()
+        try:
+            ex.ladder_run(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 17 * field_batch, peak / field_batch
+
     def test_single_lane_has_no_pairs(self):
         cfg = small_config(lambda_levels=(0.1,))
         assert ex.ladder_run(cfg)["pairs"] == []
@@ -132,6 +150,39 @@ class TestBatchIndependence:
         for i, pa in enumerate(full_diffs):
             for name, value in pa.items():
                 assert np.array_equal(value[:k], head_diffs[i][name]), (i, name)
+
+
+class TestLaneIndependence:
+    # a lane's path must not depend on which other lanes share its run: levels, data and
+    # forcings differ across lanes, so their Newton solves take different iteration counts
+    @pytest.mark.xfail(
+        strict=True,
+        reason="a member that has converged still takes its batch mates' Newton trials at an unchanged state, "
+        "and each re-evaluation of beta_lam there, warm-started from the last, moves it by up to ~4e-12",
+    )
+    @pytest.mark.parametrize("cells", [(24,), (10, 12)], ids=["1d", "2d"])
+    def test_each_lane_matches_its_run_alone(self, cells):
+        g = gr.Grid(extent=(1.0,) * len(cells), cells=cells)
+        scfg = st.StepperConfig(dt=2e-3, t_end=0.03)
+        spec = nz.NoiseSpec(family="sine", modes=6, decay_exponent=2.0, amplitude=0.8)
+        params = pot.PotentialParams(c=2.0)
+        rng = np.random.default_rng(41)
+        lanes = [
+            ex.Lane(lam, rng.uniform(-0.9, 0.9, size=(4, *cells)), np.full(cells, force))
+            for lam, force in ((0.2, 0.0), (0.02, 0.5), (0.003, -1.0))
+        ]
+
+        def run(batch):
+            stats_hook, stats = ex._path_statistics(g, scfg, params.c, (len(batch), 4))
+            out = ex._run_lanes(batch, spec, scfg, g, params, 9, hooks=(stats_hook,))
+            return out["final"], stats
+
+        final, stats = run(lanes)
+        for i, lane in enumerate(lanes):
+            alone, alone_stats = run([lane])
+            assert np.array_equal(final[i], alone[0]), i
+            for name, value in stats.items():
+                assert np.array_equal(value[i], alone_stats[name][0]), (i, name)
 
 
 class TestUniformStudy:
@@ -454,6 +505,38 @@ class TestDerivativeStudy:
 
 
 class TestOracles:
+    @pytest.mark.parametrize(
+        "errors, orders",
+        [
+            ([0.0, 1e-3, 2e-3], [-math.inf, -1.0]),
+            ([1e-3, 0.0], [math.inf]),
+            ([0.0, 0.0], [math.nan]),
+            ([4e-3, 1e-3], [2.0]),
+        ],
+        ids=["rises-from-0", "falls-to-0", "stays-0", "regular"],
+    )
+    def test_observed_orders_of_exact_zeros_take_their_limits(self, errors, orders):
+        assert np.array_equal(ex._observed_orders(errors), orders, equal_nan=True)
+
+    @pytest.mark.parametrize("exact_runs, order", [(1, -math.inf), (2, math.nan)], ids=["rises-from-0", "stays-0"])
+    def test_error_rising_from_exactly_zero_fails(self, monkeypatch, exact_runs, order):
+        # the first spatial runs land on the continuum solution itself, so their error is exactly 0
+        run_lanes, calls = ex._run_lanes, []
+
+        def exact_first(lanes, spec, scfg, g, params, seed, **kw):
+            out = run_lanes(lanes, spec, scfg, g, params, seed, **kw)
+            calls.append(1)
+            if len(calls) <= exact_runs:
+                x = g.cell_centers()
+                out["final"] = (0.5 * math.exp(-np.pi**2 * 0.1) * np.cos(np.pi * x))[None, None]
+            return out
+
+        monkeypatch.setattr(ex, "_run_lanes", exact_first)
+        rep = ex.heat_and_ode_oracles(small_config())
+        row = report_row(rep, "heat_spatial_order", math.nan)
+        assert np.array_equal(row.mean, order, equal_nan=True)
+        assert rep.failures == [f"observed spatial order {order:.3f} < 1.6"]
+
     def test_orders_pass(self):
         rep = ex.heat_and_ode_oracles(small_config())
         assert rep.failures == []

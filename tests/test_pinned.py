@@ -63,6 +63,15 @@ DIGEST_RUNS = {
         "simulate",
         {"grid": {"extent": [1.0, 2.0], "cells": [12, 8]}, "u0": {"kind": "smooth_bump"}, "snapshot_stride": 25},
     ),
+    # long steps at small levels under strong noise: the outer Newton backtracks, so damped trials are hashed too
+    "uniform-backtracking": (
+        "uniform",
+        {
+            "stepper": {"dt": 0.05, "t_end": 0.5},
+            "ensemble": {"lambda_levels": [0.01, 0.005, 0.002]},
+            "noise": {"amplitude": 2.0},
+        },
+    ),
 }
 
 

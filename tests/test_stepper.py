@@ -54,8 +54,13 @@ def dense_implicit_oracle(g, lam, rhs, dt, iters=60):
 def solve(g, lam, rhs, dt):
     """The implicit solve started at rhs itself."""
     rhs = np.asarray(rhs, dtype=float)
-    w, _ = st._monotone_solve(g, lam, rhs, dt, rhs, pot.yosida_pair(lam, rhs)[0])
-    return w
+    return st._monotone_solve(g, lam, rhs, dt, *carried(g, lam, rhs, dt))[0]
+
+
+def carried(g, lam, w0, dt):
+    """(w0, beta_lam(w0), A(w0)): the state a solve starts from, as a step's caller carries it."""
+    b0 = np.zeros_like(w0) if lam is None else pot.yosida_pair(lam, w0)[0]
+    return w0, b0, st.implicit_operator(g, dt, w0, b0)
 
 
 def run_path(u0, lam, cfg, g, params, spec=QUIET, seed=0, hooks=()):
@@ -125,10 +130,11 @@ def record_path(g, params, lam, spec, u0, cfg, increments):
     c = 0.0 if params is None else params.c
     u, states, stoch, g_force = u0, [u0], np.zeros_like(u0), np.zeros(g.shape)
     beta_u = np.zeros_like(u0) if lam is None else pot.yosida_pair(lam, u0)[0]
+    a_u = st.implicit_operator(g, cfg.dt, u, beta_u)
     for dw in increments:
         if spec.modes:
             stoch = stoch + nz.mix_modes(spec, pot.resolvent_map(lam, u), dw, g.dim)
-        u, beta_u = st.step(g, lam, c, spec, u, beta_u, dw, g_force, cfg)
+        u, beta_u, a_u = st.step(g, lam, c, spec, u, beta_u, a_u, dw, g_force, cfg)
         states.append(u)
     return TrajectoryRecord(g, params, lam, cfg.dt, np.asarray(states), stoch, g_force)
 
@@ -181,16 +187,17 @@ class TestImplicitSolve:
         rhs = np.random.default_rng(7).uniform(-1.5, 1.5, size=(2, *cells))
         alone = solve(g, 0.1, rhs[0], 1e-2)
         w0 = np.stack([alone, rhs[1]])
-        w, _ = st._monotone_solve(g, 0.1, rhs, 1e-2, w0, pot.yosida_pair(0.1, w0)[0])
+        w = st._monotone_solve(g, 0.1, rhs, 1e-2, *carried(g, 0.1, w0, 1e-2))[0]
         assert np.array_equal(w[0], alone)
 
     def test_first_residual_takes_the_given_beta(self, monkeypatch):
-        # with b0 = beta_lam(w0) given, yosida_pair runs once per Newton trial and never at w0
+        # with b0 = beta_lam(w0) and a0 = A(w0) given, yosida_pair and the Laplacian run once per trial, never at w0
         g = gr.Grid(extent=(1.0,), cells=(16,))
         rng = np.random.default_rng(5)
         lam = np.array([0.2, 0.01, 1e-3]).reshape(3, 1, 1)
         u = np.concatenate([rng.uniform(-0.99, 0.99, size=(3, 2, 12)), np.full((3, 2, 4), 1.3)], axis=-1)
         beta_u, slope_u = pot.yosida_pair(lam, u)
+        a_u = st.implicit_operator(g, 1e-2, u, beta_u)
         rhs = u + 0.05 * rng.normal(size=u.shape)
         points, diags, residuals = [], [], []
         pair, tridiag, lap = pot.yosida_pair, st._tridiag_solve, gr.laplacian_neumann
@@ -210,9 +217,8 @@ class TestImplicitSolve:
         monkeypatch.setattr(pot, "yosida_pair", spy_pair)
         monkeypatch.setattr(st, "_tridiag_solve", spy_tridiag)
         monkeypatch.setattr(gr, "laplacian_neumann", spy_lap)
-        st._monotone_solve(g, lam, rhs, 1e-2, w0=u, b0=beta_u)
-        assert len(residuals) >= 2
-        assert len(points) == len(residuals) - 1
+        st._monotone_solve(g, lam, rhs, 1e-2, w0=u, b0=beta_u, a0=a_u)
+        assert len(points) == len(residuals) >= 1
         assert not any(np.array_equal(p, u) for p in points)
         # the first Newton system carries beta_lam'(u), here taken from J = u - lam*beta_lam(u)
         assert np.max(np.abs(diags[0] - slope_u) / slope_u) <= 1e-12
@@ -233,6 +239,56 @@ class TestImplicitSolve:
         rhs = np.random.default_rng(3).uniform(-2.0, 2.0, size=(8, 8))
         with pytest.raises(RuntimeError, match="backtracking exhausted"):
             solve(g, 0.1, rhs, 1e-2)
+
+
+class TestCarriedOperator:
+    # the A = w - dt*lap(w) + dt*beta_lam(w) a solve returns is carried into the next one as its
+    # first residual plus rhs, so it must be the operator of the returned (w, beta) to the bit
+    @pytest.mark.parametrize("cells", [(16,), (6, 8)], ids=["1d", "2d"])
+    @pytest.mark.parametrize("levels", [None, (0.1, 0.005)], ids=["heat", "lambda"])
+    def test_step_returns_the_operator_of_its_state(self, cells, levels):
+        g = gr.Grid(extent=(1.0,) * len(cells), cells=cells)
+        cfg = st.StepperConfig(dt=5e-3, t_end=0.02)
+        rng = np.random.default_rng(13)
+        u = rng.uniform(-0.9, 0.9, size=(2, 3, *cells))
+        if levels is None:
+            lam, c, spec, beta_u = None, 0.0, QUIET, np.zeros_like(u)
+        else:
+            lam = np.array(levels).reshape((2,) + (1,) * (1 + g.dim))
+            c, spec = 2.0, nz.NoiseSpec(family="sine", modes=4, decay_exponent=2.0, amplitude=0.8)
+            beta_u = pot.yosida_pair(lam, u)[0]
+        a_u = st.implicit_operator(g, cfg.dt, u, beta_u)
+        for m in range(cfg.n_steps):
+            dw = np.broadcast_to(nz.sample_increment_block(3, 3, m, spec, cfg.dt), (2, 3, spec.modes))
+            u, beta_u, a_u = st.step(g, lam, c, spec, u, beta_u, a_u, dw, np.zeros(cells), cfg)
+            assert np.array_equal(a_u, st.implicit_operator(g, cfg.dt, u, beta_u))
+
+    def test_solve_at_its_first_check_returns_what_it_was_given(self, monkeypatch):
+        # rhs = A(w0) exactly: the first residual is 0, so no trial runs and no Laplacian is taken
+        g = gr.Grid(extent=(1.0,), cells=(16,))
+        w0, b0, a0 = carried(g, 0.05, np.random.default_rng(2).uniform(-0.9, 0.9, size=(3, 16)), 1e-2)
+        laps = []
+        lap = gr.laplacian_neumann
+        monkeypatch.setattr(gr, "laplacian_neumann", lambda *args: laps.append(1) or lap(*args))
+        w, bl, A = st._monotone_solve(g, 0.05, a0.copy(), 1e-2, w0, b0, a0)
+        assert w is w0 and bl is b0 and A is a0
+        assert laps == []
+
+    @pytest.mark.parametrize("lam", [None, 0.05], ids=["heat", "lambda"])
+    def test_backtracked_trial_returns_its_own_operator(self, monkeypatch, lam):
+        # three times the Newton step overshoots, so every iteration accepts the damping 1/2
+        g = gr.Grid(extent=(1.0,), cells=(16,))
+        rhs = np.random.default_rng(4).uniform(-1.5, 1.5, size=(2, 16))
+        start = carried(g, lam, 0.5 * rhs, 1e-2)
+        tridiag, lap = st._tridiag_solve, gr.laplacian_neumann
+        newton, trials = [], []
+        monkeypatch.setattr(st, "_tridiag_solve", lambda *args: newton.append(1) or 3.0 * tridiag(*args))
+        monkeypatch.setattr(gr, "laplacian_neumann", lambda *args: trials.append(1) or lap(*args))
+        w, bl, A = st._monotone_solve(g, lam, rhs, 1e-2, *start)
+        assert len(trials) == 2 * len(newton) > 0
+        monkeypatch.setattr(gr, "laplacian_neumann", lap)
+        assert np.array_equal(A, st.implicit_operator(g, 1e-2, w, bl))
+        assert np.abs(A - rhs).max() <= st.NEWTON_TOL
 
 
 class TestTridiagSolve:
@@ -307,7 +363,7 @@ class TestStep:
         g = gr.Grid(extent=(1.0,), cells=(16,))
         params = pot.PotentialParams(c=2.0)
         cfg = st.StepperConfig(dt=1e-3, t_end=0.01)
-        u, _ = st.step(g, 0.1, params.c, QUIET, np.zeros(16), np.zeros(16), None, np.zeros(16), cfg)
+        u, _, _ = st.step(g, 0.1, params.c, QUIET, np.zeros(16), np.zeros(16), np.zeros(16), None, np.zeros(16), cfg)
         assert np.all(u == 0.0)
 
     def test_heat_limit(self):
@@ -347,8 +403,9 @@ class TestStep:
         e_prev = energy(g, params, lam, u)
         slack = 10 * st.NEWTON_TOL * measure(g)
         beta_u = pot.yosida_pair(lam, u)[0]
+        a_u = st.implicit_operator(g, cfg.dt, u, beta_u)
         for _ in range(cfg.n_steps):
-            u, beta_u = st.step(g, lam, params.c, QUIET, u, beta_u, None, np.zeros(64), cfg)
+            u, beta_u, a_u = st.step(g, lam, params.c, QUIET, u, beta_u, a_u, None, np.zeros(64), cfg)
             e = float(energy(g, params, lam, u))
             assert e <= e_prev + slack
             e_prev = e
