@@ -17,6 +17,8 @@ import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from . import datagen as dg
 from . import experiments as ex
@@ -216,25 +218,26 @@ def run(command: str, cfg: RunConfig) -> int:
     t0 = time.perf_counter()
     failures: list[str] = []
     try:
-        if command == "simulate":
-            outputs = _run_simulate(cfg, out_dir)
-        else:
-            if command in LADDER_STUDIES:
-                report = LADDER_STUDIES[command](cfg.ensemble, ex.ladder_run(cfg.ensemble))
-            elif command == "dependence":
-                perturbations = [ex.Perturbation(u0_shift=d) for d in DEFAULT_PERTURBATION_SIZES]
-                perturbations += [ex.Perturbation(g_shift=d) for d in DEFAULT_PERTURBATION_SIZES]
-                report = ex.dependence_study(cfg.ensemble, perturbations)
-            elif command == "derivative":
-                report = ex.derivative_study(cfg.ensemble)
+        with np.errstate(all="raise", under="ignore"):  # pyproject's rule for the tests: float trouble raises
+            if command == "simulate":
+                outputs = _run_simulate(cfg, out_dir)
             else:
-                report = ex.heat_and_ode_oracles(cfg.ensemble)
-            failures = report.failures
-            outputs = _write_report(report, cfg, out_dir, time.perf_counter() - t0)
+                if command in LADDER_STUDIES:
+                    report = LADDER_STUDIES[command](cfg.ensemble, ex.ladder_run(cfg.ensemble))
+                elif command == "dependence":
+                    perturbations = [ex.Perturbation(u0_shift=d) for d in DEFAULT_PERTURBATION_SIZES]
+                    perturbations += [ex.Perturbation(g_shift=d) for d in DEFAULT_PERTURBATION_SIZES]
+                    report = ex.dependence_study(cfg.ensemble, perturbations)
+                elif command == "derivative":
+                    report = ex.derivative_study(cfg.ensemble)
+                else:
+                    report = ex.heat_and_ode_oracles(cfg.ensemble)
+                failures = report.failures
+                outputs = _write_report(report, cfg, out_dir, time.perf_counter() - t0)
     except ValueError as err:
         print(f"{command}: {err}", file=sys.stderr)
         return 2
-    except RuntimeError as err:  # the numerical layers raise it only when a solve fails to converge
+    except (RuntimeError, FloatingPointError) as err:  # a solve did not converge, or a float overflowed or went invalid
         print(f"{command}: solver failed: {err}", file=sys.stderr)
         return 3
 

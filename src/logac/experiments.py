@@ -145,12 +145,11 @@ def _run_lanes(
     """Lockstep integration of several lanes on shared noise increments.
 
     This is the package's one time loop; a single path is one lane of one
-    replicate.  Lane forcings are fields; eps*dt*|g| > stepper.NEWTON_TOL
-    raises RuntimeError.  params=None drops the potential (c = 0), which
-    needs every lane at lam=None and no noise modes, as the noise is taken
-    at J_lam(u).  The engine computes no statistic: each hook(m, u, beta_u)
-    sees the state batch after m steps, m = 0..n_steps, and beta_lam(u)
-    (zeros for heat lanes), before stepping.  Studies measure through hooks.
+    replicate.  params=None drops the potential (c = 0), which needs every
+    lane at lam=None and no noise modes, as the noise is taken at J_lam(u).
+    The engine computes no statistic: each hook(m, u, beta_u) sees the
+    state batch after m steps, m = 0..n_steps, and beta_lam(u) (zeros for
+    heat lanes), before stepping.  Studies measure through hooks.
     """
     n_lanes = len(lanes)
     reps = lanes[0].u0.shape[0]
@@ -166,8 +165,6 @@ def _run_lanes(
         lam = np.array([ln.lam for ln in lanes]).reshape((n_lanes,) + (1,) * (1 + g.dim))
         c, beta_u = params.c, pot.yosida_pair(lam, u)[0]
     g_force = np.stack([ln.g for ln in lanes])[:, None]
-    if scfg.dt * np.abs(g_force).max() * np.finfo(float).eps > st.NEWTON_TOL:  # rounding alone would decide the test
-        raise RuntimeError(f"implicit step failed: dt*|g| {scfg.dt * np.abs(g_force).max():.3e} outgrows the tolerance")
 
     a_u = st.implicit_operator(g, scfg.dt, u, beta_u)
     hasher = hashlib.sha256()
@@ -379,9 +376,8 @@ def strong_solution_study(cfg: EnsembleConfig, out: dict) -> EstimateReport:
 
     Estimates E sup_t ||grad u||_H^2 and E int ||lap_h u||_H^2 per level and
     fails unless each stays inside a 1.2 max/min band across the levels.
+    Every grid datum has |u0| < 1 and so a finite Dirichlet energy.
     """
-    if not np.all(np.isfinite(gr.grad_norm_sq(cfg.grid, _lane_u0(cfg)))):
-        raise ValueError("strong-solution study needs a datum with finite Dirichlet energy")
     report = _level_report("strong", cfg, out, ("sup_grad_sq", "int_lap_sq"))
     for q, spread in report.metadata["spread_max_over_min"].items():
         if not spread <= 1.2:
@@ -397,9 +393,9 @@ def derivative_study(cfg: EnsembleConfig) -> EstimateReport:
     sup over output times of E int G_n(u) (over excursion-free samples),
     E int int |G_n'(u)|, and the excursion fraction (the share of samples
     with |u| >= 1); fails if either gauge statistic moves more than 30%
-    when the level is halved.  A hook reads the gauge and the excursions
-    off every state, one _gauge_slice per state; its time integral takes
-    the left-endpoint rule of _path_statistics.
+    when the level is halved.  One hook takes a _gauge_slice per state: it
+    keeps the series of int G_n for the sup and, as _path_statistics does,
+    accumulates the excursion count and the left-endpoint int |G_n'| in place.
     """
     if cfg.noise.family != nz.POLY_FLAT:
         raise ValueError("derivative study requires the poly_flat noise family")
@@ -413,18 +409,19 @@ def derivative_study(cfg: EnsembleConfig) -> EstimateReport:
     lam_min = cfg.lambda_levels[-1]
     levels = [lam_min, 0.5 * lam_min]
     lanes = [Lane(lam, u0, g_field) for lam in levels]
-    slices, excursions = [], []  # per state m = 0..n_steps: (int G_n, int |G_n'|), count of |u| >= 1
+    scfg = cfg.stepper
+    shape = (len(levels), cfg.replicates)
+    series = np.empty((scfg.n_steps + 1,) + shape)  # int G_n per state m = 0..n_steps
+    acc = {q: np.zeros(shape) for q in ("int_gauge_prime", "excursion_count")}
 
     def gauge_hook(m, u, beta_u):
-        slices.append(_gauge_slice(cfg.grid, n, u))
-        excursions.append(np.sum(np.abs(u) >= 1.0, axis=tuple(range(2, u.ndim))))
+        series[m], igp = _gauge_slice(cfg.grid, n, u)
+        acc["excursion_count"] += np.sum(np.abs(u) >= 1.0, axis=tuple(range(2, u.ndim)))
+        if m < scfg.n_steps:
+            acc["int_gauge_prime"] += scfg.dt * igp
 
-    out = _run_lanes(lanes, cfg.noise, cfg.stepper, cfg.grid, cfg.potential, cfg.seed, hooks=(gauge_hook,))
-    excursion_fraction = np.sum(excursions, axis=0) / (len(excursions) * int(np.prod(cfg.grid.shape)))
-    series = np.asarray([ig for ig, _ in slices])  # (n_steps+1, lanes, reps)
-    int_gauge_prime = np.zeros(series.shape[1:])
-    for _, igp in slices[:-1]:
-        int_gauge_prime += cfg.stepper.dt * igp
+    out = _run_lanes(lanes, cfg.noise, scfg, cfg.grid, cfg.potential, cfg.seed, hooks=(gauge_hook,))
+    excursion_fraction = acc["excursion_count"] / ((scfg.n_steps + 1) * int(np.prod(cfg.grid.shape)))
 
     rows = []
     report = EstimateReport(study="derivative", rows=rows)
@@ -435,7 +432,7 @@ def derivative_study(cfg: EnsembleConfig) -> EstimateReport:
         row = _mc_row("sup_t_mean_gauge", lam, series[k_sup, i, :])
         rows.append(row)
         sup_means.append(row.mean)
-        row = _mc_row("int_abs_gauge_prime", lam, int_gauge_prime[i])
+        row = _mc_row("int_abs_gauge_prime", lam, acc["int_gauge_prime"][i])
         rows.append(row)
         int_means.append(row.mean)
         rows.append(_mc_row("excursion_fraction", lam, excursion_fraction[i]))
@@ -495,28 +492,22 @@ def heat_and_ode_oracles(cfg: EnsembleConfig) -> EstimateReport:
         if not worst >= floor:
             report.failures.append(f"observed {what} order {worst:.3f} < {floor}")
 
-    # spatial refinement, dt tied to h^2
-    def spatial_error(N, dt):
+    def heat_error(N, dt, rate):
+        """Sup error at T of the heat flow of 0.5*cos(pi x) on N cells against that mode decaying at rate."""
         g = gr.Grid(extent=(1.0,), cells=(N,))
-        x = g.cell_centers()
-        u = final_state(0.5 * np.cos(np.pi * x), None, st.StepperConfig(dt=dt, t_end=T), g, None)
-        return float(np.max(np.abs(u - 0.5 * math.exp(-np.pi**2 * T) * np.cos(np.pi * x))))
+        u0 = 0.5 * np.cos(np.pi * g.cell_centers())
+        u = final_state(u0, None, st.StepperConfig(dt=dt, t_end=T), g, None)
+        return float(np.max(np.abs(u - math.exp(rate * T) * u0)))
 
-    runs = [(f"N={N}", spatial_error(N, dt)) for N, dt in ((16, 8e-4), (32, 2e-4), (64, 5e-5))]
+    # spatial refinement against the continuum decay rate, dt tied to h^2
+    runs = [(f"N={N}", heat_error(N, dt, -np.pi**2)) for N, dt in ((16, 8e-4), (32, 2e-4), (64, 5e-5))]
     refinement("heat_spatial", math.nan, runs, "spatial_orders", "spatial", 1.6)
 
-    # temporal refinement against the semi-discrete solution at fixed h
+    # temporal refinement at fixed h against the semi-discrete rate, the first eigenvalue of lap_h
     N = 32
-    g = gr.Grid(extent=(1.0,), cells=(N,))
     mu = -4.0 * N**2 * math.sin(math.pi / (2 * N)) ** 2
-    u0 = 0.5 * np.cos(np.pi * (np.arange(N) + 0.5) / N)
     dts = (4e-3, 2e-3, 1e-3)
-
-    def temporal_error(dt):
-        u = final_state(u0, None, st.StepperConfig(dt=dt, t_end=T), g, None)
-        return float(np.max(np.abs(u - math.exp(mu * T) * u0)))
-
-    runs = [(f"dt={dt:g}", temporal_error(dt)) for dt in dts]
+    runs = [(f"dt={dt:g}", heat_error(N, dt, mu)) for dt in dts]
     refinement("heat_temporal", math.nan, runs, "temporal_orders", "heat temporal", 0.8)
 
     # 0-d reduction: spatially constant states obey u' = -F'_lam(u)
@@ -527,8 +518,7 @@ def heat_and_ode_oracles(cfg: EnsembleConfig) -> EstimateReport:
     T0 = 0.5
 
     def rhs_ode(_t, y):
-        bl, _, _ = pot.yosida_eval(lam, y)
-        return -(bl - 2.0 * params.c * y)
+        return -(pot.yosida_pair(lam, y)[0] - 2.0 * params.c * y)
 
     from scipy.integrate import solve_ivp  # local: it loads scipy.optimize and scipy.sparse; only this oracle needs it
 

@@ -134,8 +134,6 @@ def sample_increment_block(seed: int, replicates: int, step: int, spec: NoiseSpe
 
     Row rep holds modes 1..K of the stream keyed (seed, step, rep).
     """
-    if not dt > 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
     return np.sqrt(dt) * counter_normals(seed, CTR_INCREMENTS, step, np.arange(replicates), spec.modes)
 
 

@@ -169,9 +169,6 @@ def _monotone_solve(g: gr.Grid, lam, rhs, dt: float, w0, b0, a0):
     axes = tuple(range(rhs.ndim - dim, rhs.ndim))
     tol = np.maximum(NEWTON_TOL, pot._ULP4 * np.abs(rhs).max(axis=axes))
 
-    def pair(w_, bl_prev):
-        return (b0, b0) if lam is None else pot.yosida_pair(lam, w_, b0=bl_prev)
-
     w, bl, A = w0, b0, a0
     blp = b0 if lam is None else pot.yosida_slope(lam, np.clip(w - lam * b0, pot._R_LO, pot._R_HI))
     res = np.abs(A - rhs).max(axis=axes)
@@ -189,7 +186,7 @@ def _monotone_solve(g: gr.Grid, lam, rhs, dt: float, w0, b0, a0):
         for _bt in range(12):
             w_try = w - _expand(damp, dim) * delta
             # bl follows the latest evaluation, which warm-starts the next one
-            bl, blp_try = pair(w_try, bl)
+            bl, blp_try = (b0, b0) if lam is None else pot.yosida_pair(lam, w_try, b0=bl)
             A_try = implicit_operator(g, dt, w_try, bl)
             res_try = np.abs(A_try - rhs).max(axis=axes)
             bad = (res_try > res) & (res_try > tol)

@@ -186,6 +186,25 @@ class TestRunCommands:
         assert cli.run("derivative", cfg) == 2
         assert "poly_flat" in capsys.readouterr().err
 
+    def test_derivative_at_zero_horizon_runs(self, tmp_path):
+        # t_end = 0 takes no step: the gauge statistics come from the datum alone
+        payload = small_run_payload(
+            tmp_path,
+            noise={"family": "poly_flat", "modes": 4, "amplitude": 0.25, "flatness": 3},
+            u0={"kind": "constant", "m0": 0.2},
+            stepper={"dt": 1e-3, "t_end": 0.0},
+        )
+        assert cli.run("derivative", cli.config_from_dict(payload)) == 0
+        rows = json.loads((tmp_path / "out" / "derivative.json").read_text())["rows"]
+        assert [r["mean"] for r in rows if r["quantity"] == "int_abs_gauge_prime"] == [0.0, 0.0]
+
+    @pytest.mark.parametrize("value, code", [(0.3, 0), (1e300, 3)], ids=["exit-0", "exit-3"])
+    def test_floating_point_rule_is_restored(self, tmp_path, value, code):
+        payload = small_run_payload(tmp_path, g={"kind": "constant", "value": value})
+        before = np.geterr()
+        assert cli.run("uniform", cli.config_from_dict(payload)) == code
+        assert np.geterr() == before
+
     def test_unknown_command(self, tmp_path):
         cfg = cli.parse_config(write_config(tmp_path, small_run_payload(tmp_path)))
         assert cli.run("frobnicate", cfg) == 2
@@ -320,13 +339,14 @@ class TestMainEntry:
         assert "config snapshot_stride" in proc.stderr and "Traceback" not in proc.stderr
 
     def test_module_entry_solver_failure_exits_3(self, tmp_path):
-        # finite but absurd forcing passes the config door; the engine then refuses it before the first implicit
-        # step, whose residual test rounding alone would decide
+        # finite but absurd forcing passes the config door; the first step's right side then overflows,
+        # which the CLI's floating-point rule turns into exit 3
         payload = small_run_payload(tmp_path, g={"kind": "constant", "value": 1e300})
         payload["ensemble"] = {**payload["ensemble"], "replicates": 2}
         proc = run_module(tmp_path, "uniform", "--config", str(write_config(tmp_path, payload)))
         assert proc.returncode == 3
-        assert "uniform: solver failed: implicit step failed" in proc.stderr and "Traceback" not in proc.stderr
+        assert "uniform: solver failed: overflow" in proc.stderr and "Traceback" not in proc.stderr
+        assert len(proc.stderr.splitlines()) == 1
         assert not (tmp_path / "out" / "manifest.json").exists()
 
     def test_cauchy_on_identical_paths_fails_its_check(self, tmp_path):
@@ -338,7 +358,7 @@ class TestMainEntry:
         report = json.loads((tmp_path / "out" / "cauchy.json").read_text())
         assert len(report["failures"]) == 1 and math.isnan(report["metadata"]["successive_ratios"][0])
 
-    @pytest.mark.parametrize("value", [1e5, 1e6, 1e8], ids=["1e5", "1e6", "1e8"])
+    @pytest.mark.parametrize("value", [1e5, 1e6, 1e8, 5e8, 1e9], ids=["1e5", "1e6", "1e8", "5e8", "1e9"])
     def test_large_forcing_runs(self, tmp_path, value):
         # |x| near 5e4 puts the resolvent's residual floor, eps*|x|, above its 1e-12 tolerance;
         # from |u| ~ 5e5 the implicit residual rounds by eps*|u| > 1e-10, so the outer Newton stops at 4*eps*max|rhs|

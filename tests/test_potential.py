@@ -158,6 +158,14 @@ class TestResolvent:
             assert abs(bets[-1] - beta_exact) < 2.0 * bias + 1e-12
 
 
+class TestIterationCap:
+    def test_exhausted_cap_raises_with_the_worst_residual(self):
+        # the cold start b = |x|/(lam + 1/2) = 1 leaves tanh(1/2) + 1/2 - 1 = -3.788e-02
+        with pytest.raises(RuntimeError) as err:
+            pot._graph_solve(0.5, np.array([1.0]), 1e-12, 0)
+        assert str(err.value) == "resolvent solve failed: residual 3.788e-02 above max(1e-12, 4eps|x|) in 0 iterations"
+
+
 class TestLargeArguments:
     @pytest.mark.parametrize("lam", [0.2, 0.025])
     def test_converges_to_the_rounding_floor(self, lam):

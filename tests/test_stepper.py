@@ -240,6 +240,23 @@ class TestImplicitSolve:
         with pytest.raises(RuntimeError, match="backtracking exhausted"):
             solve(g, 0.1, rhs, 1e-2)
 
+    def test_newton_iteration_cap_raises(self, monkeypatch):
+        # from w = 0 (beta_lam(0) = 0, A(0) = 0) the residual against rhs = 1 is 1, and a cap of 0 leaves it there
+        g = gr.Grid(extent=(1.0,), cells=(16,))
+        monkeypatch.setattr(st, "NEWTON_MAX_ITER", 0)
+        with pytest.raises(RuntimeError) as err:
+            st._monotone_solve(g, 0.1, np.ones(16), 1e-2, *carried(g, 0.1, np.zeros(16), 1e-2))
+        assert str(err.value) == "implicit step failed: residual 1.000e+00 after 0 Newton iterations"
+
+    def test_cg_iteration_cap_raises(self, monkeypatch):
+        # a varying diagonal leaves the heat preconditioner inexact, so one CG iteration does not converge
+        g = gr.Grid(extent=(1.0, 1.0), cells=(8, 8))
+        monkeypatch.setattr(st, "CG_MAX_ITER", 1)
+        rng = np.random.default_rng(5)
+        with pytest.raises(RuntimeError) as err:
+            st._pcg(g, 1e-2, rng.uniform(0.0, 1e3, size=(8, 8)), rng.uniform(-1.0, 1.0, size=(8, 8)))
+        assert str(err.value) == "inner linear solve stagnated after 1 iterations"
+
 
 class TestCarriedOperator:
     # the A = w - dt*lap(w) + dt*beta_lam(w) a solve returns is carried into the next one as its
