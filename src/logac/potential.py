@@ -14,8 +14,10 @@ A level lam in (0, 1) and a gauge order n >= 2 are plain numbers; their
 ranges are checked where they arrive (EnsembleConfig, derivative_study).
 
 The resolvent is solved pointwise by a bracket-free Newton iteration on
-the folded graph equation (_graph_solve).  All evaluators are elementwise
-over numpy arrays and accept scalars.
+the folded graph equation (_graph_solve).  Its root b is beta_lam(x) and
+J_lam(x) = tanh(b/2), so x = J_lam(x) + lam*beta_lam(x) holds to the
+solve's residual.  All evaluators are elementwise over numpy arrays and
+accept scalars.
 """
 
 from __future__ import annotations
@@ -116,14 +118,11 @@ def yosida_pair(lam, x, b0=None):
     """(beta_lam(x), beta_lam'(x)) with lam broadcastable against x.
 
     Hot-path variant used by the field solvers, where lam may vary across
-    batch lanes; J_lam(x) is the tanh(b/2) the graph solve ended on.
-    beta_lam(x) is that solve's b to within max(NEWTON_TOL, 4*eps*|x|)/lam,
-    so the beta_lam of a nearby point is a good warm start b0.
+    batch lanes.  beta_lam(x) is the graph solve's root b and J_lam(x) is
+    tanh(b/2), so yosida_pair(lam, x, b0=beta_lam(x)) returns beta_lam(x)
+    bit for bit, and the beta_lam of a nearby point is a good warm start b0.
     """
-    x = np.asarray(x, dtype=float)
     beta_l, r = _graph_solve(lam, x, NEWTON_TOL, NEWTON_MAX_ITER, b0)
-    np.clip(r, _R_LO, _R_HI, out=r)
-    np.divide(np.subtract(x, r, out=beta_l), lam, out=beta_l)
     return beta_l, yosida_slope(lam, r)
 
 
@@ -135,14 +134,12 @@ def yosida_slope(lam, r):
 def yosida_eval(lam, x):
     """Return (beta_lam, beta_lam', beta_hat_lam) at x, defined on all of R.
 
-    beta_lam(x) = (x - J_lam(x))/lam equals beta(J_lam(x)) up to the solve
-    tolerance.  The primitive comes from the Moreau decomposition
+    beta_lam and J_lam are yosida_pair's: the graph solve's root b and
+    tanh(b/2).  The primitive comes from the Moreau decomposition
     beta_hat_lam(x) = beta_hat(J_lam(x)) + (lam/2) beta_lam(x)^2,
     exact for the quadratic regularization (no quadrature involved).
     """
-    x = np.asarray(x, dtype=float)
-    r = np.clip(_graph_solve(lam, x, NEWTON_TOL, NEWTON_MAX_ITER)[1], _R_LO, _R_HI)
-    beta_l = (x - r) / lam
+    beta_l, r = _graph_solve(lam, x, NEWTON_TOL, NEWTON_MAX_ITER)
     return beta_l, yosida_slope(lam, r), _beta_hat(r) + 0.5 * lam * beta_l * beta_l
 
 

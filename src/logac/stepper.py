@@ -20,7 +20,8 @@ spectrally.  The caller carries beta_lam(u) and the implicit operator
 A(u) = u - dt*lap(u) + dt*beta_lam(u) from the step before, so the first
 residual is A(u) - rhs: only the Newton trials solve the resolvent and
 apply the Laplacian, and the accepted trial's A is the next step's.
-Absent terms are zero arrays.
+J_lam(u) is tanh(beta_lam(u)/2), never rebuilt from u.  Absent terms are
+zero arrays.
 
 Fields may carry leading batch axes (replicates, coupled lanes) and
 everything here broadcasts over them.  This module holds one step; the
@@ -158,7 +159,7 @@ def _monotone_solve(g: gr.Grid, lam, rhs, dt: float, w0, b0, a0):
     lam is a scalar or an array broadcastable against the batch axes, or
     None to drop the beta term, with b0 a zero field that comes back as
     beta.  The first residual is a0 - rhs and its Newton system takes
-    beta_lam'(w0) from J_lam(w0) = w0 - lam*b0, so only the Newton trials
+    beta_lam'(w0) from J_lam(w0) = tanh(b0/2), so only the Newton trials
     solve the resolvent (warm-started from the evaluation before) and apply
     the Laplacian.  Residuals are A - rhs temporaries.  A member stops at
     residual max(NEWTON_TOL, 4*eps*max|rhs|): as |w| <= max|rhs| (maximum
@@ -170,7 +171,7 @@ def _monotone_solve(g: gr.Grid, lam, rhs, dt: float, w0, b0, a0):
     tol = np.maximum(NEWTON_TOL, pot._ULP4 * np.abs(rhs).max(axis=axes))
 
     w, bl, A = w0, b0, a0
-    blp = b0 if lam is None else pot.yosida_slope(lam, np.clip(w - lam * b0, pot._R_LO, pot._R_HI))
+    blp = b0 if lam is None else pot.yosida_slope(lam, np.tanh(0.5 * b0))
     res = np.abs(A - rhs).max(axis=axes)
     for _ in range(NEWTON_MAX_ITER):
         done = res <= tol
@@ -180,7 +181,7 @@ def _monotone_solve(g: gr.Grid, lam, rhs, dt: float, w0, b0, a0):
             delta = _tridiag_solve(g, dt, blp, A - rhs)
         else:
             delta = _pcg(g, dt, blp, A - rhs)
-        # a converged member keeps its w bit for bit, whatever its batch mates do (its trials re-evaluate beta_lam)
+        # a converged member keeps its w, and its re-evaluated beta_lam and A, bit for bit, whatever its batch mates do
         delta[done] = 0.0
         damp = 1.0
         for _bt in range(12):
@@ -209,16 +210,16 @@ def step(g: gr.Grid, lam, c: float, spec: nz.NoiseSpec, u, beta_u, a_u, dw, g_fo
     The explicit part is the concave term 2c*u, the forcing field g_force
     and the noise sum_k h_k(J_lam(u)) dW_k; dw holds the mode increments
     with shape u's batch axes + (modes,) and is ignored when spec has no
-    modes.  J_lam(u) comes from beta_u = beta_lam(u), which the previous
-    step (or yosida_pair at the datum) returned: J_lam(u) = u - lam*beta_u
-    up to round-off, clipped into (-1, 1), with no resolvent solve of its
-    own.  a_u = implicit_operator(g, cfg.dt, u, beta_u) is carried alike.
+    modes.  J_lam(u) = tanh(beta_u/2) from the beta_u = beta_lam(u) the
+    previous step (or yosida_pair at the datum) returned, with no resolvent
+    solve of its own (the noise is an exact 0.0 where it rounds to +-1);
+    a_u = implicit_operator(g, cfg.dt, u, beta_u) is carried alike.
     lam=None, c=0, zero beta_u and no noise modes give the heat flow.
     """
     dt = cfg.dt
     noise_field = 0.0
     if spec.modes > 0:
-        noise_field = nz.mix_modes(spec, np.clip(u - lam * beta_u, pot._R_LO, pot._R_HI), dw, g.dim)
+        noise_field = nz.mix_modes(spec, np.tanh(0.5 * beta_u), dw, g.dim)
     rhs = u + dt * (2.0 * c) * u + noise_field + dt * g_force
     del noise_field  # freed before the solve, which holds the peak
     return _monotone_solve(g, lam, rhs, dt, u, beta_u, a_u)

@@ -11,6 +11,7 @@ import pytest
 
 from logac import cli
 from logac import grid as gr
+from test_pinned import CONFIG
 
 GOLDEN_DEFAULTS = {
     "version": 1,
@@ -204,6 +205,26 @@ class TestRunCommands:
         before = np.geterr()
         assert cli.run("uniform", cli.config_from_dict(payload)) == code
         assert np.geterr() == before
+
+    @pytest.mark.parametrize(
+        "stepper, levels, extra",
+        [
+            ({"dt": 0.2, "t_end": 2.0}, [0.005, 0.002, 0.001], {}),
+            (
+                {"dt": 0.5, "t_end": 5.0},
+                [0.002, 0.001, 0.0005],
+                {"grid": {"extent": [1.0, 1.0], "cells": [12, 12]}, "noise": {**CONFIG["noise"], "amplitude": 2.0}},
+            ),
+        ],
+        ids=["1d-dt0.2", "2d-dt0.5"],
+    )
+    def test_long_steps_at_small_levels_run(self, tmp_path, stepper, levels, extra):
+        # dt/lam up to 1000: beta_lam is the graph solve's own root, so its residual is not amplified by 1/lam
+        payload = {**CONFIG, **extra, "stepper": stepper, "output_dir": str(tmp_path / "out")}
+        payload["ensemble"] = {**CONFIG["ensemble"], "lambda_levels": levels}
+        assert cli.run("uniform", cli.config_from_dict(payload)) == 0
+        rows = json.loads((tmp_path / "out" / "uniform.json").read_text())["rows"]
+        assert rows and all(math.isfinite(r[k]) for r in rows for k in ("mean", "se"))
 
     def test_unknown_command(self, tmp_path):
         cfg = cli.parse_config(write_config(tmp_path, small_run_payload(tmp_path)))

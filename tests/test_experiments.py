@@ -159,11 +159,6 @@ class TestBatchIndependence:
 class TestLaneIndependence:
     # a lane's path must not depend on which other lanes share its run: levels, data and
     # forcings differ across lanes, so their Newton solves take different iteration counts
-    @pytest.mark.xfail(
-        strict=True,
-        reason="a member that has converged still takes its batch mates' Newton trials at an unchanged state, "
-        "and each re-evaluation of beta_lam there, warm-started from the last, moves it by up to ~4e-12",
-    )
     @pytest.mark.parametrize("cells", [(24,), (10, 12)], ids=["1d", "2d"])
     def test_each_lane_matches_its_run_alone(self, cells):
         g = gr.Grid(extent=(1.0,) * len(cells), cells=cells)

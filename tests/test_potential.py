@@ -15,7 +15,9 @@ from helpers import beta_family_eval, default_offset, potential_eval, regularize
 from logac import cli
 from logac import experiments as ex
 from logac import grid as gr
+from logac import noise as nz
 from logac import potential as pot
+from logac import stepper
 
 LN3 = 1.0986122886681098
 
@@ -209,6 +211,15 @@ class TestWarmStart:
         again = pot._graph_solve(lam, x2, pot.NEWTON_TOL, pot.NEWTON_MAX_ITER, b)[0]
         assert np.array_equal(again[1::2], b[1::2])
 
+    @pytest.mark.parametrize("lam", [0.5, 0.2, 0.05, 0.01, 1e-4])
+    def test_pair_is_idempotent_from_its_own_beta(self, lam):
+        # a converged batch member's Newton trials re-evaluate beta_lam from itself and must not move it
+        x = np.array([0.0, 0.3, -0.3, 0.97, -0.97, 1.0 - 1e-15, -(1.0 - 1e-15), 1.0, -1.0, 1.5, -1.5, 50.0, -50.0])
+        beta, slope = pot.yosida_pair(lam, x)
+        again, slope_again = pot.yosida_pair(lam, x, b0=beta)
+        assert np.array_equal(again, beta)
+        assert np.array_equal(slope_again, slope)
+
 
 # updates the folded solve may take, fixed from the measured maximum of 10 over 6M
 # random cases (lam in [1e-4, 0.9]; cold, +-1e9, noisy-root and wrong-sign starts)
@@ -329,15 +340,31 @@ class TestYosida:
 
 
 class TestNoisePoint:
-    # stepper.step evaluates the noise at J_lam(u) = u - lam*beta_lam(u), clipped,
-    # from the beta_lam(u) the previous step returned, with no resolvent solve of its own
+    # stepper.step evaluates the noise at J_lam(u) = tanh(beta_lam(u)/2), from the
+    # beta_lam(u) the previous step returned, with no resolvent solve of its own
     @pytest.mark.parametrize("lam", [0.5, 0.2, 0.05, 0.01, 1e-4])
     def test_matches_resolvent_map(self, lam):
         u = np.array([1.0 - 1e-15, -(1.0 - 1e-15), 1.0, -1.0, 1.5, -1.5, 50.0, -50.0, 0.0, 0.3, -0.97])
         beta_u, _ = pot.yosida_pair(lam, u)
-        point = np.clip(u - lam * beta_u, pot._R_LO, pot._R_HI)
+        point = np.tanh(0.5 * beta_u)
         assert np.all(np.abs(point) <= 1.0)
         assert np.max(np.abs(point - pot.resolvent_map(lam, u))) <= 1e-12
+
+    def test_step_mixes_exactly_zero_noise_where_the_point_rounds_to_a_pure_phase(self, monkeypatch):
+        lam, u = 1e-4, np.array([50.0, -50.0, 1.5, -1.5])
+        g, scfg = gr.Grid(extent=(1.0,), cells=(4,)), stepper.StepperConfig(dt=1e-3, t_end=1e-3)
+        spec = nz.NoiseSpec(family="sine", modes=8, decay_exponent=2.0, amplitude=1.0)
+        mixed, mix = [], nz.mix_modes
+
+        def spy_mix(*args):
+            mixed.append(mix(*args))
+            return mixed[-1]
+
+        monkeypatch.setattr(nz, "mix_modes", spy_mix)
+        beta_u = pot.yosida_pair(lam, u)[0]
+        a_u = stepper.implicit_operator(g, scfg.dt, u, beta_u)
+        stepper.step(g, lam, 2.0, spec, u, beta_u, a_u, np.random.default_rng(3).normal(size=8), np.zeros(4), scfg)
+        assert len(mixed) == 1 and np.all(mixed[0] == 0.0)
 
 
 class TestRegularizedPotential:
