@@ -27,12 +27,23 @@ from . import noise as nz
 from . import potential as pot
 from . import stepper as st
 
-COMMANDS = ("simulate", "uniform", "cauchy", "dependence", "strong", "derivative", "oracles")
-
 DEFAULT_PERTURBATION_SIZES = (0.1, 0.01, 0.001)
 
-# commands that reduce one ladder_run, the coupled run of every lambda level
-LADDER_STUDIES = {"uniform": ex.uniform_bounds_study, "cauchy": ex.cauchy_study, "strong": ex.strong_solution_study}
+# the u0-only family, then the g-only family
+_DEFAULT_PERTURBATIONS = [ex.Perturbation(u0_shift=d) for d in DEFAULT_PERTURBATION_SIZES]
+_DEFAULT_PERTURBATIONS += [ex.Perturbation(g_shift=d) for d in DEFAULT_PERTURBATION_SIZES]
+
+# every command but simulate is one study of the ensemble config
+STUDIES = {
+    "uniform": ex.uniform_bounds_study,
+    "cauchy": ex.cauchy_study,
+    "dependence": lambda e: ex.dependence_study(e, _DEFAULT_PERTURBATIONS),
+    "strong": ex.strong_solution_study,
+    "derivative": ex.derivative_study,
+    "oracles": ex.heat_and_ode_oracles,
+}
+
+COMMANDS = ("simulate", *STUDIES)
 
 # The schema of every setting: a field takes the JSON type of its default, and
 # a list field takes the type of its default's first element for each entry.
@@ -175,7 +186,7 @@ def _write_report(report: ex.EstimateReport, cfg: RunConfig, out_dir: Path, wall
     csv_path = out_dir / f"{report.study}.csv"
     json_path = out_dir / f"{report.study}.json"
     csv_path.write_text(report.to_csv_text())
-    json_path.write_text(json.dumps(report.to_json_dict(), indent=2, default=float) + "\n")
+    json_path.write_text(json.dumps(asdict(report), indent=2, default=float) + "\n")
     return {"csv": str(csv_path), "json": str(json_path)}
 
 
@@ -222,16 +233,7 @@ def run(command: str, cfg: RunConfig) -> int:
             if command == "simulate":
                 outputs = _run_simulate(cfg, out_dir)
             else:
-                if command in LADDER_STUDIES:
-                    report = LADDER_STUDIES[command](cfg.ensemble, ex.ladder_run(cfg.ensemble))
-                elif command == "dependence":
-                    perturbations = [ex.Perturbation(u0_shift=d) for d in DEFAULT_PERTURBATION_SIZES]
-                    perturbations += [ex.Perturbation(g_shift=d) for d in DEFAULT_PERTURBATION_SIZES]
-                    report = ex.dependence_study(cfg.ensemble, perturbations)
-                elif command == "derivative":
-                    report = ex.derivative_study(cfg.ensemble)
-                else:
-                    report = ex.heat_and_ode_oracles(cfg.ensemble)
+                report = STUDIES[command](cfg.ensemble)
                 failures = report.failures
                 outputs = _write_report(report, cfg, out_dir, time.perf_counter() - t0)
     except ValueError as err:

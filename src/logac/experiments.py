@@ -3,11 +3,11 @@
 Every path, from a Monte Carlo ensemble down to one deterministic oracle
 run or the simulate command, is integrated by _run_lanes: lanes (levels
 or perturbed data) x replicates, stepped in lockstep by stepper.step.
-The engine is the time loop only; a study measures through the hooks it
-attaches: _path_statistics for the per-lane path statistics,
+The engine is the time loop only.  Every study is a function of its
+EnsembleConfig that builds its own lanes and runs them with only the hooks
+it reads: _path_statistics for the per-lane path statistics,
 _lane_differences for the differences of coupled lanes, or a hook of its
-own.  The uniform, cauchy and strong studies reduce one shared ladder_run.
-Every study is a pure function of (EnsembleConfig, seed): replicates are
+own.  Each is a pure function of (EnsembleConfig, seed): replicates are
 integrated as one vectorized batch in a fixed order, noise increments come
 from counter streams keyed (seed, replicate, step, mode), and coupled
 comparisons run on the identical increments, so reruns produce identical
@@ -23,7 +23,7 @@ import csv
 import hashlib
 import io
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -95,9 +95,6 @@ class EstimateReport:
             writer.writerow([r.quantity] + [repr(x) for x in (r.lam, r.mean, r.se, r.ci_lo, r.ci_hi)])
         return out.getvalue()
 
-    def to_json_dict(self) -> dict:
-        return asdict(self)
-
 
 def _mc_row(quantity: str, lam: float, values) -> ReportRow:
     values = np.asarray(values, dtype=float)
@@ -115,8 +112,11 @@ class Lane:
     g: np.ndarray  # grid shape, zero for no forcing
 
 
-def _lane_u0(cfg: EnsembleConfig) -> np.ndarray:
-    return dg.make_u0_batch(cfg.u0, cfg.grid, cfg.seed, cfg.replicates)
+def _level_lanes(cfg: EnsembleConfig, levels) -> list[Lane]:
+    """One lane per level, each from cfg's datum batch and forcing."""
+    u0 = dg.make_u0_batch(cfg.u0, cfg.grid, cfg.seed, cfg.replicates)
+    g_field = dg.make_g(cfg.g, cfg.grid)
+    return [Lane(lam, u0, g_field) for lam in levels]
 
 
 def _gauge_slice(g: gr.Grid, n: int, u):
@@ -232,24 +232,6 @@ def _lane_differences(g: gr.Grid, scfg: st.StepperConfig, reps: int, pairs: list
     return hook, stats
 
 
-def ladder_run(cfg: EnsembleConfig) -> dict:
-    """One coupled run of every level of cfg on common noise.
-
-    Every lane starts from the same datum and forcing, so the run carries
-    what the uniform, cauchy and strong studies reduce: per-level path
-    statistics and, entry i of "pairs", the differences of levels i and
-    i+1.  It is computed afresh on every call.
-    """
-    u0 = _lane_u0(cfg)
-    g_field = dg.make_g(cfg.g, cfg.grid)
-    lanes = [Lane(lam, u0, g_field) for lam in cfg.lambda_levels]
-    pairs = [(i, i + 1) for i in range(len(lanes) - 1)]
-    stats_hook, stats = _path_statistics(cfg.grid, cfg.stepper, cfg.potential.c, (len(lanes), cfg.replicates))
-    pairs_hook, diffs = _lane_differences(cfg.grid, cfg.stepper, cfg.replicates, pairs)
-    out = _run_lanes(lanes, cfg.noise, cfg.stepper, cfg.grid, cfg.potential, cfg.seed, hooks=(stats_hook, pairs_hook))
-    return {**out, "stats": stats, "pairs": diffs}
-
-
 _UNIFORM_QUANTITIES = ("sup_h_sq", "int_grad_sq", "int_f1_sq", "int_beta_sq")
 
 
@@ -260,41 +242,52 @@ def _spread(means: list[float]) -> float:
     return math.inf if lo == 0.0 else hi / lo
 
 
-def _level_report(study: str, cfg: EnsembleConfig, out: dict, quantities) -> EstimateReport:
-    """One _mc_row per (quantity, level) of ladder_run's statistics, and each quantity's spread across levels."""
+def _level_report(study: str, cfg: EnsembleConfig, quantities) -> EstimateReport:
+    """One run of every level of cfg with the path statistics alone.
+
+    Reports one _mc_row per (quantity, level) and each quantity's spread across levels.
+    """
+    hook, stats = _path_statistics(cfg.grid, cfg.stepper, cfg.potential.c, (len(cfg.lambda_levels), cfg.replicates))
+    lanes = _level_lanes(cfg, cfg.lambda_levels)
+    out = _run_lanes(lanes, cfg.noise, cfg.stepper, cfg.grid, cfg.potential, cfg.seed, hooks=(hook,))
     rows = []
     spreads = {}
     for q in quantities:
-        level_rows = [_mc_row(q, lam, out["stats"][q][i]) for i, lam in enumerate(cfg.lambda_levels)]
+        level_rows = [_mc_row(q, lam, stats[q][i]) for i, lam in enumerate(cfg.lambda_levels)]
         rows += level_rows
         spreads[q] = _spread([r.mean for r in level_rows])
     metadata = {"spread_max_over_min": spreads, "increments_digest": out["increments_digest"]}
     return EstimateReport(study, rows, metadata)
 
 
-def uniform_bounds_study(cfg: EnsembleConfig, out: dict) -> EstimateReport:
-    """Per-level estimates of the four uniform-bound statistics of ladder_run(cfg).
+def uniform_bounds_study(cfg: EnsembleConfig) -> EstimateReport:
+    """Per-level estimates of the four uniform-bound statistics, on one run of every level.
 
     For each lambda level: E sup_t ||u||_H^2, E int ||grad u||^2,
     E int ||F'_lam(u)||_H^2, E int ||beta_lam(u)||_H^2; the spread of each
     across levels is reported as a max/min ratio in the metadata.
     """
-    return _level_report("uniform", cfg, out, _UNIFORM_QUANTITIES)
+    return _level_report("uniform", cfg, _UNIFORM_QUANTITIES)
 
 
-def cauchy_study(cfg: EnsembleConfig, out: dict) -> EstimateReport:
-    """Coupled differences between consecutive levels of ladder_run(cfg).
+def cauchy_study(cfg: EnsembleConfig) -> EstimateReport:
+    """Coupled differences between consecutive levels, on one run of every level.
 
     Delta(lam_i) = E sup_t ||u_i - u_{i+1}||_H^2 + E int ||grad(u_i - u_{i+1})||^2
     for consecutive level pairs; the study fails unless Delta decreases
     strictly along the level list, and reports the dyadic order
-    log2(Delta_i / Delta_{i+1}); a zero Delta_i has the ratio nan.
+    log2(Delta_i / Delta_{i+1}); a zero Delta_i has the ratio nan.  The
+    level count is checked before the run, which attaches only the
+    differences of the pairs (i, i+1).
     """
-    if len(cfg.lambda_levels) < 3:
+    levels = cfg.lambda_levels
+    if len(levels) < 3:
         raise ValueError("cauchy study needs at least 3 lambda levels")
+    hook, diffs = _lane_differences(cfg.grid, cfg.stepper, cfg.replicates, [(i, i + 1) for i in range(len(levels) - 1)])
+    lanes = _level_lanes(cfg, levels)
+    out = _run_lanes(lanes, cfg.noise, cfg.stepper, cfg.grid, cfg.potential, cfg.seed, hooks=(hook,))
     rows = [
-        _mc_row("cauchy_delta", lam, pa["sup_diff_h_sq"] + pa["int_diff_grad_sq"])
-        for lam, pa in zip(cfg.lambda_levels, out["pairs"])
+        _mc_row("cauchy_delta", lam, pa["sup_diff_h_sq"] + pa["int_diff_grad_sq"]) for lam, pa in zip(levels, diffs)
     ]
     deltas = [r.mean for r in rows]
     report = EstimateReport(study="cauchy", rows=rows)
@@ -306,8 +299,8 @@ def cauchy_study(cfg: EnsembleConfig, out: dict) -> EstimateReport:
     for k, (a, b) in enumerate(zip(deltas, deltas[1:])):
         if not b < a:
             report.failures.append(
-                f"cauchy delta not strictly decreasing: Delta(lam={cfg.lambda_levels[k + 1]}) = {b:.4g} >= "
-                f"Delta(lam={cfg.lambda_levels[k]}) = {a:.4g}"
+                f"cauchy delta not strictly decreasing: Delta(lam={levels[k + 1]}) = {b:.4g} >= "
+                f"Delta(lam={levels[k]}) = {a:.4g}"
             )
     return report
 
@@ -324,11 +317,10 @@ def dependence_study(cfg: EnsembleConfig, perturbations: list[Perturbation]) -> 
     """
     lam = cfg.lambda_levels[-1]
     g = cfg.grid
-    u0 = _lane_u0(cfg)
-    g_field = dg.make_g(cfg.g, cfg.grid)
+    lanes = _level_lanes(cfg, [lam])  # lane i > 0 carries perturbation i - 1
+    u0, g_field = lanes[0].u0, lanes[0].g
     t_total = cfg.stepper.n_steps * cfg.stepper.dt
 
-    lanes = [Lane(lam, u0, g_field)]  # lane i > 0 carries perturbation i - 1
     rhs = []
     for p in perturbations:
         du0, dg_field = np.full(g.shape, float(p.u0_shift)), np.full(g.shape, float(p.g_shift))
@@ -371,14 +363,14 @@ def dependence_study(cfg: EnsembleConfig, perturbations: list[Perturbation]) -> 
     return report
 
 
-def strong_solution_study(cfg: EnsembleConfig, out: dict) -> EstimateReport:
-    """Gradient and Laplacian statistics of ladder_run(cfg) for a V-regular datum.
+def strong_solution_study(cfg: EnsembleConfig) -> EstimateReport:
+    """Gradient and Laplacian statistics for a V-regular datum, on one run of every level.
 
     Estimates E sup_t ||grad u||_H^2 and E int ||lap_h u||_H^2 per level and
     fails unless each stays inside a 1.2 max/min band across the levels.
     Every grid datum has |u0| < 1 and so a finite Dirichlet energy.
     """
-    report = _level_report("strong", cfg, out, ("sup_grad_sq", "int_lap_sq"))
+    report = _level_report("strong", cfg, ("sup_grad_sq", "int_lap_sq"))
     for q, spread in report.metadata["spread_max_over_min"].items():
         if not spread <= 1.2:
             report.failures.append(f"strong-solution statistic {q} spread {spread:.4f} exceeds the 1.2 band")
@@ -402,13 +394,11 @@ def derivative_study(cfg: EnsembleConfig) -> EstimateReport:
     n = cfg.noise.flatness - 1
     if n < 2:
         raise ValueError(f"derivative study needs gauge order n = flatness - 1 >= 2, got n={n}")
-    g_field = dg.make_g(cfg.g, cfg.grid)
-    if np.max(np.abs(g_field)) > 1.0:
-        raise ValueError("derivative study requires ||g||_inf <= 1")
-    u0 = _lane_u0(cfg)
     lam_min = cfg.lambda_levels[-1]
     levels = [lam_min, 0.5 * lam_min]
-    lanes = [Lane(lam, u0, g_field) for lam in levels]
+    lanes = _level_lanes(cfg, levels)
+    if np.max(np.abs(lanes[0].g)) > 1.0:
+        raise ValueError("derivative study requires ||g||_inf <= 1")
     scfg = cfg.stepper
     shape = (len(levels), cfg.replicates)
     series = np.empty((scfg.n_steps + 1,) + shape)  # int G_n per state m = 0..n_steps

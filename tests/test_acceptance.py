@@ -43,22 +43,6 @@ def reference_ensemble():
     return cli.default_config().ensemble
 
 
-@pytest.fixture(scope="module")
-def ladder(reference_ensemble):
-    # one coupled run of every reference level, reduced by criteria 6, 7 and 9
-    t0 = time.perf_counter()
-    run = ex.ladder_run(reference_ensemble)
-    return run, time.perf_counter() - t0
-
-
-def reduce_ladder(study, cfg, ladder):
-    """(report, seconds): the shared run's time plus this reduction's."""
-    run, elapsed = ladder
-    t0 = time.perf_counter()
-    rep = study(cfg, run)
-    return rep, elapsed + time.perf_counter() - t0
-
-
 def test_criterion_01_yosida_suite():
     t0 = time.perf_counter()
     rng = np.random.default_rng(1)
@@ -235,8 +219,10 @@ def test_criterion_05_gradient_flow_and_gateaux():
     assert elapsed < 10.0
 
 
-def test_criterion_06_cauchy_in_lambda(reference_ensemble, ladder):
-    rep, elapsed = reduce_ladder(ex.cauchy_study, reference_ensemble, ladder)
+def test_criterion_06_cauchy_in_lambda(reference_ensemble):
+    t0 = time.perf_counter()
+    rep = ex.cauchy_study(reference_ensemble)
+    elapsed = time.perf_counter() - t0
     deltas = rep.metadata["deltas"]
     ratios = rep.metadata["successive_ratios"]
     decreasing = all(b < a for a, b in zip(deltas, deltas[1:]))
@@ -255,8 +241,10 @@ def test_criterion_06_cauchy_in_lambda(reference_ensemble, ladder):
     assert elapsed < 600.0
 
 
-def test_criterion_07_uniform_bounds(reference_ensemble, ladder):
-    rep, elapsed = reduce_ladder(ex.uniform_bounds_study, reference_ensemble, ladder)
+def test_criterion_07_uniform_bounds(reference_ensemble):
+    t0 = time.perf_counter()
+    rep = ex.uniform_bounds_study(reference_ensemble)
+    elapsed = time.perf_counter() - t0
     spreads = rep.metadata["spread_max_over_min"]
     cis_ok = all(r.se > 0.0 for r in rep.rows)
     band_ok = all(s <= 1.2 for s in spreads.values())
@@ -266,7 +254,7 @@ def test_criterion_07_uniform_bounds(reference_ensemble, ladder):
         "uniform bounds",
         ok,
         f"max/min spreads {({k: round(v, 3) for k, v in spreads.items()})} (<=1.2 required), "
-        f"CIs non-degenerate {cis_ok}, runtime shared with criteria 6 and 9 ({elapsed:.0f}s)",
+        f"CIs non-degenerate {cis_ok}, {elapsed:.0f}s",
     )
     assert cis_ok
     assert band_ok, (
@@ -303,8 +291,10 @@ def test_criterion_08_continuous_dependence(reference_ensemble):
     assert elapsed < 600.0
 
 
-def test_criterion_09_strong_solution(reference_ensemble, ladder):
-    rep, elapsed = reduce_ladder(ex.strong_solution_study, reference_ensemble, ladder)
+def test_criterion_09_strong_solution(reference_ensemble):
+    t0 = time.perf_counter()
+    rep = ex.strong_solution_study(reference_ensemble)
+    elapsed = time.perf_counter() - t0
     spreads = rep.metadata["spread_max_over_min"]
     band_ok = all(s <= 1.2 for s in spreads.values())
     ok = band_ok and not rep.failures and elapsed < 600.0

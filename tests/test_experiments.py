@@ -34,11 +34,6 @@ def small_config(**overrides):
     return ex.EnsembleConfig(**base)
 
 
-def ladder_study(study, cfg):
-    """A uniform, cauchy or strong report reduced from a fresh ladder_run."""
-    return study(cfg, ex.ladder_run(cfg))
-
-
 def gauge_slices(lanes, spec, scfg, g, params, seed, order):
     """(int G_n, int |G_n'|) at every state of one _run_lanes run, via a hook."""
     slices = []
@@ -79,39 +74,45 @@ class TestEnsembleValidation:
 
 
 class TestLadderRun:
-    def test_one_run_feeds_all_three_reductions(self):
+    # the uniform, cauchy and strong studies each run every level of one config, the coupled ladder
+    def test_three_level_studies_report_one_increments_digest(self):
         cfg = small_config()
-        run = ex.ladder_run(cfg)
-        assert run["stats"]["sup_h_sq"].shape == (3, cfg.replicates)
-        assert len(run["pairs"]) == 2
-        reports = [study(cfg, run) for study in (ex.uniform_bounds_study, ex.cauchy_study, ex.strong_solution_study)]
+        reports = [study(cfg) for study in (ex.uniform_bounds_study, ex.cauchy_study, ex.strong_solution_study)]
         assert len({r.metadata["increments_digest"] for r in reports}) == 1
 
-    def test_computed_afresh_on_every_call(self):
-        cfg = small_config()
-        a, b = ex.ladder_run(cfg), ex.ladder_run(cfg)
-        assert a["final"] is not b["final"]
-        assert np.array_equal(a["final"], b["final"])
+    @pytest.mark.parametrize(
+        "study, unread",
+        [
+            (ex.uniform_bounds_study, "_lane_differences"),
+            (ex.strong_solution_study, "_lane_differences"),
+            (ex.cauchy_study, "_path_statistics"),
+        ],
+        ids=["uniform", "strong", "cauchy"],
+    )
+    def test_attaches_only_the_hooks_it_reads(self, monkeypatch, study, unread):
+        def unread_hook(*args, **kwargs):
+            raise AssertionError(f"{study.__name__} attached {unread}, which it never reads")
+
+        monkeypatch.setattr(ex, unread, unread_hook)
+        assert study(small_config()).rows
 
     def test_peak_memory_of_the_reference_ensemble(self):
-        # one ladder_run of the reference shape (128 cells, 64 replicates, 4 levels, 16 modes):
-        # the solver's residuals are A - rhs temporaries, so the traced peak is 16.69 field
-        # batches (16.79 when each step recomputed its first residual, 17.69 with a residual
+        # one study of the reference shape (128 cells, 64 replicates, 4 levels, 16 modes):
+        # the solver's residuals are A - rhs temporaries, so the traced peak is 16.66 field
+        # batches with the path statistics and 16.62 with the level differences (16.69 with
+        # both, 16.79 when each step recomputed its first residual, 17.69 with a residual
         # field kept alongside each trial's A)
         cfg = cli.config_from_dict({"stepper": {"t_end": 0.002}}).ensemble
         field_batch = 8 * len(cfg.lambda_levels) * cfg.replicates * cfg.grid.cells[0]
-        ex.ladder_run(cfg)  # caches and lazy imports are not the run's working set
-        tracemalloc.start()
-        try:
-            ex.ladder_run(cfg)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 17 * field_batch, peak / field_batch
-
-    def test_single_lane_has_no_pairs(self):
-        cfg = small_config(lambda_levels=(0.1,))
-        assert ex.ladder_run(cfg)["pairs"] == []
+        for study in (ex.uniform_bounds_study, ex.cauchy_study):
+            study(cfg)  # caches and lazy imports are not the run's working set
+            tracemalloc.start()
+            try:
+                study(cfg)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 17 * field_batch, (study.__name__, peak / field_batch)
 
 
 class TestBatchIndependence:
@@ -135,7 +136,7 @@ class TestBatchIndependence:
             stepper=st.StepperConfig(dt=1e-3, t_end=n_steps * 1e-3),
             u0=dg.U0Spec(kind="random_fourier", amplitude=0.5),
         )
-        u0 = ex._lane_u0(cfg)
+        u0 = dg.make_u0_batch(cfg.u0, cfg.grid, cfg.seed, cfg.replicates)
 
         def run(batch):
             lanes = [ex.Lane(lam, batch, np.zeros(cfg.grid.shape)) for lam in cfg.lambda_levels]
@@ -186,14 +187,14 @@ class TestLaneIndependence:
 
 class TestUniformStudy:
     def test_zero_data_gives_zero_statistics(self):
-        rep = ladder_study(ex.uniform_bounds_study, quiet_config())
+        rep = ex.uniform_bounds_study(quiet_config())
         for r in rep.rows:
             assert r.mean == 0.0
             assert r.se == 0.0
 
     def test_standard_error_shrinks_with_replicates(self):
-        r8 = ladder_study(ex.uniform_bounds_study, small_config(replicates=8))
-        r32 = ladder_study(ex.uniform_bounds_study, small_config(replicates=32))
+        r8 = ex.uniform_bounds_study(small_config(replicates=8))
+        r32 = ex.uniform_bounds_study(small_config(replicates=32))
         lam = 0.05
         for q in ("sup_h_sq", "int_beta_sq"):
             se8 = report_row(r8, q, lam).se
@@ -203,7 +204,7 @@ class TestUniformStudy:
             assert 1.2 <= se8 / se32 <= 3.5
 
     def test_report_shape_and_spread(self):
-        rep = ladder_study(ex.uniform_bounds_study, small_config())
+        rep = ex.uniform_bounds_study(small_config())
         assert len(rep.rows) == 4 * 3
         assert set(rep.metadata["spread_max_over_min"]) == {
             "sup_h_sq",
@@ -214,8 +215,8 @@ class TestUniformStudy:
         assert rep.failures == []
 
     def test_csv_bytes_reproducible(self):
-        a = ladder_study(ex.uniform_bounds_study, small_config()).to_csv_text()
-        b = ladder_study(ex.uniform_bounds_study, small_config()).to_csv_text()
+        a = ex.uniform_bounds_study(small_config()).to_csv_text()
+        b = ex.uniform_bounds_study(small_config()).to_csv_text()
         assert a == b
         assert a.splitlines()[0] == "quantity,lambda,mean,se,ci_lo,ci_hi"
 
@@ -223,7 +224,7 @@ class TestUniformStudy:
 class TestCauchyStudy:
     def test_identical_levels_give_zero_delta(self):
         cfg = small_config()
-        u0 = ex._lane_u0(cfg)
+        u0 = dg.make_u0_batch(cfg.u0, cfg.grid, cfg.seed, cfg.replicates)
         lanes = [ex.Lane(0.1, u0, np.zeros(cfg.grid.shape)), ex.Lane(0.1, u0, np.zeros(cfg.grid.shape))]
         hook, diffs = ex._lane_differences(cfg.grid, cfg.stepper, cfg.replicates, [(0, 1)])
         ex._run_lanes(lanes, cfg.noise, cfg.stepper, cfg.grid, cfg.potential, cfg.seed, hooks=(hook,))
@@ -238,26 +239,33 @@ class TestCauchyStudy:
             lambda_levels=(0.2, 0.1, 0.05, 0.025),
             stepper=st.StepperConfig(dt=1e-3, t_end=0.05),
         )
-        rep = ladder_study(ex.cauchy_study, cfg)
+        rep = ex.cauchy_study(cfg)
         assert rep.failures == []
         deltas = rep.metadata["deltas"]
         assert all(a > b > 0.0 for a, b in zip(deltas, deltas[1:]))
 
     def test_identical_paths_fail_by_name(self):
         # the origin is a fixed point, so every level runs the same path and every Delta is 0
-        rep = ladder_study(ex.cauchy_study, quiet_config())
+        rep = ex.cauchy_study(quiet_config())
         assert rep.metadata["deltas"] == [0.0, 0.0]
         assert math.isnan(rep.metadata["successive_ratios"][0])
         assert rep.failures == ["cauchy delta not strictly decreasing: Delta(lam=0.1) = 0 >= Delta(lam=0.2) = 0"]
 
-    def test_needs_three_levels(self):
-        with pytest.raises(ValueError, match="3 lambda"):
-            ladder_study(ex.cauchy_study, small_config(lambda_levels=(0.2, 0.1)))
+    def test_needs_three_levels(self, monkeypatch, tmp_path):
+        # the level count is checked before any integration, and the CLI reports it as a usage error
+        def no_run(*args, **kwargs):
+            raise AssertionError("integrated before the level count was checked")
+
+        monkeypatch.setattr(ex, "_run_lanes", no_run)
+        cfg = small_config(lambda_levels=(0.2, 0.1))
+        with pytest.raises(ValueError, match="^cauchy study needs at least 3 lambda levels$"):
+            ex.cauchy_study(cfg)
+        assert cli.run("cauchy", cli.RunConfig(ensemble=cfg, output_dir=str(tmp_path))) == 2
 
     def test_common_noise_digest_stable(self):
         cfg = small_config()
-        a = ladder_study(ex.cauchy_study, cfg)
-        b = ladder_study(ex.cauchy_study, cfg)
+        a = ex.cauchy_study(cfg)
+        b = ex.cauchy_study(cfg)
         assert a.metadata["increments_digest"] == b.metadata["increments_digest"]
         assert a.metadata["deltas"] == b.metadata["deltas"]
 
@@ -338,7 +346,7 @@ class TestDependenceStudy:
         ]
         rep = ex.dependence_study(cfg, perturbations)
         lam = cfg.lambda_levels[-1]
-        u0 = ex._lane_u0(cfg)
+        u0 = dg.make_u0_batch(cfg.u0, cfg.grid, cfg.seed, cfg.replicates)
         g_field = dg.make_g(cfg.g, cfg.grid)
         for p in perturbations:
             # the unperturbed lane and one perturbed lane, integrated on their own
@@ -444,23 +452,24 @@ class TestForcing:
 
 class TestStrongStudy:
     def test_zero_data_is_uniform(self):
-        rep = ladder_study(ex.strong_solution_study, quiet_config())
+        rep = ex.strong_solution_study(quiet_config())
         assert rep.failures == []
         for r in rep.rows:
             assert r.mean == 0.0
 
     def test_reports_two_quantities_per_level(self):
         cfg = small_config()
-        rep = ladder_study(ex.strong_solution_study, cfg)
+        rep = ex.strong_solution_study(cfg)
         assert len(rep.rows) == 2 * len(cfg.lambda_levels)
         assert set(rep.metadata["spread_max_over_min"]) == {"sup_grad_sq", "int_lap_sq"}
 
-    def test_spread_beyond_the_band_fails(self):
-        # a synthetic ladder: the reduction reads only the statistics it is given
+    def test_spread_beyond_the_band_fails(self, monkeypatch):
+        # synthetic statistics: the study reduces only what its path-statistics hook fills
         cfg = small_config()
         levels = np.ones((len(cfg.lambda_levels), cfg.replicates))
         stats = {"sup_grad_sq": levels * [[1.0], [1.25], [1.5]], "int_lap_sq": levels}
-        rep = ex.strong_solution_study(cfg, {"stats": stats, "increments_digest": ""})
+        monkeypatch.setattr(ex, "_path_statistics", lambda *args: (lambda m, u, beta_u: None, stats))
+        rep = ex.strong_solution_study(cfg)
         assert rep.failures == ["strong-solution statistic sup_grad_sq spread 1.5000 exceeds the 1.2 band"]
 
     def test_mesh_refinement_sanity(self):
@@ -472,7 +481,7 @@ class TestStrongStudy:
                 stepper=st.StepperConfig(dt=1e-3, t_end=0.05),
                 replicates=16,
             )
-            reps[n] = ladder_study(ex.strong_solution_study, cfg)
+            reps[n] = ex.strong_solution_study(cfg)
         for q in ("sup_grad_sq", "int_lap_sq"):
             for lam in (0.2, 0.05):
                 coarse = report_row(reps[16], q, lam).mean
@@ -518,7 +527,7 @@ class TestDerivativeStudy:
     def test_higher_order_dominates(self):
         # G_3 >= G_2 pointwise on (-1, 1), so every statistic is ordered
         cfg = self._cfg(2)  # same noise/flatness for both gauges
-        lanes = [ex.Lane(0.05, ex._lane_u0(cfg), np.zeros(cfg.grid.shape))]
+        lanes = [ex.Lane(0.05, dg.make_u0_batch(cfg.u0, cfg.grid, cfg.seed, cfg.replicates), np.zeros(cfg.grid.shape))]
         args = (lanes, cfg.noise, cfg.stepper, cfg.grid, cfg.potential, cfg.seed)
         series2 = np.asarray([ig for ig, _ in gauge_slices(*args, 2)])
         series3 = np.asarray([ig for ig, _ in gauge_slices(*args, 3)])
