@@ -168,10 +168,11 @@ def _run_lanes(
 
     a_u = st.implicit_operator(g, scfg.dt, u, beta_u)
     hasher = hashlib.sha256()
-    for m in range(scfg.n_steps + 1):
+    n_steps = scfg.n_steps
+    for m in range(n_steps + 1):
         for hook in hooks:
             hook(m, u, beta_u)
-        if m == scfg.n_steps:
+        if m == n_steps:
             break
         dw = None
         if spec.modes > 0:
@@ -180,7 +181,7 @@ def _run_lanes(
             dw = np.broadcast_to(dw, (n_lanes, reps, spec.modes))
         u, beta_u, a_u = st.step(g, lam, c, spec, u, beta_u, a_u, dw, g_force, scfg)
 
-    return {"final": u, "increments_digest": hasher.hexdigest(), "n_steps": scfg.n_steps}
+    return {"final": u, "increments_digest": hasher.hexdigest(), "n_steps": n_steps}
 
 
 def _path_statistics(g: gr.Grid, scfg: st.StepperConfig, c: float, shape):

@@ -61,7 +61,7 @@ class Grid:
 
 def _check_field(grid: Grid, u) -> np.ndarray:
     u = np.asarray(u, dtype=float)
-    if u.shape[u.ndim - grid.dim :] != grid.shape:
+    if u.shape[u.ndim - grid.dim :] != grid.cells:
         raise ValueError(f"field shape {u.shape} does not end with grid shape {grid.shape}")
     return u
 
@@ -92,7 +92,7 @@ def laplacian_neumann(grid: Grid, u) -> np.ndarray:
     for (lo, hi, last), h in zip(_face_slices(u.ndim, grid.dim), grid.spacing):
         flux = u[hi] - u[lo]
         flux /= h
-        term = np.empty_like(u)
+        term = np.empty(u.shape)
         term[lo] = flux
         term[last] = 0.0
         term[hi] -= flux

@@ -82,8 +82,8 @@ def _graph_solve(lam, x, tol, max_iter, b0=None):
     x = np.asarray(x, dtype=float)
     a = np.abs(x)
     hi = np.maximum(tol, _ULP4 * a)
-    b = np.asarray(a / (lam + 0.5) if b0 is None else np.clip(np.sign(x) * b0, 0.0, a / lam))
-    t, f, done = np.empty_like(b), np.empty_like(b), np.empty(b.shape, dtype=bool)
+    b = np.asarray(a / (lam + 0.5) if b0 is None else np.minimum(np.maximum(np.sign(x) * b0, 0.0), a / lam))
+    t, f, done = np.empty(b.shape), np.empty(b.shape), np.empty(b.shape, dtype=bool)
     # cosh(b/2) overflows to inf for large b, which correctly gives f' = lam
     with np.errstate(over="ignore"):
         for it in range(max_iter + 1):
@@ -91,9 +91,8 @@ def _graph_solve(lam, x, tol, max_iter, b0=None):
             np.multiply(lam, b, out=f)
             f += t
             f -= a
-            np.less_equal(f, hi, out=done)
-            done &= f >= -hi
-            if done.all():
+            np.less_equal(np.abs(f), hi, out=done)
+            if np.logical_and.reduce(done, axis=None):
                 return np.copysign(b, x, out=b), np.copysign(t, x, out=t)
             if it == max_iter:
                 break

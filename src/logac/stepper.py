@@ -142,7 +142,7 @@ def _tridiag_solve(g: gr.Grid, dt: float, diag, b):
     d += kd
     e = np.empty(b.shape)
     e[...] = e_block
-    _, _, x, info = lapack.dptsv(d.reshape(-1), e.reshape(-1)[:-1], b.reshape(-1), overwrite_d=1, overwrite_e=1)
+    _, _, x, info = lapack.dptsv(d.ravel(), e.ravel()[:-1], b.ravel(), overwrite_d=1, overwrite_e=1)
     if info != 0:
         raise RuntimeError(f"tridiagonal Newton system is not positive definite (dptsv info {info})")
     return x.reshape(b.shape)
@@ -168,14 +168,15 @@ def _monotone_solve(g: gr.Grid, lam, rhs, dt: float, w0, b0, a0):
     """
     dim = g.dim
     axes = tuple(range(rhs.ndim - dim, rhs.ndim))
-    tol = np.maximum(NEWTON_TOL, pot._ULP4 * np.abs(rhs).max(axis=axes))
+    # ufunc reductions, not the ndarray methods, whose Python wrappers cost as much as the arithmetic on small fields
+    tol = np.maximum(NEWTON_TOL, pot._ULP4 * np.maximum.reduce(np.abs(rhs), axis=axes))
 
     w, bl, A = w0, b0, a0
     blp = b0 if lam is None else pot.yosida_slope(lam, np.tanh(0.5 * b0))
-    res = np.abs(A - rhs).max(axis=axes)
+    res = np.maximum.reduce(np.abs(A - rhs), axis=axes)
     for _ in range(NEWTON_MAX_ITER):
         done = res <= tol
-        if done.all():
+        if np.logical_and.reduce(done, axis=None):
             return w, bl, A
         if dim == 1:
             delta = _tridiag_solve(g, dt, blp, A - rhs)
@@ -183,17 +184,17 @@ def _monotone_solve(g: gr.Grid, lam, rhs, dt: float, w0, b0, a0):
             delta = _pcg(g, dt, blp, A - rhs)
         # a converged member keeps its w, and its re-evaluated beta_lam and A, bit for bit, whatever its batch mates do
         delta[done] = 0.0
-        damp = 1.0
         for _bt in range(12):
-            w_try = w - _expand(damp, dim) * delta
+            # halving is exact, so after k refusals a member's trial is w - 2^-k*delta
+            w_try = w - delta
             # bl follows the latest evaluation, which warm-starts the next one
             bl, blp_try = (b0, b0) if lam is None else pot.yosida_pair(lam, w_try, b0=bl)
             A_try = implicit_operator(g, dt, w_try, bl)
-            res_try = np.abs(A_try - rhs).max(axis=axes)
-            bad = (res_try > res) & (res_try > tol)
-            if not bad.any():
+            res_try = np.maximum.reduce(np.abs(A_try - rhs), axis=axes)
+            bad = res_try > np.maximum(res, tol)
+            if not np.logical_or.reduce(bad, axis=None):
                 break
-            damp = np.where(bad, 0.5 * damp, damp)
+            delta[bad] *= 0.5
         else:
             raise RuntimeError(
                 f"implicit step failed: backtracking exhausted, 12 dampings all raise residual {float(np.max(res)):.3e}"
@@ -217,9 +218,9 @@ def step(g: gr.Grid, lam, c: float, spec: nz.NoiseSpec, u, beta_u, a_u, dw, g_fo
     lam=None, c=0, zero beta_u and no noise modes give the heat flow.
     """
     dt = cfg.dt
-    noise_field = 0.0
+    rhs = u + dt * (2.0 * c) * u
     if spec.modes > 0:
-        noise_field = nz.mix_modes(spec, np.tanh(0.5 * beta_u), dw, g.dim)
-    rhs = u + dt * (2.0 * c) * u + noise_field + dt * g_force
-    del noise_field  # freed before the solve, which holds the peak
+        # a temporary, freed before the solve, which holds the peak
+        rhs += nz.mix_modes(spec, np.tanh(0.5 * beta_u), dw, g.dim)
+    rhs += dt * g_force
     return _monotone_solve(g, lam, rhs, dt, u, beta_u, a_u)

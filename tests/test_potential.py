@@ -245,13 +245,13 @@ def solve_recording_iterates(lam, x, b0):
 
 
 class TestFoldedSolve:
-    SPECIAL_X = [1.0, -1.0, 1.0 + 1e-6, 1.0 - 1e-6, -(1.0 + 1e-6), -(1.0 - 1e-6), 0.0]
+    SPECIAL_X = [1.0, -1.0, 1.0 + 1e-6, 1.0 - 1e-6, -(1.0 + 1e-6), -(1.0 - 1e-6), 0.0, -0.0]
 
     @settings(max_examples=400, deadline=None)
     @given(
         lam=st.floats(min_value=1e-4, max_value=0.9),
         x=st.one_of(st.sampled_from(SPECIAL_X), st.floats(min_value=-1e2, max_value=1e2)),
-        start=st.sampled_from(["cold", "+1e9", "-1e9", "wrong sign", "noisy root"]),
+        start=st.sampled_from(["cold", "+1e9", "-1e9", "+0", "-0", "wrong sign", "noisy root"]),
         noise=st.floats(min_value=-1.0, max_value=1.0),
     )
     def test_converges_monotonically_and_is_odd(self, lam, x, start, noise):
@@ -260,6 +260,8 @@ class TestFoldedSolve:
             "cold": None,
             "+1e9": 1e9,
             "-1e9": -1e9,
+            "+0": 0.0,
+            "-0": -0.0,
             "wrong sign": -root - math.copysign(abs(noise), x),
             "noisy root": root * (1.0 + 1e-3 * noise) + noise,
         }[start]

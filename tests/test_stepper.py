@@ -1,4 +1,6 @@
 import math
+import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -223,6 +225,43 @@ class TestImplicitSolve:
         # the first Newton system carries beta_lam'(u), taken from J = tanh(beta_lam(u)/2) as yosida_pair takes it
         assert np.array_equal(diags[0], slope_u)
 
+    @pytest.mark.parametrize("lam", [None, 0.05], ids=["heat", "lambda"])
+    def test_refused_member_halves_its_own_direction(self, monkeypatch, lam):
+        # member 0's Newton step overshoots five times, so its trials are refused until the
+        # direction is halved twice; member 1 takes its full step in the same trials
+        g = gr.Grid(extent=(1.0,), cells=(16,))
+        rhs = np.random.default_rng(6).uniform(-1.5, 1.5, size=(2, 16))
+        start = carried(g, lam, 0.5 * rhs, 1e-2)
+        tridiag, operator = st._tridiag_solve, st.implicit_operator
+        events = []
+
+        def overshoot(g_, dt, diag, b):
+            delta = tridiag(g_, dt, diag, b) * scale
+            events.append(("delta", delta.copy()))
+            return delta
+
+        def spy_operator(g_, dt, w, bl):
+            events.append(("trial", w))
+            return operator(g_, dt, w, bl)
+
+        monkeypatch.setattr(st, "_tridiag_solve", overshoot)
+        monkeypatch.setattr(st, "implicit_operator", spy_operator)
+        scales = scale = np.array([[5.0], [1.0]])
+        batch = st._monotone_solve(g, lam, rhs, 1e-2, *start)
+        # the first Newton iteration: its direction, then every trial up to the one accepted
+        kinds = [kind for kind, _ in events]
+        delta, trials = events[0][1], [w for _, w in events[1 : kinds.index("delta", 1)]]
+        assert len(trials) == 3
+        for k, w_try in enumerate(trials):
+            assert np.array_equal(w_try[0], start[0][0] - 2.0**-k * delta[0])
+            assert np.array_equal(w_try[1], start[0][1] - delta[1])
+        # each member's (w, beta_lam, A) is that of its solve alone, bit for bit
+        for i in range(2):
+            scale = scales[i : i + 1]
+            alone = st._monotone_solve(g, lam, rhs[i : i + 1], 1e-2, *(x[i : i + 1] for x in start))
+            for got, want in zip(batch, alone):
+                assert np.array_equal(got[i : i + 1], want)
+
     def test_backtracking_exhaustion_raises(self, monkeypatch):
         # a wrong-sign Jacobian solve gives an ascent direction, so every damping raises the residual
         g = gr.Grid(extent=(1.0,), cells=(16,))
@@ -376,6 +415,33 @@ class TestTridiagSolve:
 
 
 class TestStep:
+    @pytest.mark.parametrize("lam", [None, 0.025], ids=["heat", "lambda"])
+    def test_enters_no_python_frame_outside_the_package(self, lam):
+        # on small fields numpy's Python-level wrappers (ndarray.max/all/any, clip, empty_like)
+        # cost as much as the arithmetic, so a warmed noiseless step calls ufuncs and their
+        # reductions directly; the graph solve's errstate is the one numpy frame it enters
+        g = gr.Grid(extent=(1.0,), cells=(32,))
+        cfg = st.StepperConfig(dt=1e-3, t_end=1e-3)
+        u = 0.5 * np.cos(np.pi * g.cell_centers())[None, None]
+        c, beta_u = (0.0, np.zeros_like(u)) if lam is None else (2.0, pot.yosida_pair(lam, u)[0])
+        args = (g, lam, c, QUIET, u, beta_u, st.implicit_operator(g, cfg.dt, u, beta_u), None, np.zeros(u.shape), cfg)
+        st.step(*args)  # fills the caches and cached properties
+        package = os.path.dirname(st.__file__) + os.sep
+        errstate = np.errstate.__init__.__code__.co_filename
+        entered = []
+
+        def profile(frame, event, arg):
+            path = frame.f_code.co_filename
+            if event == "call" and not path.startswith(package) and path != errstate:
+                entered.append(f"{path}:{frame.f_code.co_name}")
+
+        sys.setprofile(profile)
+        try:
+            st.step(*args)
+        finally:
+            sys.setprofile(None)
+        assert entered == []
+
     def test_origin_is_fixed_point(self):
         g = gr.Grid(extent=(1.0,), cells=(16,))
         params = pot.PotentialParams(c=2.0)
