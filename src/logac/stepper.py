@@ -93,21 +93,21 @@ def _pcg(g: gr.Grid, dt: float, diag, b):
 
     x = np.zeros_like(b)
     r = b.copy()
-    tol = np.maximum(CG_TOL * np.sqrt((b * b).sum(axis=axes)), _TINY)
+    tol = np.maximum(CG_TOL * np.sqrt(np.add.reduce(b * b, axis=axes)), _TINY)
     z = gr.helmholtz_solve(g, r, dt)
     p = z.copy()
-    rz = (r * z).sum(axis=axes)
+    rz = np.add.reduce(r * z, axis=axes)
     for _ in range(CG_MAX_ITER):
-        active = np.sqrt((r * r).sum(axis=axes)) > tol
-        if not np.any(active):
+        active = np.sqrt(np.add.reduce(r * r, axis=axes)) > tol
+        if not np.logical_or.reduce(active, axis=None):
             return x
         Ap = matvec(p)
-        pAp = (p * Ap).sum(axis=axes)
+        pAp = np.add.reduce(p * Ap, axis=axes)
         alpha = _expand(np.where(active, rz / np.maximum(pAp, _TINY), 0.0), dim)
         x = x + alpha * p
         r = r - alpha * Ap
         z = gr.helmholtz_solve(g, r, dt)
-        rz_new = (r * z).sum(axis=axes)
+        rz_new = np.add.reduce(r * z, axis=axes)
         beta = _expand(np.where(active, rz_new / np.maximum(rz, _TINY), 0.0), dim)
         p = z + beta * p
         rz = rz_new
