@@ -76,6 +76,11 @@ def _graph_solve(lam, x, tol, max_iter, b0=None):
     iterates then rise to it, with no bracket; copysign restores the sign.
     The start is sign(x)*b0 clipped into [0, |x|/lam], which holds the root
     (from farther out the first step rounds past it), or |x|/(lam + 1/2).
+    Each update takes f' = (1 - t^2)/2 + lam (algebraically yosida_slope's
+    denominator) in place from the t = tanh(b/2) of its residual check.  Near t = 1 the
+    square's rounding moves f' by at most eps/8, and where t rounds to 1
+    (b > 37.98) f' is lam, 2e^-b < 6.5e-17 short.  As f' >= lam and
+    b <= |x|/lam, nothing overflows, so the solve keeps no floating-point guard.
     A point stops once its residual is within max(tol, 4*eps*|x|), above the
     rounding of lam*b - |x|, so it depends on its own x, lam and b0 alone.
     """
@@ -84,26 +89,25 @@ def _graph_solve(lam, x, tol, max_iter, b0=None):
     hi = np.maximum(tol, _ULP4 * a)
     b = np.asarray(a / (lam + 0.5) if b0 is None else np.minimum(np.maximum(np.sign(x) * b0, 0.0), a / lam))
     t, f, done = np.empty(b.shape), np.empty(b.shape), np.empty(b.shape, dtype=bool)
-    # cosh(b/2) overflows to inf for large b, which correctly gives f' = lam
-    with np.errstate(over="ignore"):
-        for it in range(max_iter + 1):
-            np.tanh(np.multiply(b, 0.5, out=t), out=t)
-            np.multiply(lam, b, out=f)
-            f += t
-            f -= a
-            np.less_equal(np.abs(f), hi, out=done)
-            if np.logical_and.reduce(done, axis=None):
-                return np.copysign(b, x, out=b), np.copysign(t, x, out=t)
-            if it == max_iter:
-                break
-            # a converged point takes a zero step, so it keeps its b bit for bit
-            f[done] = 0.0
-            # f' = sech(b/2)^2/2 + lam via cosh, as 1 - t^2 understates it where t rounds to 1
-            np.square(np.cosh(np.multiply(b, 0.5, out=t), out=t), out=t)
-            np.divide(0.5, t, out=t)
-            t += lam
-            b -= np.divide(f, t, out=f)
-            np.maximum(b, 0.0, out=b)
+    for it in range(max_iter + 1):
+        np.tanh(np.multiply(b, 0.5, out=t), out=t)
+        np.multiply(lam, b, out=f)
+        f += t
+        f -= a
+        np.less_equal(np.abs(f), hi, out=done)
+        if np.logical_and.reduce(done, axis=None):
+            return np.copysign(b, x, out=b), np.copysign(t, x, out=t)
+        if it == max_iter:
+            break
+        # a converged point takes a zero step, so it keeps its b bit for bit
+        f[done] = 0.0
+        # f' = (1 - t^2)/2 + lam in t's place, which the next check refills
+        np.square(t, out=t)
+        np.subtract(1.0, t, out=t)
+        t *= 0.5
+        t += lam
+        b -= np.divide(f, t, out=f)
+        np.maximum(b, 0.0, out=b)
     worst = float(np.max(np.abs(f)))
     raise RuntimeError(f"resolvent solve failed: residual {worst:.3e} above max({tol:g}, 4eps|x|) in {max_iter} iterations")
 
@@ -119,7 +123,8 @@ def yosida_pair(lam, x, b0=None):
     Hot-path variant used by the field solvers, where lam may vary across
     batch lanes.  beta_lam(x) is the graph solve's root b and J_lam(x) is
     tanh(b/2), so yosida_pair(lam, x, b0=beta_lam(x)) returns beta_lam(x)
-    bit for bit, and the beta_lam of a nearby point is a good warm start b0.
+    bit for bit.  The linearization beta_lam(y) + beta_lam'(y)*(x - y) from a
+    nearby point y is a good warm start b0; the implicit step passes it.
     """
     beta_l, r = _graph_solve(lam, x, NEWTON_TOL, NEWTON_MAX_ITER, b0)
     return beta_l, yosida_slope(lam, r)

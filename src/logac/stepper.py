@@ -160,11 +160,13 @@ def _monotone_solve(g: gr.Grid, lam, rhs, dt: float, w0, b0, a0):
     None to drop the beta term, with b0 a zero field that comes back as
     beta.  The first residual is a0 - rhs and its Newton system takes
     beta_lam'(w0) from J_lam(w0) = tanh(b0/2), so only the Newton trials
-    solve the resolvent (warm-started from the evaluation before) and apply
-    the Laplacian.  Residuals are A - rhs temporaries.  A member stops at
-    residual max(NEWTON_TOL, 4*eps*max|rhs|): as |w| <= max|rhs| (maximum
-    principle), w - rhs alone rounds by up to eps*max|rhs|.  Returns the
-    final evaluation (w, beta_lam(w), A(w)) for the caller to carry.
+    solve the resolvent and apply the Laplacian.  A trial w - delta starts
+    its resolvent solve from beta_lam(w) - beta_lam'(w)*delta, which is
+    beta_lam(w) bit for bit where delta = 0.  Residuals are A - rhs
+    temporaries.  A member stops at residual max(NEWTON_TOL, 4*eps*max|rhs|):
+    as |w| <= max|rhs| (maximum principle), w - rhs alone rounds by up to
+    eps*max|rhs|.  Returns the final evaluation (w, beta_lam(w), A(w)) for
+    the caller to carry.
     """
     dim = g.dim
     axes = tuple(range(rhs.ndim - dim, rhs.ndim))
@@ -178,28 +180,33 @@ def _monotone_solve(g: gr.Grid, lam, rhs, dt: float, w0, b0, a0):
         done = res <= tol
         if np.logical_and.reduce(done, axis=None):
             return w, bl, A
-        if dim == 1:
-            delta = _tridiag_solve(g, dt, blp, A - rhs)
-        else:
-            delta = _pcg(g, dt, blp, A - rhs)
+        r = A - rhs
+        delta = _tridiag_solve(g, dt, blp, r) if dim == 1 else _pcg(g, dt, blp, r)
         # a converged member keeps its w, and its re-evaluated beta_lam and A, bit for bit, whatever its batch mates do
         delta[done] = 0.0
+        if lam is not None:
+            # the trial's resolvent solve starts from beta_lam(w) - beta_lam'(w)*delta, written over the spent
+            # right side r; beta_lam(w) itself is not kept through the trials
+            bl = np.subtract(bl, np.multiply(blp, delta, out=r), out=r)
         for _bt in range(12):
             # halving is exact, so after k refusals a member's trial is w - 2^-k*delta
             w_try = w - delta
-            # bl follows the latest evaluation, which warm-starts the next one
-            bl, blp_try = (b0, b0) if lam is None else pot.yosida_pair(lam, w_try, b0=bl)
-            A_try = implicit_operator(g, dt, w_try, bl)
+            bl_try, blp_try = (b0, b0) if lam is None else pot.yosida_pair(lam, w_try, b0=bl)
+            A_try = implicit_operator(g, dt, w_try, bl_try)
             res_try = np.maximum.reduce(np.abs(A_try - rhs), axis=axes)
             bad = res_try > np.maximum(res, tol)
             if not np.logical_or.reduce(bad, axis=None):
                 break
             delta[bad] *= 0.5
+            if lam is not None:
+                # a refused member's guess follows its halved direction
+                bl[bad] += blp[bad] * delta[bad]
         else:
             raise RuntimeError(
                 f"implicit step failed: backtracking exhausted, 12 dampings all raise residual {float(np.max(res)):.3e}"
             )
-        w, A, blp, res = w_try, A_try, blp_try, res_try
+        w, bl, A, blp, res = w_try, bl_try, A_try, blp_try, res_try
+        del bl_try  # bl alone holds beta_lam(w), so the next guess frees it
     raise RuntimeError(
         f"implicit step failed: residual {float(np.max(res)):.3e} after {NEWTON_MAX_ITER} Newton iterations"
     )

@@ -98,10 +98,11 @@ class TestLadderRun:
 
     def test_peak_memory_of_the_reference_ensemble(self):
         # one study of the reference shape (128 cells, 64 replicates, 4 levels, 16 modes):
-        # the solver's residuals are A - rhs temporaries, so the traced peak is 16.66 field
-        # batches with the path statistics and 16.62 with the level differences (16.69 with
-        # both, 16.79 when each step recomputed its first residual, 17.69 with a residual
-        # field kept alongside each trial's A)
+        # the solver's residuals are A - rhs temporaries, and each trial's resolvent guess
+        # takes beta_lam(w)'s place, so the traced peak is 16.53 field batches with the path
+        # statistics and 16.49 with the level differences (17.53 with a stale beta_lam(w) or a
+        # slope buffer in the graph solve, 16.79 when each step recomputed its first residual,
+        # 17.69 with a residual field kept alongside each trial's A)
         cfg = cli.config_from_dict({"stepper": {"t_end": 0.002}}).ensemble
         field_batch = 8 * len(cfg.lambda_levels) * cfg.replicates * cfg.grid.cells[0]
         for study in (ex.uniform_bounds_study, ex.cauchy_study):
@@ -113,6 +114,22 @@ class TestLadderRun:
             finally:
                 tracemalloc.stop()
             assert peak <= 17 * field_batch, (study.__name__, peak / field_batch)
+
+    def test_graph_solve_passes_of_the_reference_ensemble(self, monkeypatch):
+        # 5 steps of one study of the reference shape: every residual check of the graph solve
+        # takes one tanh, and each step takes two more (the noise point and the first Newton
+        # slope).  Warm-started from the outer Newton's linearization the study takes 37,
+        # where starting each trial from the latest evaluation took 47.
+        cfg = cli.config_from_dict({"stepper": {"t_end": 0.005}}).ensemble
+        calls, tanh = [], np.tanh
+
+        def spy(*args, **kwargs):
+            calls.append(1)
+            return tanh(*args, **kwargs)
+
+        monkeypatch.setattr(pot.np, "tanh", spy)
+        ex.cauchy_study(cfg)
+        assert len(calls) <= 40, len(calls)
 
 
 class TestBatchIndependence:

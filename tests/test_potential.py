@@ -179,6 +179,10 @@ class TestLargeArguments:
         assert np.all(np.sign(b) == np.sign(x))
 
 
+# arguments at and around the pure phases, and both zeros
+SPECIAL_X = [1.0, -1.0, 1.0 + 1e-6, 1.0 - 1e-6, -(1.0 + 1e-6), -(1.0 - 1e-6), 0.0, -0.0]
+
+
 class TestWarmStart:
     def cases(self, seed, x_max, size=4000):
         rng = np.random.default_rng(seed)
@@ -210,6 +214,42 @@ class TestWarmStart:
         x2[::2] += 0.5
         again = pot._graph_solve(lam, x2, pot.NEWTON_TOL, pot.NEWTON_MAX_ITER, b)[0]
         assert np.array_equal(again[1::2], b[1::2])
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        lam=st.floats(min_value=1e-4, max_value=0.9),
+        x=st.one_of(st.sampled_from(SPECIAL_X), st.floats(min_value=-1e3, max_value=1e3)),
+        start=st.sampled_from(["wrong sign", "far above"]),
+        size=st.floats(min_value=0.0, max_value=1e6),
+    )
+    def test_warm_root_agrees_with_the_cold_root(self, lam, x, start, size):
+        # the implicit step's linearized guesses may land on the wrong side of 0 or far beyond |x|/lam
+        b0 = {
+            "wrong sign": -math.copysign(size, x),
+            "far above": math.copysign(abs(x) / lam * (1.0 + size) + size, x),
+        }[start]
+        hi = max(pot.NEWTON_TOL, pot._ULP4 * abs(x))
+        cold_b, cold_t = pot._graph_solve(lam, x, pot.NEWTON_TOL, pot.NEWTON_MAX_ITER)
+        b, t = pot._graph_solve(lam, x, pot.NEWTON_TOL, pot.NEWTON_MAX_ITER, b0)
+        # both roots meet the stopping rule, the solve's own operations repeated here
+        assert abs(lam * b + t - x) <= hi and abs(lam * cold_b + cold_t - x) <= hi
+        # so tanh(b/2) + lam*b differs by at most 2*hi, plus each residual's rounding (below hi/2);
+        # J_lam moves by at most that much and beta_lam by at most that over lam
+        assert abs(t - cold_t) <= 3.0 * hi
+        assert abs(b - cold_b) <= 3.0 * hi / lam
+
+    def test_no_floating_point_trouble_at_large_arguments_and_tiny_levels(self):
+        # the solve keeps no errstate of its own: f' >= lam never divides by 0, and nothing overflows
+        lam = 1e-7
+        x = np.outer([1.0, -1.0], np.concatenate([[0.0, 1.0 - 1e-6, 1.0, 1.0 + 1e-6], np.geomspace(1e-3, 1e6, 60)]))
+        hi = np.maximum(pot.NEWTON_TOL, pot._ULP4 * np.abs(x))
+        with np.errstate(all="raise", under="ignore"):
+            cold = pot._graph_solve(lam, x, pot.NEWTON_TOL, pot.NEWTON_MAX_ITER)[0]
+            for b0 in (None, cold, -cold, 1e3 * cold, np.full(x.shape, 1e300), np.full(x.shape, -1e300)):
+                b, t = pot._graph_solve(lam, x, pot.NEWTON_TOL, pot.NEWTON_MAX_ITER, b0)
+                assert np.all(np.abs(lam * b + t - x) <= hi)
+            beta, slope = pot.yosida_pair(lam, x, b0=cold)
+        assert np.all(np.isfinite(slope)) and np.all(slope <= 1.0 / lam)
 
     @pytest.mark.parametrize("lam", [0.5, 0.2, 0.05, 0.01, 1e-4])
     def test_pair_is_idempotent_from_its_own_beta(self, lam):
@@ -245,8 +285,6 @@ def solve_recording_iterates(lam, x, b0):
 
 
 class TestFoldedSolve:
-    SPECIAL_X = [1.0, -1.0, 1.0 + 1e-6, 1.0 - 1e-6, -(1.0 + 1e-6), -(1.0 - 1e-6), 0.0, -0.0]
-
     @settings(max_examples=400, deadline=None)
     @given(
         lam=st.floats(min_value=1e-4, max_value=0.9),
