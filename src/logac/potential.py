@@ -76,11 +76,11 @@ def _graph_solve(lam, x, tol, max_iter, b0=None):
     iterates then rise to it, with no bracket; copysign restores the sign.
     The start is sign(x)*b0 clipped into [0, |x|/lam], which holds the root
     (from farther out the first step rounds past it), or |x|/(lam + 1/2).
-    Each update takes f' = (1 - t^2)/2 + lam (algebraically yosida_slope's
-    denominator) in place from the t = tanh(b/2) of its residual check.  Near t = 1 the
-    square's rounding moves f' by at most eps/8, and where t rounds to 1
+    Each update takes f' = (1 - t^2)/2 + lam, algebraically yosida_slope's
+    denominator, in place from the t = tanh(b/2) of its residual check.  The
+    square's rounding moves f' by at most eps/8; where t rounds to 1
     (b > 37.98) f' is lam, 2e^-b < 6.5e-17 short.  As f' >= lam and
-    b <= |x|/lam, nothing overflows, so the solve keeps no floating-point guard.
+    b <= |x|/lam, nothing overflows: the solve needs no floating-point guard.
     A point stops once its residual is within max(tol, 4*eps*|x|), above the
     rounding of lam*b - |x|, so it depends on its own x, lam and b0 alone.
     """
