@@ -151,7 +151,10 @@ class TestRunCommands:
         assert cli.run("oracles", cfg) == 0
         out = tmp_path / "out"
         assert (out / "oracles.csv").exists()
-        assert (out / "oracles.json").exists()
+        # the time-map reference is reported in the JSON alone; the CSV keeps its rows
+        reference = json.loads((out / "oracles.json").read_text())["metadata"]["ode_reference"]
+        assert reference.keys() == {"value", "b_star", "newton_iters"}
+        assert "ode_reference" not in (out / "oracles.csv").read_text()
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config_hash"] == cli.config_hash(cfg)
         assert manifest["study"] == "oracles"

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
+from scipy.integrate import solve_ivp
 
 from helpers import measure, report_row
 from logac import cli
@@ -651,3 +652,66 @@ class TestOracles:
         a = ex.heat_and_ode_oracles(small_config(seed=1))
         b = ex.heat_and_ode_oracles(small_config(seed=999))
         assert a.to_csv_text() == b.to_csv_text()
+
+
+def ivp_reference(lam, c, y0, t_end, method, rtol):
+    """y(t_end) of y' = 2c*y - beta_lam(y) by scipy's adaptive integrators; Radau takes the exact Jacobian."""
+    jac = {"jac": lambda _t, y: np.atleast_2d(2.0 * c - pot.yosida_pair(lam, y)[1])} if method == "Radau" else {}
+    sol = solve_ivp(
+        lambda _t, y: 2.0 * c * y - pot.yosida_pair(lam, y)[0],
+        (0.0, t_end),
+        [y0],
+        method=method,
+        rtol=rtol,
+        atol=1e-16,
+        **jac,
+    )
+    assert sol.success, sol.message
+    return float(sol.y[0, -1])
+
+
+class TestOdeReference:
+    # (5, 0.025) has its knee, where tanh(b/2) saturates, inside the run; (10, 0.025) runs b from 0.2 to
+    # b* = 40, past the reach of one Gauss-Legendre rule; at lam = 0.2 and c >= 3 b grows without bound
+    @pytest.mark.parametrize("lam", [0.2, 0.025])
+    @pytest.mark.parametrize("c", [1.001, 1.05, 2.0, 3.0, 5.0, 10.0])
+    def test_matches_dop853(self, c, lam):
+        ref = ivp_reference(lam, c, 0.1, 0.5, "DOP853", 1e-13)
+        assert ex._ode_reference(lam, c, 0.1, 0.5)[0] == pytest.approx(ref, rel=1e-9, abs=0.0)
+
+    @pytest.mark.parametrize("c, lam", [(5.0, 1e-4), (10.0, 1e-6)])
+    def test_matches_radau_at_saturated_corners(self, c, lam):
+        # y lands within lam*b* of 1, where beta_lam' ~ 1/lam makes the equation stiff
+        ref = ivp_reference(lam, c, 0.1, 0.5, "Radau", 1e-12)
+        assert ex._ode_reference(lam, c, 0.1, 0.5)[0] == pytest.approx(ref, rel=1e-9, abs=0.0)
+
+    @pytest.mark.parametrize("c, lam, converges", [(2.0, 0.05, True), (3.0, 0.2, False)])
+    def test_oracles_report_the_reference(self, c, lam, converges):
+        rep = ex.heat_and_ode_oracles(small_config(potential=pot.PotentialParams(c=c), lambda_levels=(lam,)))
+        y, b_star, iters = ex._ode_reference(lam, c, 0.1, 0.5)
+        assert rep.metadata["ode_reference"] == {"value": y, "b_star": b_star, "newton_iters": iters}
+        # b* is the positive rest point of b' = R(b)/Y'(b), which exists iff 2c*lam < 1
+        assert (b_star is not None) == converges
+        if converges:
+            assert 2.0 * c * (math.tanh(b_star / 2) + lam * b_star) == pytest.approx(b_star, rel=1e-14)
+
+    def test_past_sigma_end_is_the_rest_point(self):
+        # at t_end = 50 the time map runs past sigma = 45, so the answer is Y(b*) with no Newton step
+        y, b_star, iters = ex._ode_reference(0.025, 2.0, 0.1, 50.0)
+        assert iters == 0
+        assert y == math.tanh(b_star / 2) + 0.025 * b_star
+
+    def test_overflow_is_a_float_error(self):
+        # y grows like e^(2c t): at c = 1000 it leaves the float range long before t_end
+        with pytest.raises(FloatingPointError, match="overflows"):
+            ex._ode_reference(0.5, 1000.0, 0.1, 0.5)
+
+    def test_stiff_config_finishes_with_finite_rows(self):
+        # c = 10, lam_min = 1e-6: an adaptive explicit reference took minutes here. The path has settled on
+        # its rest point by t = 0.5, so the 0-d errors sit at the solver tolerances and the verdict is not asserted.
+        cfg = cli.config_from_dict(
+            {"version": 1, "potential": {"c": 10.0}, "ensemble": {"lambda_levels": [0.2, 1e-6]}}
+        ).ensemble
+        rep = ex.heat_and_ode_oracles(cfg)
+        assert all(math.isfinite(r.mean) for r in rep.rows)
+        assert rep.metadata["ode_reference"]["newton_iters"] == 0

@@ -502,7 +502,7 @@ class TestImports:
         )
 
     def test_cli_loads_no_integrate_optimize_or_fft(self):
-        # only the oracles need scipy.integrate and only the Helmholtz solve scipy.fft; they import them on first use
+        # no command needs scipy.integrate or scipy.optimize; only the Helmholtz solve needs scipy.fft, on first use
         run_fresh(
             "import sys\n"
             "import logac.cli\n"
@@ -510,8 +510,18 @@ class TestImports:
             "assert not loaded, loaded\n"
         )
 
+    def test_oracles_load_no_integrate_optimize_or_sparse(self):
+        # the 0-d oracle's reference is the exact time map, a Gauss-Legendre quadrature in numpy
+        run_fresh(
+            "import sys\n"
+            "from logac import cli, experiments as ex\n"
+            "ex.heat_and_ode_oracles(cli.default_config().ensemble)\n"
+            "loaded = [m for m in ('scipy.integrate', 'scipy.optimize', 'scipy.sparse') if m in sys.modules]\n"
+            "assert not loaded, loaded\n"
+        )
+
     def test_lazy_imports_give_the_in_process_results(self):
-        # the first call imports scipy.fft or scipy.integrate itself and must give the numbers of a warm process
+        # the first call imports scipy.fft itself and must give the numbers of a warm process, as the oracles must
         code = (
             "import json, sys\n"
             "import numpy as np\n"
@@ -522,7 +532,6 @@ class TestImports:
             "w = gr.helmholtz_solve(g, f, 0.3)\n"
             "v = gr.vstar_norm_sq(g, f)\n"
             "from logac import cli, experiments as ex\n"
-            "assert 'scipy.integrate' not in sys.modules\n"
             "csv = ex.heat_and_ode_oracles(cli.default_config().ensemble).to_csv_text()\n"
             "print(json.dumps({'w': w.tolist(), 'v': v.tolist(), 'csv': csv}))\n"
         )
