@@ -6,12 +6,12 @@ or perturbed data) x replicates, stepped in lockstep by stepper.step.
 The engine is the time loop only.  Every study is a function of its
 EnsembleConfig that builds its own lanes and runs them with only the hooks
 it reads: _path_statistics for the per-lane path statistics,
-_lane_differences for the differences of coupled lanes, or a hook of its
-own.  Each is a pure function of (EnsembleConfig, seed): replicates are
+_lane_differences for the differences of coupled lane pairs, or a hook of
+its own; the first two fill arrays of shape (lanes or pairs, replicates).
+Each study is a pure function of (EnsembleConfig, seed): replicates are
 integrated as one vectorized batch in a fixed order, noise increments come
 from counter streams keyed (seed, replicate, step, mode), and coupled
-comparisons run on the identical increments, so reruns produce identical
-bytes.
+comparisons run on the identical increments, so reruns give identical bytes.
 
 Expectations are empirical means over the replicates; spreads are reported
 as replicate standard errors with normal-approximation 95% intervals.
@@ -154,7 +154,7 @@ def _run_lanes(
     n_lanes = len(lanes)
     reps = lanes[0].u0.shape[0]
 
-    u = np.stack([ln.u0 for ln in lanes]).astype(float)
+    u = np.stack([ln.u0 for ln in lanes], dtype=float)
     if not np.all(np.abs(u) < 1.0):  # a NaN datum fails too
         raise ValueError("lane initial data must satisfy ||u0||_inf < 1")
     if params is None:
@@ -213,22 +213,22 @@ def _path_statistics(g: gr.Grid, scfg: st.StepperConfig, c: float, shape):
 
 
 def _lane_differences(g: gr.Grid, scfg: st.StepperConfig, reps: int, pairs: list[tuple[int, int]]):
-    """A _run_lanes hook and, per lane pair (i, j), the statistics it fills.
+    """A _run_lanes hook and the statistics it fills per (pair, replicate), from one u[i] - u[j] per state.
 
-    With d = u_i - u_j per replicate: sup_diff_h_sq = sup_t ||d||_H^2 over
-    m = 0..n_steps, and int_diff_h_sq, int_diff_grad_sq the left-endpoint
+    Row k is pairs[k] = (i, j), d = u_i - u_j: sup_diff_h_sq = sup_t ||d||_H^2
+    over m = 0..n_steps, and int_diff_h_sq, int_diff_grad_sq the left-endpoint
     integrals of ||d||_H^2 and ||grad d||^2 over m < n_steps.
     """
-    stats = [{q: np.zeros(reps) for q in ("sup_diff_h_sq", "int_diff_h_sq", "int_diff_grad_sq")} for _ in pairs]
+    first, second = np.array(pairs, dtype=np.intp).reshape(len(pairs), 2).T
+    stats = {q: np.zeros((len(pairs), reps)) for q in ("sup_diff_h_sq", "int_diff_h_sq", "int_diff_grad_sq")}
 
     def hook(m, u, beta_u):
-        for (i, j), pa in zip(pairs, stats):
-            d = u[i] - u[j]
-            dh = gr.h_norm_sq(g, d)
-            pa["sup_diff_h_sq"] = np.maximum(pa["sup_diff_h_sq"], dh)
-            if m < scfg.n_steps:
-                pa["int_diff_h_sq"] += scfg.dt * dh
-                pa["int_diff_grad_sq"] += scfg.dt * gr.grad_norm_sq(g, d)
+        d = u[first] - u[second]
+        dh = gr.h_norm_sq(g, d)
+        stats["sup_diff_h_sq"] = np.maximum(stats["sup_diff_h_sq"], dh)
+        if m < scfg.n_steps:
+            stats["int_diff_h_sq"] += scfg.dt * dh
+            stats["int_diff_grad_sq"] += scfg.dt * gr.grad_norm_sq(g, d)
 
     return hook, stats
 
@@ -287,15 +287,13 @@ def cauchy_study(cfg: EnsembleConfig) -> EstimateReport:
     hook, diffs = _lane_differences(cfg.grid, cfg.stepper, cfg.replicates, [(i, i + 1) for i in range(len(levels) - 1)])
     lanes = _level_lanes(cfg, levels)
     out = _run_lanes(lanes, cfg.noise, cfg.stepper, cfg.grid, cfg.potential, cfg.seed, hooks=(hook,))
-    rows = [
-        _mc_row("cauchy_delta", lam, pa["sup_diff_h_sq"] + pa["int_diff_grad_sq"]) for lam, pa in zip(levels, diffs)
-    ]
+    delta = diffs["sup_diff_h_sq"] + diffs["int_diff_grad_sq"]
+    rows = [_mc_row("cauchy_delta", lam, row) for lam, row in zip(levels, delta)]
     deltas = [r.mean for r in rows]
     report = EstimateReport(study="cauchy", rows=rows)
     report.metadata["increments_digest"] = out["increments_digest"]
     report.metadata["deltas"] = deltas
-    ratios = [b / a if a != 0.0 else math.nan for a, b in zip(deltas, deltas[1:])]
-    report.metadata["successive_ratios"] = ratios
+    report.metadata["successive_ratios"] = [b / a if a != 0.0 else math.nan for a, b in zip(deltas, deltas[1:])]
     report.metadata["orders"] = _observed_orders(deltas)
     for k, (a, b) in enumerate(zip(deltas, deltas[1:])):
         if not b < a:
@@ -334,28 +332,30 @@ def dependence_study(cfg: EnsembleConfig, perturbations: list[Perturbation]) -> 
     out = _run_lanes(lanes, cfg.noise, cfg.stepper, g, cfg.potential, cfg.seed, hooks=(hook,))
 
     rows = []
-    families: dict[str, list[float]] = {"u0": [], "g": []}
+    families: dict[str, list[tuple[str, float]]] = {"u0": [], "g": []}  # (tag, ratio) per member
     report = EstimateReport(study="dependence", rows=rows)
-    for p, pa, rhs_p in zip(perturbations, diffs, rhs):
-        lhs = float(np.sqrt(np.mean(pa["sup_diff_h_sq"]))) + float(
-            np.sqrt(np.mean(pa["int_diff_h_sq"] + pa["int_diff_grad_sq"]))
-        )
+    sup, integral = diffs["sup_diff_h_sq"], diffs["int_diff_h_sq"] + diffs["int_diff_grad_sq"]
+    for p, rhs_p, sup_p, int_p in zip(perturbations, rhs, sup, integral):
+        lhs = float(np.sqrt(np.mean(sup_p))) + float(np.sqrt(np.mean(int_p)))
         ratio = lhs / rhs_p if rhs_p > 0.0 else math.nan
         tag = f"du0={p.u0_shift:g},dg={p.g_shift:g}"
-        rows.append(ReportRow(f"dep_lhs[{tag}]", lam, lhs, 0.0, lhs, lhs))
-        rows.append(ReportRow(f"dep_ratio[{tag}]", lam, ratio, 0.0, ratio, ratio))
+        rows += [_mc_row(f"dep_lhs[{tag}]", lam, lhs), _mc_row(f"dep_ratio[{tag}]", lam, ratio)]
         if p.u0_shift != 0.0 and p.g_shift == 0.0:
-            families["u0"].append(ratio)
+            families["u0"].append((tag, ratio))
         elif p.g_shift != 0.0 and p.u0_shift == 0.0:
-            families["g"].append(ratio)
-    report.metadata["ratio_families"] = families
+            families["g"].append((tag, ratio))
+    report.metadata["ratio_families"] = {name: [r for _, r in members] for name, members in families.items()}
     # one shared run: every perturbation was driven by the same increments
     report.metadata["increments_digests"] = [out["increments_digest"]] * len(perturbations)
-    for name, ratios in families.items():
-        if len(ratios) < 2:
+    for name, members in families.items():
+        if len(members) < 2:
             continue
-        center = math.exp(sum(math.log(r) for r in ratios) / len(ratios))
-        for r in ratios:
+        lost = [tag for tag, r in members if r == 0.0]
+        if lost:  # the family has no geometric mean to measure against
+            report.failures += [f"dependence ratio is 0 for {name} perturbation {t}: lost to rounding" for t in lost]
+            continue
+        center = math.exp(sum(math.log(r) for _, r in members) / len(members))
+        for _, r in members:
             if not (0.5 * center <= r <= 1.5 * center):
                 report.failures.append(
                     f"dependence ratio unstable for {name} perturbations: {r:.4g} departs more than 50% "
@@ -573,12 +573,12 @@ def heat_and_ode_oracles(cfg: EnsembleConfig) -> EstimateReport:
 
     def refinement(name, lam, runs, key, what, floor):
         """One error row per (label, error) run, then the minimum observed order and its verdict."""
-        rows.extend(ReportRow(f"{name}_err[{label}]", lam, err, 0.0, err, err) for label, err in runs)
+        rows.extend(_mc_row(f"{name}_err[{label}]", lam, err) for label, err in runs)
         orders = _observed_orders([err for _, err in runs])
         report.metadata[key] = orders
         # an undefined order (nan: the error was 0 before and after) is the worst, and fails
         worst = min(orders, key=lambda o: -math.inf if math.isnan(o) else o)
-        rows.append(ReportRow(f"{name}_order", lam, worst, 0.0, worst, worst))
+        rows.append(_mc_row(f"{name}_order", lam, worst))
         if not worst >= floor:
             report.failures.append(f"observed {what} order {worst:.3f} < {floor}")
 

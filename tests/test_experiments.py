@@ -170,14 +170,14 @@ class TestBatchIndependence:
         assert np.array_equal(full["final"][:, :k], head["final"])
         for name, value in full_stats.items():
             assert np.array_equal(value[:, :k], head_stats[name]), name
-        for i, pa in enumerate(full_diffs):
-            for name, value in pa.items():
-                assert np.array_equal(value[:k], head_diffs[i][name]), (i, name)
+        for name, value in full_diffs.items():
+            assert np.array_equal(value[:, :k], head_diffs[name]), name
 
 
 class TestLaneIndependence:
     # a lane's path must not depend on which other lanes share its run: levels, data and
-    # forcings differ across lanes, so their Newton solves take different iteration counts
+    # forcings differ across lanes, so their Newton solves take different iteration counts;
+    # nor may a pair's differences depend on the other pairs taken in the same pass
     @pytest.mark.parametrize("cells", [(24,), (10, 12)], ids=["1d", "2d"])
     def test_each_lane_matches_its_run_alone(self, cells):
         g = gr.Grid(extent=(1.0,) * len(cells), cells=cells)
@@ -190,17 +190,26 @@ class TestLaneIndependence:
             for lam, force in ((0.2, 0.0), (0.02, 0.5), (0.003, -1.0))
         ]
 
-        def run(batch):
-            stats_hook, stats = ex._path_statistics(g, scfg, params.c, (len(batch), 4))
-            out = ex._run_lanes(batch, spec, scfg, g, params, 9, hooks=(stats_hook,))
-            return out["final"], stats
+        pairs = [(0, 1), (2, 0), (1, 2), (0, 1)]  # reversed, repeated and non-adjacent
 
-        final, stats = run(lanes)
+        def run(batch, pairs):
+            stats_hook, stats = ex._path_statistics(g, scfg, params.c, (len(batch), 4))
+            pairs_hook, diffs = ex._lane_differences(g, scfg, 4, pairs)
+            out = ex._run_lanes(batch, spec, scfg, g, params, 9, hooks=(stats_hook, pairs_hook))
+            return out["final"], stats, diffs
+
+        final, stats, diffs = run(lanes, pairs)
         for i, lane in enumerate(lanes):
-            alone, alone_stats = run([lane])
+            alone, alone_stats, _ = run([lane], [])
             assert np.array_equal(final[i], alone[0]), i
             for name, value in stats.items():
                 assert np.array_equal(value[i], alone_stats[name][0]), (i, name)
+        assert all(value.shape == (len(pairs), 4) for value in diffs.values())
+        for k, (i, j) in enumerate(pairs):
+            # the pair's two lanes on their own, with that one pair
+            *_, pair_diffs = run([lanes[i], lanes[j]], [(0, 1)])
+            for name, value in diffs.items():
+                assert np.array_equal(value[k], pair_diffs[name][0]), (k, name)
 
 
 class TestUniformStudy:
@@ -246,10 +255,9 @@ class TestCauchyStudy:
         lanes = [ex.Lane(0.1, u0, np.zeros(cfg.grid.shape)), ex.Lane(0.1, u0, np.zeros(cfg.grid.shape))]
         hook, diffs = ex._lane_differences(cfg.grid, cfg.stepper, cfg.replicates, [(0, 1)])
         ex._run_lanes(lanes, cfg.noise, cfg.stepper, cfg.grid, cfg.potential, cfg.seed, hooks=(hook,))
-        assert len(diffs) == 1
-        pa = diffs[0]
-        assert np.all(pa["sup_diff_h_sq"] == 0.0)
-        assert np.all(pa["int_diff_grad_sq"] == 0.0)
+        assert diffs["sup_diff_h_sq"].shape == (1, cfg.replicates)
+        assert np.all(diffs["sup_diff_h_sq"] == 0.0)
+        assert np.all(diffs["int_diff_grad_sq"] == 0.0)
 
     def test_deterministic_yosida_bias_decreases(self):
         cfg = quiet_config(
@@ -321,11 +329,9 @@ class TestDependenceStudy:
     def test_unstable_family_fails_by_name(self, monkeypatch):
         # synthetic differences: lhs = sqrt(E sup ||d||_H^2) = 0.1 and 0.001 against ||du0||_H = 0.1 and 0.01
         def lane_differences(g, scfg, reps, pairs):
-            zero = np.zeros(reps)
-            stats = [
-                {"sup_diff_h_sq": np.full(reps, lhs**2), "int_diff_h_sq": zero, "int_diff_grad_sq": zero}
-                for lhs in (0.1, 0.001)
-            ]
+            zero = np.zeros((2, reps))
+            sup = np.repeat([[0.1**2], [0.001**2]], reps, axis=1)
+            stats = {"sup_diff_h_sq": sup, "int_diff_h_sq": zero, "int_diff_grad_sq": zero}
             return (lambda m, u, beta_u: None), stats
 
         monkeypatch.setattr(ex, "_lane_differences", lane_differences)
@@ -335,6 +341,16 @@ class TestDependenceStudy:
             f"dependence ratio unstable for u0 perturbations: {r} departs more than 50% from the family center 0.3162"
             for r in ("1", "0.1")
         ]
+
+    def test_perturbation_lost_to_rounding_fails_by_name(self):
+        # u0 + 1e-20 rounds to u0 at |u0| ~ 0.4, so its lhs and ratio are exactly 0 and the
+        # family has no geometric mean; the study names it and still returns its report
+        perturbations = [ex.Perturbation(u0_shift=1e-20), ex.Perturbation(u0_shift=0.01)]
+        rep = ex.dependence_study(small_config(replicates=4), perturbations)
+        assert rep.metadata["ratio_families"]["u0"][0] == 0.0
+        assert rep.metadata["ratio_families"]["u0"][1] > 0.0
+        assert report_row(rep, "dep_lhs[du0=1e-20,dg=0]", 0.05).mean == 0.0
+        assert rep.failures == ["dependence ratio is 0 for u0 perturbation du0=1e-20,dg=0: lost to rounding"]
 
     def test_csv_reads_back(self):
         # quantity names hold commas, as in dep_ratio[du0=0.01,dg=0]
@@ -370,11 +386,10 @@ class TestDependenceStudy:
             # the unperturbed lane and one perturbed lane, integrated on their own
             pert_g = g_field + np.full(cfg.grid.shape, p.g_shift)
             lanes = [ex.Lane(lam, u0, g_field), ex.Lane(lam, u0 + p.u0_shift, pert_g)]
-            hook, (pa,) = ex._lane_differences(cfg.grid, cfg.stepper, cfg.replicates, [(0, 1)])
+            hook, diffs = ex._lane_differences(cfg.grid, cfg.stepper, cfg.replicates, [(0, 1)])
             ex._run_lanes(lanes, cfg.noise, cfg.stepper, cfg.grid, cfg.potential, cfg.seed, hooks=(hook,))
-            lhs = float(np.sqrt(np.mean(pa["sup_diff_h_sq"]))) + float(
-                np.sqrt(np.mean(pa["int_diff_h_sq"] + pa["int_diff_grad_sq"]))
-            )
+            (sup,), (integral,) = diffs["sup_diff_h_sq"], diffs["int_diff_h_sq"] + diffs["int_diff_grad_sq"]
+            lhs = float(np.sqrt(np.mean(sup))) + float(np.sqrt(np.mean(integral)))
             assert lhs > 0.0
             assert report_row(rep, f"dep_lhs[du0={p.u0_shift:g},dg={p.g_shift:g}]", lam).mean == lhs
 

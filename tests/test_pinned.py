@@ -15,7 +15,7 @@ A refactor that must not move a byte can be checked against another
 checkout: --digests prints the sha256 of every CSV, .acf and JSON file of
 the DIGEST_RUNS but manifest.json, which holds paths and timings; a study
 report is hashed without its metadata.wall_time_s.  The two listings must
-be identical:
+be identical; scripts/compare_digests.py [REV] makes both and diffs them:
 
     PYTHONPATH=src python3 tests/test_pinned.py --digests > after.txt
     PYTHONPATH=../parent/src python3 tests/test_pinned.py --digests > before.txt
