@@ -111,7 +111,7 @@ def config_from_dict(raw: dict) -> RunConfig:
     """The one door for outside settings: every field is typed against _DEFAULTS here."""
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
-    version = raw.get("version", 1)
+    version = _typed("root", "version", raw.get("version", 1), 1)
     if version != 1:
         raise ConfigError(f"unsupported config version {version} (this build reads version 1)")
     unknown = set(raw) - {"version", *_DEFAULTS}

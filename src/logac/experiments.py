@@ -126,7 +126,7 @@ def _gauge_slice(g: gr.Grid, n: int, u):
     """
     inside = np.abs(u) < 1.0
     Gn, Gnp = pot.gauge_eval(n, np.where(inside, u, 0.0))
-    axes = tuple(range(u.ndim - g.dim, u.ndim))
+    axes = gr._grid_axes(g, u)
     ig = np.sum(np.where(inside, Gn, 0.0), axis=axes) * g.cell_volume
     igp = np.sum(np.where(inside, np.abs(Gnp), 0.0), axis=axes) * g.cell_volume
     return ig, igp
@@ -194,13 +194,12 @@ def _path_statistics(g: gr.Grid, scfg: st.StepperConfig, c: float, shape):
     """
     names = ("sup_h_sq", "sup_grad_sq", "int_grad_sq", "int_f1_sq", "int_beta_sq", "int_lap_sq", "excursion_count")
     stats = {q: np.zeros(shape) for q in names + ("excursion_fraction",)}
-    field_axes = tuple(range(len(shape), len(shape) + g.dim))
 
     def hook(m, u, beta_u):
         hsq, gsq = gr.h_norm_sq(g, u), gr.grad_norm_sq(g, u)
         stats["sup_h_sq"] = np.maximum(stats["sup_h_sq"], hsq)
         stats["sup_grad_sq"] = np.maximum(stats["sup_grad_sq"], gsq)
-        stats["excursion_count"] += np.sum(np.abs(u) >= 1.0, axis=field_axes)
+        stats["excursion_count"] += np.sum(np.abs(u) >= 1.0, axis=gr._grid_axes(g, u))
         if m == scfg.n_steps:
             stats["excursion_fraction"] = stats["excursion_count"] / ((m + 1) * int(np.prod(g.shape)))
             return
@@ -407,7 +406,7 @@ def derivative_study(cfg: EnsembleConfig) -> EstimateReport:
 
     def gauge_hook(m, u, beta_u):
         series[m], igp = _gauge_slice(cfg.grid, n, u)
-        acc["excursion_count"] += np.sum(np.abs(u) >= 1.0, axis=tuple(range(2, u.ndim)))
+        acc["excursion_count"] += np.sum(np.abs(u) >= 1.0, axis=gr._grid_axes(cfg.grid, u))
         if m < scfg.n_steps:
             acc["int_gauge_prime"] += scfg.dt * igp
 

@@ -29,8 +29,8 @@ class Grid:
             raise ValueError("extent and cells must have the same length")
         if len(self.cells) not in (1, 2):
             raise ValueError(f"only 1-D and 2-D grids are supported, got dim {len(self.cells)}")
-        if any(L <= 0 for L in self.extent):
-            raise ValueError(f"grid extent must be positive, got {self.extent}")
+        if not all(0.0 < L < np.inf for L in self.extent):  # a NaN extent fails too
+            raise ValueError(f"grid extent must be positive and finite, got {self.extent}")
         if any(n < 2 for n in self.cells):
             raise ValueError(f"grid needs at least 2 cells per axis, got {self.cells}")
 
@@ -118,12 +118,13 @@ def h_inner(grid: Grid, u, v):
 
 
 def grad_norm_sq(grid: Grid, u):
+    """Sum of squared face differences over h, the same faces laplacian_neumann takes its fluxes on."""
     u = _check_field(grid, u)
+    axes = _grid_axes(grid, u)
     total = 0.0
-    for ax in range(grid.dim):
-        a = u.ndim - grid.dim + ax
-        g = np.diff(u, axis=a) / grid.spacing[ax]
-        total = total + np.sum(g * g, axis=_grid_axes(grid, u)) * grid.cell_volume
+    for (lo, hi, _), h in zip(_face_slices(u.ndim, grid.dim), grid.spacing):
+        g = (u[hi] - u[lo]) / h
+        total = total + np.sum(g * g, axis=axes) * grid.cell_volume
     return total
 
 

@@ -153,8 +153,6 @@ def mix_modes(spec: NoiseSpec, v, dw, field_ndim: int):
     few field-sized buffers are used, never a modes x field tensor.
     """
     v = np.asarray(v, dtype=float)
-    if spec.modes == 0:
-        return np.zeros_like(v)
     t = np.pi * (0.5 * (1.0 - np.abs(v)))  # the folded theta
     sin_t = np.sin(t)
     mu = -2.0 * sin_t * sin_t / (1.0 + np.cos(t))

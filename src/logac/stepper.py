@@ -63,13 +63,10 @@ class StepperConfig:
     t_end: float
 
     def __post_init__(self):
-        for name in ("dt", "t_end"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if not self.dt > 0.0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
-        if self.t_end < 0.0:
-            raise ValueError(f"t_end must be nonnegative, got {self.t_end}")
+        if not 0.0 < self.dt < math.inf:  # a NaN fails the chained comparisons too
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
+        if not 0.0 <= self.t_end < math.inf:
+            raise ValueError(f"t_end must be nonnegative and finite, got {self.t_end}")
         if self.t_end > 0.0 and self.dt > self.t_end * (1.0 + 1e-12):
             raise ValueError(f"dt={self.dt} exceeds t_end={self.t_end}")
 
@@ -78,37 +75,27 @@ class StepperConfig:
         return int(math.ceil(self.t_end / self.dt - 1e-12))
 
 
-def _expand(a, ndim: int):
-    # append singleton field axes so per-batch scalars broadcast over the mesh
-    return np.asarray(a)[(...,) + (None,) * ndim]
-
-
 def _pcg(g: gr.Grid, dt: float, diag, b):
-    """CG on (I - dt*lap + dt*diag) x = b with an exact heat preconditioner."""
-    dim = g.dim
-    axes = tuple(range(b.ndim - dim, b.ndim))
-
-    def matvec(p):
-        return p - dt * gr.laplacian_neumann(g, p) + dt * diag * p
-
+    """CG on (I - dt*lap + dt*diag) x = b with an exact heat preconditioner; per-member scalars keep their axes."""
+    axes = gr._grid_axes(g, b)
     x = np.zeros_like(b)
     r = b.copy()
-    tol = np.maximum(CG_TOL * np.sqrt(np.add.reduce(b * b, axis=axes)), _TINY)
+    tol = np.maximum(CG_TOL * np.sqrt(np.add.reduce(b * b, axis=axes, keepdims=True)), _TINY)
     z = gr.helmholtz_solve(g, r, dt)
     p = z.copy()
-    rz = np.add.reduce(r * z, axis=axes)
+    rz = np.add.reduce(r * z, axis=axes, keepdims=True)
     for _ in range(CG_MAX_ITER):
-        active = np.sqrt(np.add.reduce(r * r, axis=axes)) > tol
+        active = np.sqrt(np.add.reduce(r * r, axis=axes, keepdims=True)) > tol
         if not np.logical_or.reduce(active, axis=None):
             return x
-        Ap = matvec(p)
-        pAp = np.add.reduce(p * Ap, axis=axes)
-        alpha = _expand(np.where(active, rz / np.maximum(pAp, _TINY), 0.0), dim)
+        Ap = p - dt * gr.laplacian_neumann(g, p) + dt * diag * p
+        pAp = np.add.reduce(p * Ap, axis=axes, keepdims=True)
+        alpha = np.where(active, rz / np.maximum(pAp, _TINY), 0.0)
         x = x + alpha * p
         r = r - alpha * Ap
         z = gr.helmholtz_solve(g, r, dt)
-        rz_new = np.add.reduce(r * z, axis=axes)
-        beta = _expand(np.where(active, rz_new / np.maximum(rz, _TINY), 0.0), dim)
+        rz_new = np.add.reduce(r * z, axis=axes, keepdims=True)
+        beta = np.where(active, rz_new / np.maximum(rz, _TINY), 0.0)
         p = z + beta * p
         rz = rz_new
     raise RuntimeError(f"inner linear solve stagnated after {CG_MAX_ITER} iterations")
@@ -168,8 +155,7 @@ def _monotone_solve(g: gr.Grid, lam, rhs, dt: float, w0, b0, a0):
     eps*max|rhs|.  Returns the final evaluation (w, beta_lam(w), A(w)) for
     the caller to carry.
     """
-    dim = g.dim
-    axes = tuple(range(rhs.ndim - dim, rhs.ndim))
+    axes = gr._grid_axes(g, rhs)
     # ufunc reductions, not the ndarray methods, whose Python wrappers cost as much as the arithmetic on small fields
     tol = np.maximum(NEWTON_TOL, pot._ULP4 * np.maximum.reduce(np.abs(rhs), axis=axes))
 
@@ -181,7 +167,7 @@ def _monotone_solve(g: gr.Grid, lam, rhs, dt: float, w0, b0, a0):
         if np.logical_and.reduce(done, axis=None):
             return w, bl, A
         r = A - rhs
-        delta = _tridiag_solve(g, dt, blp, r) if dim == 1 else _pcg(g, dt, blp, r)
+        delta = _tridiag_solve(g, dt, blp, r) if g.dim == 1 else _pcg(g, dt, blp, r)
         # a converged member keeps its w, and its re-evaluated beta_lam and A, bit for bit, whatever its batch mates do
         delta[done] = 0.0
         if lam is not None:

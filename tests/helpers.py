@@ -82,6 +82,16 @@ def laplacian_face_flux(grid: gr.Grid, u):
     return out
 
 
+def grad_norm_sq_diff(grid: gr.Grid, u):
+    """Reference for gr.grad_norm_sq: each axis's np.diff face differences, squared and summed."""
+    u = np.asarray(u, dtype=float)
+    total = 0.0
+    for ax in range(grid.dim):
+        g = np.diff(u, axis=u.ndim - grid.dim + ax) / grid.spacing[ax]
+        total = total + np.sum(g * g, axis=tuple(range(u.ndim - grid.dim, u.ndim))) * grid.cell_volume
+    return total
+
+
 def report_row(report: ex.EstimateReport, quantity: str, lam: float) -> ex.ReportRow:
     """The row of report for (quantity, lam); a NaN lam matches the level-free rows."""
     for r in report.rows:

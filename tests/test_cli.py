@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import struct
 import subprocess
 import sys
 from dataclasses import replace
@@ -106,6 +107,15 @@ class TestParseConfig:
         path = write_config(tmp_path, {"version": 1, "u0": {"kind": "constant", "m0": 1.0}})
         with pytest.raises(cli.ConfigError, match=r"\|m0\| < 1"):
             cli.parse_config(path)
+
+    @pytest.mark.parametrize("version", [True, "1"])
+    def test_version_is_typed_like_any_integer_field(self, version):
+        # True == 1 and "1" reads as 1 in the message: neither is the integer 1
+        with pytest.raises(cli.ConfigError, match=f"config root: version must be an integer, got {version!r}"):
+            cli.config_from_dict({"version": version})
+
+    def test_integral_float_version_is_read(self):
+        assert cli.config_from_dict({"version": 1.0}) == cli.default_config()
 
 
 class TestConfigHash:
@@ -352,6 +362,15 @@ class TestMainEntry:
         payload = small_run_payload(tmp_path, g={"kind": "file", "path": str(path)})
         assert cli.main(["uniform", "--config", str(write_config(tmp_path, payload))]) == 2
         assert f"forcing snapshot {path} holds non-finite values" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("h1", [math.nan, math.inf])
+    def test_non_finite_forcing_spacing_exits_2(self, tmp_path, capsys, h1):
+        # a snapshot header spacing of NaN or inf matches no grid, whatever its cell count
+        path = tmp_path / "g.acf"
+        path.write_bytes(struct.pack("<4sIIIdd", b"ACF1", 1, 16, 0, h1, 0.0) + np.zeros(16).tobytes())
+        payload = small_run_payload(tmp_path, g={"kind": "file", "path": str(path)})
+        assert cli.main(["uniform", "--config", str(write_config(tmp_path, payload))]) == 2
+        assert "grid extent must be positive and finite" in capsys.readouterr().err
 
     def test_negative_snapshot_stride_flag_exits_2(self, tmp_path, capsys):
         assert cli.main(["simulate", "--out", str(tmp_path), "--snapshot-stride", "-1"]) == 2

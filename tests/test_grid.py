@@ -1,9 +1,11 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import default_offset, drift_apply, energy, laplacian_face_flux, measure
+from helpers import default_offset, drift_apply, energy, grad_norm_sq_diff, laplacian_face_flux, measure
 from logac import grid as gr
 from logac import potential as pot
 
@@ -121,6 +123,10 @@ class TestLaplacian:
             assert np.array_equal(out, ref)
             assert np.array_equal(np.signbit(out), np.signbit(ref))
             assert not np.any(np.signbit(out[out == 0.0]))
+            # the gradient norm takes the Laplacian's face differences and matches np.diff's bit for bit
+            gsq, gref = gr.grad_norm_sq(g, field), grad_norm_sq_diff(g, field)
+            assert np.array_equal(gsq, gref)
+            assert np.array_equal(np.signbit(gsq), np.signbit(gref))
 
 
 class TestNorms:
@@ -278,6 +284,13 @@ class TestSnapshots:
         assert blob[:4] == b"ACF1"
         assert int.from_bytes(blob[4:8], "little") == 1
         assert int.from_bytes(blob[8:12], "little") == 4
+
+    @pytest.mark.parametrize("h1", [np.nan, np.inf])
+    def test_non_finite_spacing_rejected(self, tmp_path, h1):
+        path = tmp_path / "h.acf"
+        path.write_bytes(struct.pack("<4sIIIdd", b"ACF1", 1, 8, 0, h1, 0.0) + np.zeros(8).tobytes())
+        with pytest.raises(ValueError, match="extent must be positive and finite"):
+            gr.load_field(path)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.acf"

@@ -126,9 +126,12 @@ class TestDiffusionField:
         assert out[7] != 0.0
 
     def test_no_modes_zero_field(self):
-        out = nz.mix_modes(spec_sine(modes=0), np.zeros(5), np.zeros(0), 1)
-        assert out.shape == (5,)
-        assert np.all(out == 0.0)
+        for spec in (spec_sine(modes=0), spec_flat(modes=0)):
+            for v in (np.zeros(5), np.array([-1.0, -0.5, -0.0, 0.5, 1.0])):
+                out = nz.mix_modes(spec, v, np.zeros(0), 1)
+                assert out.shape == (5,)
+                assert np.all(out == 0.0)
+                assert not np.any(np.signbit(out))  # +0.0 zeros, as from np.zeros
 
     def test_single_mode_closed_form(self):
         spec = spec_sine(modes=1, sigma0=0.7)
