@@ -224,11 +224,10 @@ def run(command: str, cfg: RunConfig) -> int:
         print(f"unknown command {command!r}; expected one of {COMMANDS}", file=sys.stderr)
         return 2
     out_dir = Path(cfg.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     t0 = time.perf_counter()
     failures: list[str] = []
     try:
+        out_dir.mkdir(parents=True, exist_ok=True)
         with np.errstate(all="raise", under="ignore"):  # pyproject's rule for the tests: float trouble raises
             if command == "simulate":
                 outputs = _run_simulate(cfg, out_dir)
@@ -236,22 +235,21 @@ def run(command: str, cfg: RunConfig) -> int:
                 report = STUDIES[command](cfg.ensemble)
                 failures = report.failures
                 outputs = _write_report(report, cfg, out_dir, time.perf_counter() - t0)
-    except ValueError as err:
+        manifest = {
+            "config_hash": config_hash(cfg),
+            "seed": cfg.ensemble.seed,
+            "code_version": __version__,
+            "study": command,
+            "outputs": outputs,
+            "timings": {"wall_time_s": time.perf_counter() - t0},
+        }
+        (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, default=float) + "\n")
+    except (ValueError, OSError) as err:  # a bad input, or an output_dir that cannot be made or written
         print(f"{command}: {err}", file=sys.stderr)
         return 2
     except (RuntimeError, FloatingPointError) as err:  # a solve did not converge, or a float overflowed or went invalid
         print(f"{command}: solver failed: {err}", file=sys.stderr)
         return 3
-
-    manifest = {
-        "config_hash": config_hash(cfg),
-        "seed": cfg.ensemble.seed,
-        "code_version": __version__,
-        "study": command,
-        "outputs": outputs,
-        "timings": {"wall_time_s": time.perf_counter() - t0},
-    }
-    (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, default=float) + "\n")
     if failures:
         for f in failures:
             print(f"{command}: FAILED: {f}", file=sys.stderr)

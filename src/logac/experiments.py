@@ -415,21 +415,18 @@ def derivative_study(cfg: EnsembleConfig) -> EstimateReport:
 
     rows = []
     report = EstimateReport(study="derivative", rows=rows)
-    sup_means = []
-    int_means = []
     for i, lam in enumerate(levels):
         k_sup = int(np.argmax(np.mean(series[:, i, :], axis=1)))
-        row = _mc_row("sup_t_mean_gauge", lam, series[k_sup, i, :])
-        rows.append(row)
-        sup_means.append(row.mean)
-        row = _mc_row("int_abs_gauge_prime", lam, acc["int_gauge_prime"][i])
-        rows.append(row)
-        int_means.append(row.mean)
-        rows.append(_mc_row("excursion_fraction", lam, excursion_fraction[i]))
+        rows += [
+            _mc_row("sup_t_mean_gauge", lam, series[k_sup, i, :]),
+            _mc_row("int_abs_gauge_prime", lam, acc["int_gauge_prime"][i]),
+            _mc_row("excursion_fraction", lam, excursion_fraction[i]),
+        ]
     report.metadata["gauge_order"] = n
     report.metadata["levels"] = levels
     report.metadata["increments_digest"] = out["increments_digest"]
-    for name, vals in (("sup_t_mean_gauge", sup_means), ("int_abs_gauge_prime", int_means)):
+    for name in ("sup_t_mean_gauge", "int_abs_gauge_prime"):
+        vals = [r.mean for r in rows if r.quantity == name]
         if not all(np.isfinite(v) for v in vals):
             report.failures.append(f"derivative statistic {name} is not finite: {vals}")
             continue
@@ -460,22 +457,20 @@ def _ode_reference(lam: float, c: float, y0: float, T: float):
 
     In the graph coordinate b = beta_lam(y), y = Y(b) = tanh(b/2) + lam*b and
     b' = R(b)/Y'(b) with R = 2c*Y - b = 2c*tanh(b/2) - kappa*b, kappa = 1 - 2c*lam,
-    so the time to reach b is T(b) = int_b0^b Y'(s)/R(s) ds.  If kappa > 0,
-    b tends to the one positive root b* of R and the integral runs in
-    sigma = -ln((b* - b)/(b* - b0)), where R(b) - R(b*) =
-    2c*sinh((b - b*)/2)/(cosh(b/2)cosh(b*/2)) - kappa*(b - b*) is written in
-    e^-b to neither cancel nor overflow; if T lies past sigma = 45 the answer
-    is Y(b*).  Otherwise (b* is None) sigma = ln(b/b0) and b grows without
-    bound.  Each panel is 1 long in sigma at most, and at most as long in b
-    as its distance from 0 and, while b < 40, at most 2 long in b, as
-    tanh(b/2) has poles pi off the real axis.  A bracketed Newton inverts T.
+    so the time to reach b is T(b) = int_b0^b Y'(s)/R(s) ds.  R vanishes at a
+    base point B: the one positive root b* of R if kappa > 0, which b tends
+    to, and otherwise 0 (b* is None), which b leaves to grow without bound.
+    One map runs the integral in sigma: b - B = (b0 - B)*e^(-sigma) toward
+    b* and (b0 - B)*e^sigma away from 0, and R(b) = (b - B)*(secant - kappa)
+    with the secant 2c*(tanh(b/2) - tanh(B/2))/(b - B) written in e^-b to
+    neither cancel nor overflow.  If T lies past sigma = 45 toward b*, the
+    answer is Y(b*).  Each panel is 1 long in sigma at most, and at most as
+    long in b as its distance from 0 and, while b < 40, at most 2 long in
+    b, as tanh(b/2) has poles pi off the real axis.  A bracketed Newton
+    inverts T.
     """
     kappa = 1.0 - 2.0 * c * lam
     b0 = float(pot._graph_solve(lam, y0, 0.0, pot.NEWTON_MAX_ITER)[0])  # tol 0: to the rounding of y0
-
-    def y_prime(p):  # Y'(b) = sech(b/2)^2/2 + lam with p = e^-b
-        return 2.0 * p / ((1.0 + p) * (1.0 + p)) + lam
-
     if kappa > 0.0:
         # R <= 2c - kappa*b, and Newton on the concave R falls monotonically from there to b*
         b_star = 2.0 * c / kappa
@@ -485,37 +480,22 @@ def _ode_reference(lam: float, c: float, y0: float, T: float):
             b_star -= step
             if step <= 4.0 * _EPS * b_star:  # the iterates only fall; a rise is rounding
                 break
-        d0, q = b_star - b0, math.exp(-b_star)
-        s_end = _ODE_SIGMA_END
-
-        def b_of(s):
-            return b0 - d0 * np.expm1(-s)
-
-        def rate(s):  # dT/dsigma = -e*Y'(b)/R(b) = Y'(b)/(kappa - secant) with e = b - b* = -d0*e^-sigma
-            e, b = -d0 * np.exp(-s), b_of(s)
-            p, a = np.exp(-b), np.abs(e)
-            # secant = 2c*(tanh(b/2) - tanh(b*/2))/e = 2c*sinh(e/2)/(e*cosh(b/2)*cosh(b*/2))
-            secant = 4.0 * c * np.exp(-np.minimum(b, b_star)) * (-np.expm1(-a) / a) / ((1.0 + p) * (1.0 + q))
-            return y_prime(p) / (kappa - secant)
-
-        def sigma_step(s, b_len):  # the sigma length of the next b_len of b
-            dist = abs(d0) * math.exp(-s)
-            return 1.0 if b_len >= dist else min(1.0, -math.log1p(-b_len / dist))
-
+        base, sign, s_end = b_star, -1.0, _ODE_SIGMA_END
     else:
-        b_star = None
         # dT/dsigma >= lam/(c - kappa), and b stays finite up to sigma = ln(1e300/b0)
+        b_star, base, sign = None, 0.0, 1.0
         s_end = min(T * (c - kappa) / lam, math.log(1e300 / b0))
+    d0, q = base - b0, math.exp(-base)
 
-        def b_of(s):
-            return b0 * np.exp(s)
+    def b_of(s):
+        return b0 - d0 * np.expm1(sign * s)
 
-        def rate(s):  # dT/dsigma = b*Y'(b)/R(b)
-            b = b_of(s)
-            return y_prime(np.exp(-b)) / (2.0 * c * np.tanh(0.5 * b) / b - kappa)
-
-        def sigma_step(s, b_len):
-            return math.log1p(b_len / float(b_of(s)))
+    def rate(s):  # dT/dsigma = sign*(b - B)*Y'(b)/R(b) = Y'(b)/|kappa - secant| with b - B = -d0*e^(sign*sigma)
+        e, b = -d0 * np.exp(sign * s), b_of(s)
+        p, a = np.exp(-b), np.abs(e)
+        # secant = 2c*sinh(e/2)/(e*cosh(b/2)*cosh(B/2)), and Y'(b) = sech(b/2)^2/2 + lam
+        secant = 4.0 * c * np.exp(-np.minimum(b, base)) * (-np.expm1(-a) / a) / ((1.0 + p) * (1.0 + q))
+        return (2.0 * p / ((1.0 + p) * (1.0 + p)) + lam) / np.abs(kappa - secant)
 
     x, w = np.polynomial.legendre.leggauss(_ODE_NODES)
 
@@ -527,7 +507,9 @@ def _ode_reference(lam: float, c: float, y0: float, T: float):
     while edges[-1] < s_end:
         s = edges[-1]
         b_lo = min(float(b_of(s)), math.inf if b_star is None else b_star)
-        edges.append(min(s_end, s + sigma_step(s, min(2.0, b_lo) if b_lo < 40.0 else b_lo)))
+        # the panel's length in b scales |b - B| by 1 + r, which takes sign*ln(1 + r) of sigma; r <= -1 passes b*
+        r = sign * (min(2.0, b_lo) if b_lo < 40.0 else b_lo) / (abs(d0) * math.exp(sign * s))
+        edges.append(min(s_end, s + (1.0 if r <= -1.0 else min(1.0, sign * math.log1p(r)))))
     edges = np.array(edges)
     cum = np.concatenate(([0.0], np.cumsum(integral(edges[:-1], edges[1:]))))
     if not T < cum[-1]:

@@ -181,21 +181,24 @@ def save_field(path, grid: Grid, u) -> None:
 
 
 def load_field(path) -> tuple[Grid, np.ndarray]:
-    with open(path, "rb") as fh:
-        header = fh.read(32)
-        if len(header) != 32:
-            raise ValueError(f"truncated snapshot header in {path}")
-        magic, dim, n1, n2, h1, h2 = struct.unpack("<4sIIIdd", header)
-        if magic != _MAGIC:
-            raise ValueError(f"{path} is not a field snapshot (bad magic {magic!r})")
-        if dim == 1:
-            cells, extent = (n1,), (n1 * h1,)
-        elif dim == 2:
-            cells, extent = (n1, n2), (n1 * h1, n2 * h2)
-        else:
-            raise ValueError(f"unsupported snapshot dimension {dim}")
-        data = np.frombuffer(fh.read(), dtype="<f8")
+    try:
+        with open(path, "rb") as fh:
+            blob = fh.read()
+    except OSError as err:
+        raise ValueError(f"cannot read snapshot {path}: {err}") from err
+    if len(blob) < 32:
+        raise ValueError(f"truncated snapshot header in {path}")
+    magic, dim, n1, n2, h1, h2 = struct.unpack_from("<4sIIIdd", blob)
+    if magic != _MAGIC:
+        raise ValueError(f"{path} is not a field snapshot (bad magic {magic!r})")
+    if dim == 1:
+        cells, extent = (n1,), (n1 * h1,)
+    elif dim == 2:
+        cells, extent = (n1, n2), (n1 * h1, n2 * h2)
+    else:
+        raise ValueError(f"unsupported snapshot dimension {dim}")
     g = Grid(extent=extent, cells=cells)
-    if data.size != np.prod(g.shape):
-        raise ValueError(f"snapshot payload has {data.size} values, expected {np.prod(g.shape)}")
-    return g, data.reshape(g.shape).astype(float)
+    size = int(np.prod(g.shape))
+    if len(blob) != 32 + 8 * size:
+        raise ValueError(f"snapshot {path} has {len(blob) - 32} payload bytes, not {size} float64 values")
+    return g, np.frombuffer(blob, dtype="<f8", offset=32).reshape(g.shape).astype(float)

@@ -372,6 +372,37 @@ class TestMainEntry:
         assert cli.main(["uniform", "--config", str(write_config(tmp_path, payload))]) == 2
         assert "grid extent must be positive and finite" in capsys.readouterr().err
 
+    def test_missing_forcing_file_exits_2(self, tmp_path, capsys):
+        # exit 1 means a failed study check; a forcing snapshot that cannot be read is a usage error
+        path = tmp_path / "absent.acf"
+        payload = small_run_payload(tmp_path, g={"kind": "file", "path": str(path)})
+        assert cli.main(["uniform", "--config", str(write_config(tmp_path, payload))]) == 2
+        assert f"cannot read snapshot {path}" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "manifest.json").exists()
+
+    def test_ragged_forcing_payload_exits_2(self, tmp_path, capsys):
+        # 16 values and 3 stray bytes are not a whole number of float64 values
+        path = tmp_path / "g.acf"
+        gr.save_field(path, gr.Grid(extent=(1.0,), cells=(16,)), np.zeros(16))
+        path.write_bytes(path.read_bytes() + bytes(3))
+        payload = small_run_payload(tmp_path, g={"kind": "file", "path": str(path)})
+        assert cli.main(["uniform", "--config", str(write_config(tmp_path, payload))]) == 2
+        assert f"snapshot {path} has 131 payload bytes, not 16 float64 values" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("where", ["is_a_file", "below_a_file", "report_is_a_dir"])
+    def test_unusable_output_dir_exits_2(self, tmp_path, capsys, where):
+        # the outputs cannot be made or written: a usage error named by its path, and no manifest
+        blocker = tmp_path / "taken"
+        out = blocker / "out" if where == "below_a_file" else blocker
+        if where == "report_is_a_dir":
+            (blocker / "oracles.csv").mkdir(parents=True)
+        else:
+            blocker.write_text("")
+        assert cli.main(["oracles", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("oracles: ") and str(out) in err
+        assert not (out / "manifest.json").exists()
+
     def test_negative_snapshot_stride_flag_exits_2(self, tmp_path, capsys):
         assert cli.main(["simulate", "--out", str(tmp_path), "--snapshot-stride", "-1"]) == 2
         assert "config snapshot_stride" in capsys.readouterr().err

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
-from scipy.integrate import solve_ivp
+from scipy.integrate import quad, solve_ivp
 
 from helpers import measure, report_row
 from logac import cli
@@ -699,6 +699,24 @@ class TestOdeReference:
         # y lands within lam*b* of 1, where beta_lam' ~ 1/lam makes the equation stiff
         ref = ivp_reference(lam, c, 0.1, 0.5, "Radau", 1e-12)
         assert ex._ode_reference(lam, c, 0.1, 0.5)[0] == pytest.approx(ref, rel=1e-9, abs=0.0)
+
+    @pytest.mark.parametrize(
+        "c, lam", [(c, lam) for lam in (0.5, 0.2, 0.025) for c in (1.001, 1.05, 2.0, 3.0, 5.0, 10.0)] + [(1.001, 1e-4)]
+    )
+    def test_time_to_the_answer_is_t(self, c, lam):
+        # quad of T(b) = int_b0^b Y'(s)/R(s) ds straight in b, independent of the sigma map: b grows from 0 at
+        # lam = 0.5 and at lam = 0.2 with c >= 3 (to b ~ 2000 at c = 10, where cosh(b/2) would overflow,
+        # so Y' is written in tanh), rises to b* elsewhere, and falls to b* at (1.001, 1e-4), where b0 > b*
+        kappa = 1.0 - 2.0 * c * lam
+        y = ex._ode_reference(lam, c, 0.1, 0.5)[0]
+        b0, b = (float(pot.yosida_pair(lam, np.array(v))[0]) for v in (0.1, y))
+
+        def y_prime_over_r(s):
+            t = math.tanh(0.5 * s)
+            return (0.5 * (1.0 - t) * (1.0 + t) + lam) / (2.0 * c * t - kappa * s)
+
+        T = quad(y_prime_over_r, b0, b, epsabs=0.0, epsrel=1e-13)[0]
+        assert T == pytest.approx(0.5, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("c, lam, converges", [(2.0, 0.05, True), (3.0, 0.2, False)])
     def test_oracles_report_the_reference(self, c, lam, converges):
