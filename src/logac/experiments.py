@@ -1,13 +1,14 @@
 """Monte Carlo studies that turn the scheme's a-priori bounds into checks.
 
-Every path, from a Monte Carlo ensemble down to one deterministic oracle
-run or the simulate command, is integrated by _run_lanes: lanes (levels
-or perturbed data) x replicates, stepped in lockstep by stepper.step.
-The engine is the time loop only.  Every study is a function of its
-EnsembleConfig that builds its own lanes and runs them with only the hooks
-it reads: _path_statistics for the per-lane path statistics,
-_lane_differences for the differences of coupled lane pairs, or a hook of
-its own; the first two fill arrays of shape (lanes or pairs, replicates).
+Every path of the regularized equation, from a Monte Carlo ensemble down
+to the 0-d oracle or the simulate command, is integrated by _run_lanes:
+lanes (levels or perturbed data) x replicates, stepped in lockstep by
+stepper.step.  The engine is the time loop only.  Every study is a
+function of its EnsembleConfig that builds its own lanes and runs them
+with only the hooks it reads: _path_statistics for the per-lane path
+statistics, _lane_differences for the differences of coupled lane pairs,
+or a hook of its own; the first two fill arrays of shape (lanes or
+pairs, replicates).
 Each study is a pure function of (EnsembleConfig, seed): replicates are
 integrated as one vectorized batch in a fixed order, noise increments come
 from counter streams keyed (seed, replicate, step, mode), and coupled
@@ -107,7 +108,7 @@ def _mc_row(quantity: str, lam: float, values) -> ReportRow:
 class Lane:
     """One coupled integration lane: a Yosida level plus its data."""
 
-    lam: float | None
+    lam: float
     u0: np.ndarray  # (replicates, *grid shape)
     g: np.ndarray  # grid shape, zero for no forcing
 
@@ -137,33 +138,26 @@ def _run_lanes(
     spec: nz.NoiseSpec,
     scfg: st.StepperConfig,
     g: gr.Grid,
-    params: pot.PotentialParams | None,
+    params: pot.PotentialParams,
     seed: int,
     *,
     hooks=(),
 ) -> dict:
     """Lockstep integration of several lanes on shared noise increments.
 
-    This is the package's one time loop; a single path is one lane of one
-    replicate.  params=None drops the potential (c = 0), which needs every
-    lane at lam=None and no noise modes, as the noise is taken at J_lam(u).
-    The engine computes no statistic: each hook(m, u, beta_u) sees the
-    state batch after m steps, m = 0..n_steps, and beta_lam(u) (zeros for
-    heat lanes), before stepping.  Studies measure through hooks.
+    This is the time loop of every path of the regularized equation; a
+    single path is one lane of one replicate.  The engine computes no
+    statistic: each hook(m, u, beta_u) sees the state batch after m steps,
+    m = 0..n_steps, and beta_lam(u), before stepping.  Studies measure
+    through hooks.
     """
-    n_lanes = len(lanes)
     reps = lanes[0].u0.shape[0]
 
     u = np.stack([ln.u0 for ln in lanes], dtype=float)
     if not np.all(np.abs(u) < 1.0):  # a NaN datum fails too
         raise ValueError("lane initial data must satisfy ||u0||_inf < 1")
-    if params is None:
-        if spec.modes > 0:
-            raise ValueError("noise needs a Yosida level; params=None lanes must have no noise modes")
-        lam, c, beta_u = None, 0.0, np.zeros_like(u)
-    else:
-        lam = np.array([ln.lam for ln in lanes]).reshape((n_lanes,) + (1,) * (1 + g.dim))
-        c, beta_u = params.c, pot.yosida_pair(lam, u)[0]
+    lam = np.array([ln.lam for ln in lanes]).reshape((len(lanes),) + (1,) * (1 + g.dim))
+    beta_u = pot.yosida_pair(lam, u)[0]
     g_force = np.stack([ln.g for ln in lanes])[:, None]
 
     a_u = st.implicit_operator(g, scfg.dt, u, beta_u)
@@ -178,8 +172,7 @@ def _run_lanes(
         if spec.modes > 0:
             dw = nz.sample_increment_block(seed, reps, m, spec, scfg.dt)
             hasher.update(np.ascontiguousarray(dw).tobytes())
-            dw = np.broadcast_to(dw, (n_lanes, reps, spec.modes))
-        u, beta_u, a_u = st.step(g, lam, c, spec, u, beta_u, a_u, dw, g_force, scfg)
+        u, beta_u, a_u = st.step(g, lam, params.c, spec, u, beta_u, a_u, dw, g_force, scfg)
 
     return {"final": u, "increments_digest": hasher.hexdigest(), "n_steps": n_steps}
 
@@ -188,8 +181,7 @@ def _path_statistics(g: gr.Grid, scfg: st.StepperConfig, c: float, shape):
     """A _run_lanes hook and the path statistics it fills per (lane, replicate) of shape.
 
     Every norm of a state is taken once: the sups see m = 0..n_steps, the
-    left-endpoint integrals m < n_steps.  Heat lanes (c = 0, zero beta_u)
-    keep int_beta_sq and int_f1_sq at exact zeros.  The last call sets
+    left-endpoint integrals m < n_steps.  The last call sets
     excursion_fraction, the share of samples with |u| >= 1.
     """
     names = ("sup_h_sq", "sup_grad_sq", "int_grad_sq", "int_f1_sq", "int_beta_sq", "int_lap_sq", "excursion_count")
@@ -349,9 +341,13 @@ def dependence_study(cfg: EnsembleConfig, perturbations: list[Perturbation]) -> 
     for name, members in families.items():
         if len(members) < 2:
             continue
-        lost = [tag for tag, r in members if r == 0.0]
-        if lost:  # the family has no geometric mean to measure against
-            report.failures += [f"dependence ratio is 0 for {name} perturbation {t}: lost to rounding" for t in lost]
+        # a ratio of 0 (its lhs lost to rounding) or nan (its rhs 0, as for g at T = 0) has no logarithm,
+        # so the family has no geometric mean to measure against
+        unmeasured = [(tag, r) for tag, r in members if not r > 0.0]
+        for t, r in unmeasured:
+            cause = "lost to rounding" if r == 0.0 else "its right side is 0"
+            report.failures.append(f"dependence ratio is {r:g} for {name} perturbation {t}: {cause}")
+        if unmeasured:
             continue
         center = math.exp(sum(math.log(r) for _, r in members) / len(members))
         for _, r in members:
@@ -534,23 +530,17 @@ def _ode_reference(lam: float, c: float, y0: float, T: float):
 def heat_and_ode_oracles(cfg: EnsembleConfig) -> EstimateReport:
     """Deterministic convergence oracles for the time stepper.
 
-    Spatial: Neumann heat flow of the first cosine eigenmode against the
-    continuum solution, refining (h, dt) together with dt ~ h^2.  Temporal:
-    the first discrete eigenvector against the exact semi-discrete
-    exponential at fixed h.  A 0-d reduction (spatially constant states)
-    compares the splitting against the exact time map of
+    Spatial: implicit Euler for the Neumann heat flow of the first cosine
+    eigenmode against the continuum solution, refining (h, dt) together
+    with dt ~ h^2.  Temporal: the first discrete eigenvector against the
+    exact semi-discrete exponential at fixed h.  A 0-d reduction (spatially
+    constant states) compares the splitting against the exact time map of
     u' = -F'_lam(u) (_ode_reference).  Fails if the observed spatial order
     drops below 1.6 or either temporal order drops below 0.8.
     """
     rows = []
     report = EstimateReport(study="oracles", rows=rows)
-    quiet = nz.NoiseSpec(family=nz.SINE, modes=0, decay_exponent=2.0, amplitude=0.0)
     T = 0.1
-
-    def final_state(u0, lam, scfg, g, params):
-        # one noiseless path: one lane of one replicate
-        out = _run_lanes([Lane(lam, u0[None], np.zeros(g.shape))], quiet, scfg, g, params, seed=0)
-        return out["final"][0, 0]
 
     def refinement(name, lam, runs, key, what, floor):
         """One error row per (label, error) run, then the minimum observed order and its verdict."""
@@ -566,8 +556,9 @@ def heat_and_ode_oracles(cfg: EnsembleConfig) -> EstimateReport:
     def heat_error(N, dt, rate):
         """Sup error at T of the heat flow of 0.5*cos(pi x) on N cells against that mode decaying at rate."""
         g = gr.Grid(extent=(1.0,), cells=(N,))
-        u0 = 0.5 * np.cos(np.pi * g.cell_centers())
-        u = final_state(u0, None, st.StepperConfig(dt=dt, t_end=T), g, None)
+        u = u0 = 0.5 * np.cos(np.pi * g.cell_centers())
+        for _ in range(st.StepperConfig(dt=dt, t_end=T).n_steps):
+            u = st._tridiag_solve(g, dt, 0.0, u)  # implicit Euler: one solve of I - dt*lap_h
         return float(np.max(np.abs(u - math.exp(rate * T) * u0)))
 
     # spatial refinement against the continuum decay rate, dt tied to h^2
@@ -582,6 +573,7 @@ def heat_and_ode_oracles(cfg: EnsembleConfig) -> EstimateReport:
     refinement("heat_temporal", math.nan, runs, "temporal_orders", "heat temporal", 0.8)
 
     # 0-d reduction: spatially constant states obey u' = -F'_lam(u)
+    quiet = nz.NoiseSpec(family=nz.SINE, modes=0, decay_exponent=2.0, amplitude=0.0)
     params = cfg.potential
     lam = cfg.lambda_levels[-1]
     g0 = gr.Grid(extent=(1.0,), cells=(2,))
@@ -592,8 +584,9 @@ def heat_and_ode_oracles(cfg: EnsembleConfig) -> EstimateReport:
     report.metadata["ode_reference"] = {"value": ref_val, "b_star": b_star, "newton_iters": iters}
 
     def ode_error(dt):
-        u = final_state(np.full(g0.shape, u_init), lam, st.StepperConfig(dt=dt, t_end=T0), g0, params)
-        return abs(float(u[0]) - ref_val)
+        lane = Lane(lam, np.full((1,) + g0.shape, u_init), np.zeros(g0.shape))
+        out = _run_lanes([lane], quiet, st.StepperConfig(dt=dt, t_end=T0), g0, params, seed=0)
+        return abs(float(out["final"][0, 0, 0]) - ref_val)
 
     refinement("ode", lam, [(f"dt={dt:g}", ode_error(dt)) for dt in dts], "ode_orders", "0-d temporal", 0.8)
     return report

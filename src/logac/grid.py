@@ -191,13 +191,15 @@ def load_field(path) -> tuple[Grid, np.ndarray]:
     magic, dim, n1, n2, h1, h2 = struct.unpack_from("<4sIIIdd", blob)
     if magic != _MAGIC:
         raise ValueError(f"{path} is not a field snapshot (bad magic {magic!r})")
-    if dim == 1:
-        cells, extent = (n1,), (n1 * h1,)
-    elif dim == 2:
-        cells, extent = (n1, n2), (n1 * h1, n2 * h2)
-    else:
-        raise ValueError(f"unsupported snapshot dimension {dim}")
-    g = Grid(extent=extent, cells=cells)
+    try:
+        if dim == 1:
+            g = Grid(extent=(n1 * h1,), cells=(n1,))
+        elif dim == 2:
+            g = Grid(extent=(n1 * h1, n2 * h2), cells=(n1, n2))
+        else:
+            raise ValueError(f"unsupported snapshot dimension {dim}")
+    except ValueError as err:  # a header that describes no grid
+        raise ValueError(f"snapshot {path}: {err}") from err
     size = int(np.prod(g.shape))
     if len(blob) != 32 + 8 * size:
         raise ValueError(f"snapshot {path} has {len(blob) - 32} payload bytes, not {size} float64 values")

@@ -140,8 +140,8 @@ def sample_increment_block(seed: int, replicates: int, step: int, spec: NoiseSpe
 def mix_modes(spec: NoiseSpec, v, dw, field_ndim: int):
     """sum_k h_k(v) dW_k for an already-mapped state v in [-1, 1] (the scheme uses v = J_lam(u)).
 
-    dw must have shape v.shape[:-field_ndim] + (modes,): one increment
-    vector per leading batch entry, broadcast over the field axes.
+    dw must be broadcastable to v.shape[:-field_ndim] + (modes,): one
+    increment vector per leading batch entry, broadcast over the field axes.
 
     The sum is sin(theta) * sum_k c_k U_{k-1}(cos(theta)), c_k = sigma0 k^(-s) dW_k,
     summed by Clenshaw's recurrence in Reinsch's form: theta is folded into

@@ -25,9 +25,10 @@ zero arrays.
 
 Fields may carry leading batch axes (replicates, coupled lanes) and
 everything here broadcasts over them.  This module holds one step; the
-time loop and the noise draws live in experiments._run_lanes, the
-package's only integration engine, and the path statistics in the hooks
-the studies attach to it.
+time loop and the noise draws live in experiments._run_lanes, the engine
+of every path of the regularized equation, and the path statistics in
+the hooks the studies attach to it.  The heat oracle needs no Newton: its
+implicit Euler step is one _tridiag_solve with a zero diagonal.
 """
 
 from __future__ import annotations
@@ -143,9 +144,8 @@ def implicit_operator(g: gr.Grid, dt: float, w, bl):
 def _monotone_solve(g: gr.Grid, lam, rhs, dt: float, w0, b0, a0):
     """Solve A(w) = rhs by Newton from w0, b0 = beta_lam(w0), a0 = A(w0); A is implicit_operator.
 
-    lam is a scalar or an array broadcastable against the batch axes, or
-    None to drop the beta term, with b0 a zero field that comes back as
-    beta.  The first residual is a0 - rhs and its Newton system takes
+    lam is a scalar or an array broadcastable against the batch axes.  The
+    first residual is a0 - rhs and its Newton system takes
     beta_lam'(w0) from J_lam(w0) = tanh(b0/2), so only the Newton trials
     solve the resolvent and apply the Laplacian.  A trial w - delta starts
     its resolvent solve from beta_lam(w) - beta_lam'(w)*delta, which is
@@ -160,7 +160,7 @@ def _monotone_solve(g: gr.Grid, lam, rhs, dt: float, w0, b0, a0):
     tol = np.maximum(NEWTON_TOL, pot._ULP4 * np.maximum.reduce(np.abs(rhs), axis=axes))
 
     w, bl, A = w0, b0, a0
-    blp = b0 if lam is None else pot.yosida_slope(lam, np.tanh(0.5 * b0))
+    blp = pot.yosida_slope(lam, np.tanh(0.5 * b0))
     res = np.maximum.reduce(np.abs(A - rhs), axis=axes)
     for _ in range(NEWTON_MAX_ITER):
         done = res <= tol
@@ -170,23 +170,21 @@ def _monotone_solve(g: gr.Grid, lam, rhs, dt: float, w0, b0, a0):
         delta = _tridiag_solve(g, dt, blp, r) if g.dim == 1 else _pcg(g, dt, blp, r)
         # a converged member keeps its w, and its re-evaluated beta_lam and A, bit for bit, whatever its batch mates do
         delta[done] = 0.0
-        if lam is not None:
-            # the trial's resolvent solve starts from beta_lam(w) - beta_lam'(w)*delta, written over the spent
-            # right side r; beta_lam(w) itself is not kept through the trials
-            bl = np.subtract(bl, np.multiply(blp, delta, out=r), out=r)
+        # the trial's resolvent solve starts from beta_lam(w) - beta_lam'(w)*delta, written over the spent
+        # right side r; beta_lam(w) itself is not kept through the trials
+        bl = np.subtract(bl, np.multiply(blp, delta, out=r), out=r)
         for _bt in range(12):
             # halving is exact, so after k refusals a member's trial is w - 2^-k*delta
             w_try = w - delta
-            bl_try, blp_try = (b0, b0) if lam is None else pot.yosida_pair(lam, w_try, b0=bl)
+            bl_try, blp_try = pot.yosida_pair(lam, w_try, b0=bl)
             A_try = implicit_operator(g, dt, w_try, bl_try)
             res_try = np.maximum.reduce(np.abs(A_try - rhs), axis=axes)
             bad = res_try > np.maximum(res, tol)
             if not np.logical_or.reduce(bad, axis=None):
                 break
             delta[bad] *= 0.5
-            if lam is not None:
-                # a refused member's guess follows its halved direction
-                bl[bad] += blp[bad] * delta[bad]
+            # a refused member's guess follows its halved direction
+            bl[bad] += blp[bad] * delta[bad]
         else:
             raise RuntimeError(
                 f"implicit step failed: backtracking exhausted, 12 dampings all raise residual {float(np.max(res)):.3e}"
@@ -202,13 +200,12 @@ def step(g: gr.Grid, lam, c: float, spec: nz.NoiseSpec, u, beta_u, a_u, dw, g_fo
     """One scheme step from u; returns (u_next, beta_lam(u_next), A(u_next)).
 
     The explicit part is the concave term 2c*u, the forcing field g_force
-    and the noise sum_k h_k(J_lam(u)) dW_k; dw holds the mode increments
-    with shape u's batch axes + (modes,) and is ignored when spec has no
-    modes.  J_lam(u) = tanh(beta_u/2) from the beta_u = beta_lam(u) the
-    previous step (or yosida_pair at the datum) returned, with no resolvent
-    solve of its own (the noise is an exact 0.0 where it rounds to +-1);
-    a_u = implicit_operator(g, cfg.dt, u, beta_u) is carried alike.
-    lam=None, c=0, zero beta_u and no noise modes give the heat flow.
+    and the noise sum_k h_k(J_lam(u)) dW_k; dw holds the mode increments,
+    broadcastable to u's batch axes + (modes,), and is ignored when spec
+    has no modes.  J_lam(u) = tanh(beta_u/2) from the beta_u = beta_lam(u)
+    the previous step (or yosida_pair at the datum) returned, with no
+    resolvent solve of its own (the noise is an exact 0.0 where it rounds
+    to +-1); a_u = implicit_operator(g, cfg.dt, u, beta_u) is carried alike.
     """
     dt = cfg.dt
     rhs = u + dt * (2.0 * c) * u

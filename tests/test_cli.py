@@ -372,6 +372,42 @@ class TestMainEntry:
         assert cli.main(["uniform", "--config", str(write_config(tmp_path, payload))]) == 2
         assert "grid extent must be positive and finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "header, message",
+        [
+            ((2, 16, 1, 1 / 16, 1.0), "grid needs at least 2 cells per axis, got (16, 1)"),
+            ((1, 16, 0, math.nan, 0.0), "grid extent must be positive and finite, got (nan,)"),
+            ((3, 16, 16, 1 / 16, 1 / 16), "unsupported snapshot dimension 3"),
+        ],
+        ids=["one-cell-axis", "nan-spacing", "dimension-3"],
+    )
+    def test_forcing_header_without_a_grid_names_the_file(self, tmp_path, capsys, header, message):
+        path = tmp_path / "g.acf"
+        path.write_bytes(struct.pack("<4sIIIdd", b"ACF1", *header) + np.zeros(16).tobytes())
+        payload = small_run_payload(tmp_path, g={"kind": "file", "path": str(path)})
+        assert cli.main(["uniform", "--config", str(write_config(tmp_path, payload))]) == 2
+        assert f"snapshot {path}: {message}" in capsys.readouterr().err
+
+    def test_forcing_snapshot_runs_as_its_field(self, tmp_path):
+        # a snapshot of the constant 0.3 field forces the run exactly as the constant kind does
+        path = tmp_path / "g.acf"
+        gr.save_field(path, gr.Grid(extent=(1.0,), cells=(16,)), np.full(16, 0.3))
+        csvs = []
+        for name, g in (("file", {"kind": "file", "path": str(path)}), ("constant", {"kind": "constant", "value": 0.3})):
+            payload = small_run_payload(tmp_path, g=g, output_dir=str(tmp_path / name))
+            assert cli.main(["uniform", "--config", str(write_config(tmp_path, payload, f"{name}.json"))]) == 0
+            csvs.append((tmp_path / name / "uniform.csv").read_bytes())
+        assert csvs[0] == csvs[1]
+
+    def test_forcing_snapshot_of_another_grid_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "g.acf"
+        written, run = gr.Grid(extent=(1.0,), cells=(32,)), gr.Grid(extent=(1.0,), cells=(16,))
+        gr.save_field(path, written, np.zeros(32))
+        payload = small_run_payload(tmp_path, g={"kind": "file", "path": str(path)})
+        assert cli.main(["uniform", "--config", str(write_config(tmp_path, payload))]) == 2
+        assert f"forcing snapshot {path} was written for grid {written}, run uses {run}" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "manifest.json").exists()
+
     def test_missing_forcing_file_exits_2(self, tmp_path, capsys):
         # exit 1 means a failed study check; a forcing snapshot that cannot be read is a usage error
         path = tmp_path / "absent.acf"

@@ -352,6 +352,17 @@ class TestDependenceStudy:
         assert report_row(rep, "dep_lhs[du0=1e-20,dg=0]", 0.05).mean == 0.0
         assert rep.failures == ["dependence ratio is 0 for u0 perturbation du0=1e-20,dg=0: lost to rounding"]
 
+    def test_zero_horizon_fails_the_g_family_by_name(self):
+        # at t_end = 0 a g-only shift has rhs sqrt(T)*||dg||_V* = 0, so its ratio is nan and has no logarithm
+        cfg = small_config(replicates=4, stepper=st.StepperConfig(dt=1e-3, t_end=0.0))
+        perturbations = [ex.Perturbation(u0_shift=d) for d in (0.01, 0.001)]
+        perturbations += [ex.Perturbation(g_shift=d) for d in (0.01, 0.001)]
+        rep = ex.dependence_study(cfg, perturbations)
+        assert all(math.isnan(r) for r in rep.metadata["ratio_families"]["g"])
+        assert rep.failures == [
+            f"dependence ratio is nan for g perturbation du0=0,dg={d:g}: its right side is 0" for d in (0.01, 0.001)
+        ]
+
     def test_csv_reads_back(self):
         # quantity names hold commas, as in dep_ratio[du0=0.01,dg=0]
         cfg = small_config()
@@ -606,18 +617,16 @@ class TestOracles:
 
     @pytest.mark.parametrize("exact_runs, order", [(1, -math.inf), (2, math.nan)], ids=["rises-from-0", "stays-0"])
     def test_error_rising_from_exactly_zero_fails(self, monkeypatch, exact_runs, order):
-        # the first spatial runs land on the continuum solution itself, so their error is exactly 0
-        run_lanes, calls = ex._run_lanes, []
+        # the first spatial runs land on the continuum solution itself, so their error is exactly 0:
+        # every heat step of those runs, told apart by their time steps, returns it
+        tridiag, exact_dts = st._tridiag_solve, (8e-4, 2e-4)[:exact_runs]
 
-        def exact_first(lanes, spec, scfg, g, params, seed, **kw):
-            out = run_lanes(lanes, spec, scfg, g, params, seed, **kw)
-            calls.append(1)
-            if len(calls) <= exact_runs:
-                x = g.cell_centers()
-                out["final"] = (0.5 * math.exp(-np.pi**2 * 0.1) * np.cos(np.pi * x))[None, None]
-            return out
+        def exact_first(g, dt, diag, b):
+            if dt in exact_dts:
+                return 0.5 * math.exp(-np.pi**2 * 0.1) * np.cos(np.pi * g.cell_centers())
+            return tridiag(g, dt, diag, b)
 
-        monkeypatch.setattr(ex, "_run_lanes", exact_first)
+        monkeypatch.setattr(st, "_tridiag_solve", exact_first)
         rep = ex.heat_and_ode_oracles(small_config())
         row = report_row(rep, "heat_spatial_order", math.nan)
         assert np.array_equal(row.mean, order, equal_nan=True)
@@ -650,18 +659,11 @@ class TestOracles:
         g = gr.Grid(extent=(1.0,), cells=(32,))
         cfg = st.StepperConfig(dt=1e-3, t_end=0.05)
         quiet = nz.NoiseSpec(family="sine", modes=0, decay_exponent=2.0, amplitude=0.0)
-        out = ex._run_lanes([ex.Lane(None, np.zeros((1, 32)), np.zeros(32))], quiet, cfg, g, None, seed=0)
+        lane = ex.Lane(0.05, np.zeros((1, 32)), np.zeros(32))
+        out = ex._run_lanes([lane], quiet, cfg, g, pot.PotentialParams(c=2.0), seed=0)
         assert np.all(out["final"] == 0.0)
         # the engine is the time loop only: every statistic comes from a hook
         assert out.keys() == {"final", "increments_digest", "n_steps"}
-
-    def test_heat_lanes_reject_noise(self):
-        # the noise is evaluated at J_lam(u), which a lane without a level does not have
-        g = gr.Grid(extent=(1.0,), cells=(8,))
-        cfg = st.StepperConfig(dt=1e-3, t_end=0.01)
-        spec = nz.NoiseSpec(family="sine", modes=4, decay_exponent=2.0, amplitude=0.5)
-        with pytest.raises(ValueError, match="noise needs a Yosida level"):
-            ex._run_lanes([ex.Lane(None, np.zeros((1, 8)), np.zeros(8))], spec, cfg, g, None, seed=0)
 
     def test_deterministic_in_seed(self):
         a = ex.heat_and_ode_oracles(small_config(seed=1))

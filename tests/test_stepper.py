@@ -61,15 +61,23 @@ def solve(g, lam, rhs, dt):
 
 def carried(g, lam, w0, dt):
     """(w0, beta_lam(w0), A(w0)): the state a solve starts from, as a step's caller carries it."""
-    b0 = np.zeros_like(w0) if lam is None else pot.yosida_pair(lam, w0)[0]
+    b0 = pot.yosida_pair(lam, w0)[0]
     return w0, b0, st.implicit_operator(g, dt, w0, b0)
 
 
 def run_path(u0, lam, cfg, g, params, spec=QUIET, seed=0, hooks=()):
     """One lane of the engine and its path statistics; u0 is a (replicates, *grid) batch."""
-    stats_hook, stats = ex._path_statistics(g, cfg, 0.0 if params is None else params.c, (1, u0.shape[0]))
+    stats_hook, stats = ex._path_statistics(g, cfg, params.c, (1, u0.shape[0]))
     out = ex._run_lanes([ex.Lane(lam, u0, np.zeros(g.shape))], spec, cfg, g, params, seed, hooks=(stats_hook, *hooks))
     return {**out, "stats": stats}
+
+
+def heat_path(g, cfg, u0):
+    """Every state of the heat oracle's implicit Euler path: each step is one solve of I - dt*lap_h."""
+    states = [u0]
+    for _ in range(cfg.n_steps):
+        states.append(st._tridiag_solve(g, cfg.dt, 0.0, states[-1]))
+    return np.asarray(states)
 
 
 @dataclass
@@ -129,14 +137,13 @@ def weak_residual_check(record: TrajectoryRecord, v) -> float:
 
 def record_path(g, params, lam, spec, u0, cfg, increments):
     """Step u0 through the given per-step increments, keeping every state."""
-    c = 0.0 if params is None else params.c
     u, states, stoch, g_force = u0, [u0], np.zeros_like(u0), np.zeros(g.shape)
-    beta_u = np.zeros_like(u0) if lam is None else pot.yosida_pair(lam, u0)[0]
+    beta_u = pot.yosida_pair(lam, u0)[0]
     a_u = st.implicit_operator(g, cfg.dt, u, beta_u)
     for dw in increments:
         if spec.modes:
             stoch = stoch + nz.mix_modes(spec, pot.resolvent_map(lam, u), dw, g.dim)
-        u, beta_u, a_u = st.step(g, lam, c, spec, u, beta_u, a_u, dw, g_force, cfg)
+        u, beta_u, a_u = st.step(g, lam, params.c, spec, u, beta_u, a_u, dw, g_force, cfg)
         states.append(u)
     return TrajectoryRecord(g, params, lam, cfg.dt, np.asarray(states), stoch, g_force)
 
@@ -225,7 +232,7 @@ class TestImplicitSolve:
         # the first Newton system carries beta_lam'(u), taken from J = tanh(beta_lam(u)/2) as yosida_pair takes it
         assert np.array_equal(diags[0], slope_u)
 
-    @pytest.mark.parametrize("lam", [None, 0.05], ids=["heat", "lambda"])
+    @pytest.mark.parametrize("lam", [0.05], ids=["lambda"])
     def test_refused_member_halves_its_own_direction(self, monkeypatch, lam):
         # member 0's Newton step overshoots five times, so its trials are refused until the
         # direction is halved twice; member 1 takes its full step in the same trials
@@ -335,21 +342,19 @@ class TestCarriedOperator:
     # the A = w - dt*lap(w) + dt*beta_lam(w) a solve returns is carried into the next one as its
     # first residual plus rhs, so it must be the operator of the returned (w, beta) to the bit
     @pytest.mark.parametrize("cells", [(16,), (6, 8)], ids=["1d", "2d"])
-    @pytest.mark.parametrize("levels", [None, (0.1, 0.005)], ids=["heat", "lambda"])
+    @pytest.mark.parametrize("levels", [(0.1, 0.005)], ids=["lambda"])
     def test_step_returns_the_operator_of_its_state(self, cells, levels):
         g = gr.Grid(extent=(1.0,) * len(cells), cells=cells)
         cfg = st.StepperConfig(dt=5e-3, t_end=0.02)
         rng = np.random.default_rng(13)
         u = rng.uniform(-0.9, 0.9, size=(2, 3, *cells))
-        if levels is None:
-            lam, c, spec, beta_u = None, 0.0, QUIET, np.zeros_like(u)
-        else:
-            lam = np.array(levels).reshape((2,) + (1,) * (1 + g.dim))
-            c, spec = 2.0, nz.NoiseSpec(family="sine", modes=4, decay_exponent=2.0, amplitude=0.8)
-            beta_u = pot.yosida_pair(lam, u)[0]
+        lam = np.array(levels).reshape((2,) + (1,) * (1 + g.dim))
+        c, spec = 2.0, nz.NoiseSpec(family="sine", modes=4, decay_exponent=2.0, amplitude=0.8)
+        beta_u = pot.yosida_pair(lam, u)[0]
         a_u = st.implicit_operator(g, cfg.dt, u, beta_u)
         for m in range(cfg.n_steps):
-            dw = np.broadcast_to(nz.sample_increment_block(3, 3, m, spec, cfg.dt), (2, 3, spec.modes))
+            # one (replicates, modes) block, shared by both lanes, as the engine passes it
+            dw = nz.sample_increment_block(3, 3, m, spec, cfg.dt)
             u, beta_u, a_u = st.step(g, lam, c, spec, u, beta_u, a_u, dw, np.zeros(cells), cfg)
             assert np.array_equal(a_u, st.implicit_operator(g, cfg.dt, u, beta_u))
 
@@ -364,7 +369,7 @@ class TestCarriedOperator:
         assert w is w0 and bl is b0 and A is a0
         assert laps == []
 
-    @pytest.mark.parametrize("lam", [None, 0.05], ids=["heat", "lambda"])
+    @pytest.mark.parametrize("lam", [0.05], ids=["lambda"])
     def test_backtracked_trial_returns_its_own_operator(self, monkeypatch, lam):
         # three times the Newton step overshoots, so every iteration accepts the damping 1/2
         g = gr.Grid(extent=(1.0,), cells=(16,))
@@ -449,7 +454,7 @@ class TestTridiagSolve:
 
 
 class TestStep:
-    @pytest.mark.parametrize("lam", [None, 0.025], ids=["heat", "lambda"])
+    @pytest.mark.parametrize("lam", [0.025], ids=["lambda"])
     def test_enters_no_python_frame_outside_the_package(self, lam):
         # on small fields numpy's Python-level wrappers (ndarray.max/all/any, clip, empty_like)
         # cost as much as the arithmetic, so a warmed noiseless step calls ufuncs and their
@@ -457,7 +462,7 @@ class TestStep:
         g = gr.Grid(extent=(1.0,), cells=(32,))
         cfg = st.StepperConfig(dt=1e-3, t_end=1e-3)
         u = 0.5 * np.cos(np.pi * g.cell_centers())[None, None]
-        c, beta_u = (0.0, np.zeros_like(u)) if lam is None else (2.0, pot.yosida_pair(lam, u)[0])
+        c, beta_u = 2.0, pot.yosida_pair(lam, u)[0]
         args = (g, lam, c, QUIET, u, beta_u, st.implicit_operator(g, cfg.dt, u, beta_u), None, np.zeros(u.shape), cfg)
         st.step(*args)  # fills the caches and cached properties
         package = os.path.dirname(st.__file__) + os.sep
@@ -483,16 +488,22 @@ class TestStep:
         assert np.all(u == 0.0)
 
     def test_heat_limit(self):
-        # potential off, noise off: first Neumann cosine mode decays analytically
+        # the heat oracle's implicit Euler path: the first Neumann cosine mode decays analytically
         g = gr.Grid(extent=(1.0,), cells=(64,))
         x = g.cell_centers()
-        u0 = 0.5 * np.cos(np.pi * x)
-        cfg = st.StepperConfig(dt=1e-3, t_end=0.05)
-        out = run_path(u0[None], None, cfg, g, None)
+        u = heat_path(g, st.StepperConfig(dt=1e-3, t_end=0.05), 0.5 * np.cos(np.pi * x))[-1]
         exact = 0.5 * math.exp(-np.pi**2 * 0.05) * np.cos(np.pi * x)
-        assert np.max(np.abs(out["final"][0, 0] - exact)) < 2e-3
-        # no potential: the beta quadratures see c = 0 and a zero beta, and stay exact zeros
-        assert not np.any(out["stats"]["int_beta_sq"]) and not np.any(out["stats"]["int_f1_sq"])
+        assert np.max(np.abs(u - exact)) < 2e-3
+
+    @pytest.mark.parametrize("N, dt", [(16, 8e-4), (32, 2e-4), (64, 5e-5)])
+    def test_heat_step_inverts_the_residual_operator(self, N, dt):
+        # the oracle's heat step solves the step's own residual A(w) = w - dt*lap_h(w) = u, with the
+        # Laplacian the Newton residual and the path statistics take, to round-off
+        g = gr.Grid(extent=(1.0,), cells=(N,))
+        states = heat_path(g, st.StepperConfig(dt=dt, t_end=0.1), 0.5 * np.cos(np.pi * g.cell_centers()))
+        for u, u_next in zip(states, states[1:]):
+            residual = st.implicit_operator(g, dt, u_next, 0.0) - u
+            assert np.max(np.abs(residual)) <= 8 * np.finfo(float).eps * np.max(np.abs(u))
 
     def test_zero_dimensional_reduction(self):
         # spatially constant states follow u' = -F'_lam(u); mirror ghosts kill the Laplacian
@@ -603,11 +614,11 @@ class TestWeakResidual:
         return np.stack([nz.sample_increment_block(5, 1, m, self.SPEC, dt)[0] for m in range(n)])
 
     def test_mass_conservation_heat_part(self):
-        # zero noise, zero potential, v = 1: the defect is pure round-off
+        # the heat oracle's path, with no noise, potential or forcing, and v = 1: the defect is pure round-off
         g = gr.Grid(extent=(1.0,), cells=(32,))
-        u0 = 0.4 * np.cos(np.pi * g.cell_centers())
         cfg = st.StepperConfig(dt=1e-3, t_end=0.02)
-        record = record_path(g, None, None, QUIET, u0, cfg, [None] * cfg.n_steps)
+        states = heat_path(g, cfg, 0.4 * np.cos(np.pi * g.cell_centers()))
+        record = TrajectoryRecord(g, None, None, cfg.dt, states, np.zeros(32), np.zeros(32))
         defect = weak_residual_check(record, np.ones(32))
         assert defect < 1e-12
 
