@@ -4,16 +4,19 @@
     python3 scripts/compare_digests.py [REV]    # REV defaults to HEAD
 
 Runs the working tree's `tests/test_pinned.py --digests` twice: on the
-working tree's src/, then on REV's src/, checked out in a temporary git
-worktree that is removed however the run ends.  Prints the diff of the two
-listings and exits 1 if they differ, 0 if they match.
+working tree's src/, then on REV's src/, unpacked by `git archive` into a
+temporary directory that is removed however the run ends.  Prints the diff
+of the two listings, then the verdict beside the line count of src/logac at
+REV and in the working tree; exits 1 if the listings differ, 0 if they match.
 """
 
 import argparse
 import difflib
+import io
 import os
 import subprocess
 import sys
+import tarfile
 import tempfile
 from pathlib import Path
 
@@ -27,22 +30,28 @@ def digests(src: Path) -> list[str]:
     return subprocess.run(cmd, env=env, check=True, stdout=subprocess.PIPE, text=True).stdout.splitlines(keepends=True)
 
 
+def package_lines(src: Path) -> int:
+    """Lines of the package's modules, as `wc -l src/logac/*.py` totals them."""
+    return sum(path.read_bytes().count(b"\n") for path in (src / "logac").glob("*.py"))
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("rev", nargs="?", default="HEAD", help="the revision whose src/ to compare against")
     rev = parser.parse_args().rev
     after = digests(ROOT / "src")
+    archive = subprocess.run(["git", "-C", str(ROOT), "archive", rev, "src"], check=True, stdout=subprocess.PIPE).stdout
     with tempfile.TemporaryDirectory() as tmp:
-        tree = Path(tmp) / "rev"
-        git = ["git", "-C", str(ROOT), "worktree"]
-        subprocess.run(git + ["add", "--detach", "--quiet", str(tree), rev], check=True)
-        try:
-            before = digests(tree / "src")
-        finally:
-            subprocess.run(git + ["remove", "--force", str(tree)], check=True)
+        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+            tar.extractall(tmp, filter="data")
+        before = digests(Path(tmp) / "src")
+        lines_before = package_lines(Path(tmp) / "src")
     diff = list(difflib.unified_diff(before, after, f"{rev}:src", "working tree:src"))
     sys.stdout.writelines(diff)
-    print(f"{len(after)} digest lines: {'outputs differ' if diff else 'no difference'}")
+    verdict = "outputs differ" if diff else "no difference"
+    lines_after = package_lines(ROOT / "src")
+    lines = f"src/logac has {lines_before} lines at {rev}, {lines_after} in the working tree"
+    print(f"{len(after)} digest lines: {verdict}; {lines}")
     return 1 if diff else 0
 
 

@@ -3,34 +3,29 @@
 
 Uses endpoint-flat noise (poly_flat, m = n+1) with a calm amplitude and a
 short horizon so trajectories stay inside (-1, 1); reports land in
-./out_derivative_n{2,3}.
+./out_derivative_n{2,3}.  The settings pass cli.config_from_dict, the same
+door as a JSON config file.
 """
 
 import json
 import sys
-from dataclasses import replace
 
 from logac import cli
-from logac import datagen as dg
-from logac import grid as gr
-from logac import noise as nz
-from logac import stepper as st
 
 
 def main() -> int:
-    base = cli.default_config()
     worst = 0
     for n in (2, 3):
-        ensemble = replace(
-            base.ensemble,
-            grid=gr.Grid(extent=(1.0,), cells=(64,)),
-            stepper=st.StepperConfig(dt=1e-3, t_end=0.25),
-            noise=nz.NoiseSpec(
-                family="poly_flat", modes=16, decay_exponent=2.0, amplitude=0.25, flatness=n + 1
-            ),
-            u0=dg.U0Spec(kind="constant", m0=0.2),
+        cfg = cli.config_from_dict(
+            {
+                "version": 1,
+                "grid": {"cells": [64]},
+                "stepper": {"dt": 1e-3, "t_end": 0.25},
+                "noise": {"family": "poly_flat", "modes": 16, "amplitude": 0.25, "flatness": n + 1},
+                "u0": {"kind": "constant", "m0": 0.2},
+                "output_dir": f"out_derivative_n{n}",
+            }
         )
-        cfg = replace(base, ensemble=ensemble, output_dir=f"out_derivative_n{n}")
         print(f"== derivative study, n={n} ==", flush=True)
         code = cli.run("derivative", cfg)
         summary = json.loads(open(f"{cfg.output_dir}/derivative.json").read())

@@ -204,12 +204,12 @@ def _run_simulate(cfg: RunConfig, out_dir: Path) -> dict:
 
     stats_hook, stats = ex._path_statistics(e.grid, e.stepper, e.potential.c, (1, 1))
     lane = ex.Lane(lam, dg.make_u0_batch(e.u0, e.grid, e.seed, 1), dg.make_g(e.g, e.grid))
-    out = ex._run_lanes([lane], e.noise, e.stepper, e.grid, e.potential, e.seed, hooks=(stats_hook, snapshot))
+    out = ex._run_lanes([lane], e.noise, e.stepper, e.grid, e.potential.c, e.seed, hooks=(stats_hook, snapshot))
     gr.save_field(out_dir / "final.acf", e.grid, out["final"][0, 0])
     names = ("sup_h_sq", "sup_grad_sq", "int_grad_sq", "int_f1_sq", "int_beta_sq", "excursion_fraction")
     summary = {
-        "t_final": out["n_steps"] * e.stepper.dt,
-        "steps": out["n_steps"],
+        "t_final": e.stepper.n_steps * e.stepper.dt,
+        "steps": e.stepper.n_steps,
         "lambda": lam,
         **{q: float(stats[q][0, 0]) for q in names},
         "increments_digest": out["increments_digest"],

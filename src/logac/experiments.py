@@ -138,18 +138,18 @@ def _run_lanes(
     spec: nz.NoiseSpec,
     scfg: st.StepperConfig,
     g: gr.Grid,
-    params: pot.PotentialParams,
+    c: float,
     seed: int,
     *,
     hooks=(),
 ) -> dict:
-    """Lockstep integration of several lanes on shared noise increments.
+    """Lockstep integration of several lanes on shared noise increments, with concave coefficient c.
 
     This is the time loop of every path of the regularized equation; a
     single path is one lane of one replicate.  The engine computes no
     statistic: each hook(m, u, beta_u) sees the state batch after m steps,
-    m = 0..n_steps, and beta_lam(u), before stepping.  Studies measure
-    through hooks.
+    m = 0..n_steps, and beta_lam(u), before stepping.  It returns the last
+    state batch ("final") and the sha256 of the increments ("increments_digest").
     """
     reps = lanes[0].u0.shape[0]
 
@@ -171,10 +171,10 @@ def _run_lanes(
         dw = None
         if spec.modes > 0:
             dw = nz.sample_increment_block(seed, reps, m, spec, scfg.dt)
-            hasher.update(np.ascontiguousarray(dw).tobytes())
-        u, beta_u, a_u = st.step(g, lam, params.c, spec, u, beta_u, a_u, dw, g_force, scfg)
+            hasher.update(np.ascontiguousarray(dw))  # a block of 2 to 4 modes comes Fortran-ordered
+        u, beta_u, a_u = st.step(g, lam, c, spec, u, beta_u, a_u, dw, g_force, scfg.dt)
 
-    return {"final": u, "increments_digest": hasher.hexdigest(), "n_steps": n_steps}
+    return {"final": u, "increments_digest": hasher.hexdigest()}
 
 
 def _path_statistics(g: gr.Grid, scfg: st.StepperConfig, c: float, shape):
@@ -241,7 +241,7 @@ def _level_report(study: str, cfg: EnsembleConfig, quantities) -> EstimateReport
     """
     hook, stats = _path_statistics(cfg.grid, cfg.stepper, cfg.potential.c, (len(cfg.lambda_levels), cfg.replicates))
     lanes = _level_lanes(cfg, cfg.lambda_levels)
-    out = _run_lanes(lanes, cfg.noise, cfg.stepper, cfg.grid, cfg.potential, cfg.seed, hooks=(hook,))
+    out = _run_lanes(lanes, cfg.noise, cfg.stepper, cfg.grid, cfg.potential.c, cfg.seed, hooks=(hook,))
     rows = []
     spreads = {}
     for q in quantities:
@@ -277,7 +277,7 @@ def cauchy_study(cfg: EnsembleConfig) -> EstimateReport:
         raise ValueError("cauchy study needs at least 3 lambda levels")
     hook, diffs = _lane_differences(cfg.grid, cfg.stepper, cfg.replicates, [(i, i + 1) for i in range(len(levels) - 1)])
     lanes = _level_lanes(cfg, levels)
-    out = _run_lanes(lanes, cfg.noise, cfg.stepper, cfg.grid, cfg.potential, cfg.seed, hooks=(hook,))
+    out = _run_lanes(lanes, cfg.noise, cfg.stepper, cfg.grid, cfg.potential.c, cfg.seed, hooks=(hook,))
     delta = diffs["sup_diff_h_sq"] + diffs["int_diff_grad_sq"]
     rows = [_mc_row("cauchy_delta", lam, row) for lam, row in zip(levels, delta)]
     deltas = [r.mean for r in rows]
@@ -320,7 +320,7 @@ def dependence_study(cfg: EnsembleConfig, perturbations: list[Perturbation]) -> 
         lanes.append(Lane(lam, u0_pert, g_field + dg_field))
         rhs.append(float(np.sqrt(gr.h_norm_sq(g, du0))) + float(np.sqrt(t_total * gr.vstar_norm_sq(g, dg_field))))
     hook, diffs = _lane_differences(g, cfg.stepper, cfg.replicates, [(0, i) for i in range(1, len(lanes))])
-    out = _run_lanes(lanes, cfg.noise, cfg.stepper, g, cfg.potential, cfg.seed, hooks=(hook,))
+    out = _run_lanes(lanes, cfg.noise, cfg.stepper, g, cfg.potential.c, cfg.seed, hooks=(hook,))
 
     rows = []
     families: dict[str, list[tuple[str, float]]] = {"u0": [], "g": []}  # (tag, ratio) per member
@@ -406,7 +406,7 @@ def derivative_study(cfg: EnsembleConfig) -> EstimateReport:
         if m < scfg.n_steps:
             acc["int_gauge_prime"] += scfg.dt * igp
 
-    out = _run_lanes(lanes, cfg.noise, scfg, cfg.grid, cfg.potential, cfg.seed, hooks=(gauge_hook,))
+    out = _run_lanes(lanes, cfg.noise, scfg, cfg.grid, cfg.potential.c, cfg.seed, hooks=(gauge_hook,))
     excursion_fraction = acc["excursion_count"] / ((scfg.n_steps + 1) * int(np.prod(cfg.grid.shape)))
 
     rows = []
@@ -466,7 +466,7 @@ def _ode_reference(lam: float, c: float, y0: float, T: float):
     inverts T.
     """
     kappa = 1.0 - 2.0 * c * lam
-    b0 = float(pot._graph_solve(lam, y0, 0.0, pot.NEWTON_MAX_ITER)[0])  # tol 0: to the rounding of y0
+    b0 = float(pot._graph_solve(lam, y0, 0.0, 0.0)[0])  # tol 0: to the rounding of y0
     if kappa > 0.0:
         # R <= 2c - kappa*b, and Newton on the concave R falls monotonically from there to b*
         b_star = 2.0 * c / kappa
@@ -574,18 +574,17 @@ def heat_and_ode_oracles(cfg: EnsembleConfig) -> EstimateReport:
 
     # 0-d reduction: spatially constant states obey u' = -F'_lam(u)
     quiet = nz.NoiseSpec(family=nz.SINE, modes=0, decay_exponent=2.0, amplitude=0.0)
-    params = cfg.potential
-    lam = cfg.lambda_levels[-1]
+    c, lam = cfg.potential.c, cfg.lambda_levels[-1]
     g0 = gr.Grid(extent=(1.0,), cells=(2,))
     u_init = 0.1
     T0 = 0.5
 
-    ref_val, b_star, iters = _ode_reference(lam, params.c, u_init, T0)
+    ref_val, b_star, iters = _ode_reference(lam, c, u_init, T0)
     report.metadata["ode_reference"] = {"value": ref_val, "b_star": b_star, "newton_iters": iters}
 
     def ode_error(dt):
         lane = Lane(lam, np.full((1,) + g0.shape, u_init), np.zeros(g0.shape))
-        out = _run_lanes([lane], quiet, st.StepperConfig(dt=dt, t_end=T0), g0, params, seed=0)
+        out = _run_lanes([lane], quiet, st.StepperConfig(dt=dt, t_end=T0), g0, c, seed=0)
         return abs(float(out["final"][0, 0, 0]) - ref_val)
 
     refinement("ode", lam, [(f"dt={dt:g}", ode_error(dt)) for dt in dts], "ode_orders", "0-d temporal", 0.8)

@@ -65,7 +65,7 @@ def _check_open_interval(r, what: str):
     return r
 
 
-def _graph_solve(lam, x, tol, max_iter, b0=None):
+def _graph_solve(lam, x, tol, b0):
     """Solve tanh(b/2) + lam*b = x elementwise; returns (b, tanh(b/2)).
 
     This is the resolvent equation r + lam*beta(r) = x in the graph
@@ -75,7 +75,8 @@ def _graph_solve(lam, x, tol, max_iter, b0=None):
     increasing: one step, clamped at 0, lands at or below the root and the
     iterates then rise to it, with no bracket; copysign restores the sign.
     The start is sign(x)*b0 clipped into [0, |x|/lam], which holds the root
-    (from farther out the first step rounds past it), or |x|/(lam + 1/2).
+    (from farther out the first step rounds past it); a cold call's b0 = 0
+    steps first to |x|/(lam + 1/2), or stops at 0 where 0 < |x| <= tol.
     Each update takes f' = (1 - t^2)/2 + lam, algebraically yosida_slope's
     denominator, in place from the t = tanh(b/2) of its residual check.  The
     square's rounding moves f' by at most eps/8; where t rounds to 1
@@ -87,9 +88,9 @@ def _graph_solve(lam, x, tol, max_iter, b0=None):
     x = np.asarray(x, dtype=float)
     a = np.abs(x)
     hi = np.maximum(tol, _ULP4 * a)
-    b = np.asarray(a / (lam + 0.5) if b0 is None else np.minimum(np.maximum(np.sign(x) * b0, 0.0), a / lam))
+    b = np.asarray(np.minimum(np.maximum(np.sign(x) * b0, 0.0), a / lam))
     t, f, done = np.empty(b.shape), np.empty(b.shape), np.empty(b.shape, dtype=bool)
-    for it in range(max_iter + 1):
+    for it in range(NEWTON_MAX_ITER + 1):
         np.tanh(np.multiply(b, 0.5, out=t), out=t)
         np.multiply(lam, b, out=f)
         f += t
@@ -97,7 +98,7 @@ def _graph_solve(lam, x, tol, max_iter, b0=None):
         np.less_equal(np.abs(f), hi, out=done)
         if np.logical_and.reduce(done, axis=None):
             return np.copysign(b, x, out=b), np.copysign(t, x, out=t)
-        if it == max_iter:
+        if it == NEWTON_MAX_ITER:
             break
         # a converged point takes a zero step, so it keeps its b bit for bit
         f[done] = 0.0
@@ -109,15 +110,15 @@ def _graph_solve(lam, x, tol, max_iter, b0=None):
         b -= np.divide(f, t, out=f)
         np.maximum(b, 0.0, out=b)
     worst = float(np.max(np.abs(f)))
-    raise RuntimeError(f"resolvent solve failed: residual {worst:.3e} above max({tol:g}, 4eps|x|) in {max_iter} iterations")
+    raise RuntimeError(f"resolvent solve failed: residual {worst:.3e} above max({tol:g}, 4eps|x|) in {it} iterations")
 
 
 def resolvent_map(lam, x):
     """J_lam(x) = (I + lam*beta)^(-1)(x), mapped strictly into (-1, 1); lam broadcasts against x."""
-    return np.clip(_graph_solve(lam, x, NEWTON_TOL, NEWTON_MAX_ITER)[1], _R_LO, _R_HI)
+    return np.clip(_graph_solve(lam, x, NEWTON_TOL, 0.0)[1], _R_LO, _R_HI)
 
 
-def yosida_pair(lam, x, b0=None):
+def yosida_pair(lam, x, b0=0.0):
     """(beta_lam(x), beta_lam'(x)) with lam broadcastable against x.
 
     Hot-path variant used by the field solvers, where lam may vary across
@@ -126,7 +127,7 @@ def yosida_pair(lam, x, b0=None):
     bit for bit.  The linearization beta_lam(y) + beta_lam'(y)*(x - y) from a
     nearby point y is a good warm start b0; the implicit step passes it.
     """
-    beta_l, r = _graph_solve(lam, x, NEWTON_TOL, NEWTON_MAX_ITER, b0)
+    beta_l, r = _graph_solve(lam, x, NEWTON_TOL, b0)
     return beta_l, yosida_slope(lam, r)
 
 
@@ -143,7 +144,7 @@ def yosida_eval(lam, x):
     beta_hat_lam(x) = beta_hat(J_lam(x)) + (lam/2) beta_lam(x)^2,
     exact for the quadratic regularization (no quadrature involved).
     """
-    beta_l, r = _graph_solve(lam, x, NEWTON_TOL, NEWTON_MAX_ITER)
+    beta_l, r = _graph_solve(lam, x, NEWTON_TOL, 0.0)
     return beta_l, yosida_slope(lam, r), _beta_hat(r) + 0.5 * lam * beta_l * beta_l
 
 

@@ -196,8 +196,8 @@ def _monotone_solve(g: gr.Grid, lam, rhs, dt: float, w0, b0, a0):
     )
 
 
-def step(g: gr.Grid, lam, c: float, spec: nz.NoiseSpec, u, beta_u, a_u, dw, g_force, cfg: StepperConfig):
-    """One scheme step from u; returns (u_next, beta_lam(u_next), A(u_next)).
+def step(g: gr.Grid, lam, c: float, spec: nz.NoiseSpec, u, beta_u, a_u, dw, g_force, dt: float):
+    """One scheme step of size dt from u; returns (u_next, beta_lam(u_next), A(u_next)).
 
     The explicit part is the concave term 2c*u, the forcing field g_force
     and the noise sum_k h_k(J_lam(u)) dW_k; dw holds the mode increments,
@@ -205,9 +205,8 @@ def step(g: gr.Grid, lam, c: float, spec: nz.NoiseSpec, u, beta_u, a_u, dw, g_fo
     has no modes.  J_lam(u) = tanh(beta_u/2) from the beta_u = beta_lam(u)
     the previous step (or yosida_pair at the datum) returned, with no
     resolvent solve of its own (the noise is an exact 0.0 where it rounds
-    to +-1); a_u = implicit_operator(g, cfg.dt, u, beta_u) is carried alike.
+    to +-1); a_u = implicit_operator(g, dt, u, beta_u) is carried alike.
     """
-    dt = cfg.dt
     rhs = u + dt * (2.0 * c) * u
     if spec.modes > 0:
         # a temporary, freed before the solve, which holds the peak

@@ -34,6 +34,11 @@ def write_config(tmp_path, payload, name="cfg.json"):
     return p
 
 
+def snapshot_bytes(dim, n1, n2, h1, h2):
+    """A snapshot file's bytes: the 32-byte header as given, then 16 zero values."""
+    return struct.pack("<4sIIIdd", b"ACF1", dim, n1, n2, h1, h2) + np.zeros(16).tobytes()
+
+
 def small_run_payload(tmp_path, **extra):
     payload = {
         "version": 1,
@@ -113,6 +118,11 @@ class TestParseConfig:
         # True == 1 and "1" reads as 1 in the message: neither is the integer 1
         with pytest.raises(cli.ConfigError, match=f"config root: version must be an integer, got {version!r}"):
             cli.config_from_dict({"version": version})
+
+    def test_non_object_root_exits_2(self, tmp_path, capsys):
+        path = write_config(tmp_path, [])
+        assert cli.main(["uniform", "--config", str(path)]) == 2
+        assert "config root must be a JSON object" in capsys.readouterr().err
 
     def test_integral_float_version_is_read(self):
         assert cli.config_from_dict({"version": 1.0}) == cli.default_config()
@@ -344,6 +354,21 @@ class TestMainEntry:
             ({"grid": {"extent": [math.nan]}}, "config grid: extent[0] must be finite"),
             ({"u0": {"kind": "random_fourier", "amplitude": math.inf}}, "config u0: amplitude must be finite"),
             ({"noise": {"amplitude": math.inf}}, "config noise: amplitude must be finite"),
+            ({"u0": {"kind": "sawtooth"}}, "config u0: u0 kind must be one of"),
+            ({"u0": {"kind": "cosine", "amplitude": 1.0}}, "config u0: u0 amplitude must satisfy |amplitude| < 1"),
+            ({"u0": {"kind": "cosine", "mode": 0}}, "config u0: u0 cosine mode must be >= 1"),
+            ({"u0": {"kind": "smooth_bump", "width": 0.0}}, "config u0: u0 smooth_bump width must be positive"),
+            ({"u0": {"kind": "random_fourier", "modes": 0}}, "config u0: u0 random_fourier modes must be >= 1"),
+            ({"u0": {"kind": "random_fourier", "clamp": 1.0}}, "config u0: u0 random_fourier clamp must lie in (0, 1)"),
+            ({"g": {"kind": "wave"}}, "config g: g kind must be one of"),
+            ({"g": {"kind": "file"}}, "config g: g kind 'file' needs a path"),
+            ({"noise": {"amplitude": -0.1}}, "config noise: noise amplitude must be >= 0"),
+            ({"noise": {"family": "poly_flat", "flatness": 0}}, "config noise: noise flatness must be >= 1"),
+            ({"grid": {"extent": [1.0, 1.0]}}, "config grid: extent and cells must have the same length"),
+            ({"stepper": {"t_end": -0.1}}, "config stepper: t_end must be nonnegative and finite"),
+            ({"colour": "blue"}, "config has unknown top-level fields ['colour']"),
+            ({"noise": 3}, "config section 'noise' must be an object"),
+            ({"version": 2}, "unsupported config version 2"),
         ],
     )
     def test_malformed_value_exits_2(self, tmp_path, capsys, payload, named):
@@ -373,20 +398,27 @@ class TestMainEntry:
         assert "grid extent must be positive and finite" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "header, message",
+        "blob, message",
         [
-            ((2, 16, 1, 1 / 16, 1.0), "grid needs at least 2 cells per axis, got (16, 1)"),
-            ((1, 16, 0, math.nan, 0.0), "grid extent must be positive and finite, got (nan,)"),
-            ((3, 16, 16, 1 / 16, 1 / 16), "unsupported snapshot dimension 3"),
+            (
+                snapshot_bytes(2, 16, 1, 1 / 16, 1.0),
+                "snapshot {path}: grid needs at least 2 cells per axis, got (16, 1)",
+            ),
+            (
+                snapshot_bytes(1, 16, 0, math.nan, 0.0),
+                "snapshot {path}: grid extent must be positive and finite, got (nan,)",
+            ),
+            (snapshot_bytes(3, 16, 16, 1 / 16, 1 / 16), "snapshot {path}: unsupported snapshot dimension 3"),
+            (b"ACF1" + bytes(27), "truncated snapshot header in {path}"),
         ],
-        ids=["one-cell-axis", "nan-spacing", "dimension-3"],
+        ids=["one-cell-axis", "nan-spacing", "dimension-3", "truncated-header"],
     )
-    def test_forcing_header_without_a_grid_names_the_file(self, tmp_path, capsys, header, message):
+    def test_forcing_header_without_a_grid_names_the_file(self, tmp_path, capsys, blob, message):
         path = tmp_path / "g.acf"
-        path.write_bytes(struct.pack("<4sIIIdd", b"ACF1", *header) + np.zeros(16).tobytes())
+        path.write_bytes(blob)
         payload = small_run_payload(tmp_path, g={"kind": "file", "path": str(path)})
         assert cli.main(["uniform", "--config", str(write_config(tmp_path, payload))]) == 2
-        assert f"snapshot {path}: {message}" in capsys.readouterr().err
+        assert message.format(path=path) in capsys.readouterr().err
 
     def test_forcing_snapshot_runs_as_its_field(self, tmp_path):
         # a snapshot of the constant 0.3 field forces the run exactly as the constant kind does

@@ -285,6 +285,13 @@ class TestSnapshots:
         assert int.from_bytes(blob[4:8], "little") == 1
         assert int.from_bytes(blob[8:12], "little") == 4
 
+    def test_batch_refused_and_nothing_written(self, tmp_path):
+        g = gr.Grid(extent=(1.0,), cells=(4,))
+        path = tmp_path / "batch.acf"
+        with pytest.raises(ValueError, match="snapshots hold a single field, not a batch"):
+            gr.save_field(path, g, np.zeros((2, 4)))
+        assert not path.exists()
+
     @pytest.mark.parametrize("h1", [np.nan, np.inf])
     def test_non_finite_spacing_rejected(self, tmp_path, h1):
         path = tmp_path / "h.acf"

@@ -125,7 +125,7 @@ class TestResolvent:
         st.floats(min_value=-10.0, max_value=10.0),
     )
     def test_graph_residual_and_range(self, lam, x):
-        b = pot._graph_solve(lam, x, pot.NEWTON_TOL, pot.NEWTON_MAX_ITER)[0]
+        b = pot._graph_solve(lam, x, pot.NEWTON_TOL, 0.0)[0]
         r = pot.resolvent_map(lam, x)
         assert abs(r + lam * b - x) <= 1e-10
         assert abs(r) < 1.0
@@ -161,10 +161,11 @@ class TestResolvent:
 
 
 class TestIterationCap:
-    def test_exhausted_cap_raises_with_the_worst_residual(self):
-        # the cold start b = |x|/(lam + 1/2) = 1 leaves tanh(1/2) + 1/2 - 1 = -3.788e-02
+    def test_exhausted_cap_raises_with_the_worst_residual(self, monkeypatch):
+        # b0 = 1 = |x|/(lam + 1/2), where a cold call's first step lands, leaves tanh(1/2) + 1/2 - 1 = -3.788e-02
+        monkeypatch.setattr(pot, "NEWTON_MAX_ITER", 0)
         with pytest.raises(RuntimeError) as err:
-            pot._graph_solve(0.5, np.array([1.0]), 1e-12, 0)
+            pot._graph_solve(0.5, np.array([1.0]), 1e-12, 1.0)
         assert str(err.value) == "resolvent solve failed: residual 3.788e-02 above max(1e-12, 4eps|x|) in 0 iterations"
 
 
@@ -173,7 +174,7 @@ class TestLargeArguments:
     def test_converges_to_the_rounding_floor(self, lam):
         # lam*b - |x| alone rounds by about eps*|x|, beyond 1e-12 once |x| exceeds ~1e4
         x = np.outer([2e4, 1e6, 1e9, -2e4, -1e6, -1e9], np.linspace(1.0, 1.01, 64))
-        b, t = pot._graph_solve(lam, x, pot.NEWTON_TOL, pot.NEWTON_MAX_ITER)
+        b, t = pot._graph_solve(lam, x, pot.NEWTON_TOL, 0.0)
         floor = 4.0 * np.finfo(float).eps * np.abs(x)
         assert np.all(np.abs(t + lam * b - x) <= floor)
         assert np.all(np.sign(b) == np.sign(x))
@@ -191,28 +192,29 @@ class TestWarmStart:
     def test_any_start_returns_the_cold_root(self):
         # starts of either sign and far out in the flat tails of tanh all reach the root
         lam, x = self.cases(13, 1.0)
-        cold = pot._graph_solve(lam, x, pot.NEWTON_TOL, pot.NEWTON_MAX_ITER)[0]
+        cold = pot._graph_solve(lam, x, pot.NEWTON_TOL, 0.0)[0]
         rng = np.random.default_rng(1)
         for b0 in (cold + 1e-3, -cold, np.full_like(x, 1e9), np.full_like(x, -1e9), rng.normal(size=x.size) * 1e6):
-            warm = pot._graph_solve(lam, x, pot.NEWTON_TOL, pot.NEWTON_MAX_ITER, b0)[0]
+            warm = pot._graph_solve(lam, x, pot.NEWTON_TOL, b0)[0]
             assert np.max(np.abs(np.tanh(0.5 * warm) + lam * warm - x)) <= pot.NEWTON_TOL
             # f' >= lam, so two points within tol of the root lie within 2*tol/lam of each other
             assert np.all(np.abs(warm - cold) <= 2.0 * pot.NEWTON_TOL / lam)
 
-    def test_nearby_start_converges_in_few_iterations(self):
+    def test_nearby_start_converges_in_few_iterations(self, monkeypatch):
         # beyond 1 + 37*lam the root sits where tanh rounds to 1
         lam, x = self.cases(29, 3.0)
-        b0 = pot._graph_solve(lam, x, pot.NEWTON_TOL, pot.NEWTON_MAX_ITER)[0]
+        b0 = pot._graph_solve(lam, x, pot.NEWTON_TOL, 0.0)[0]
         shift = 1e-3 * np.random.default_rng(2).choice([-1.0, 1.0], size=x.size)
-        b = pot._graph_solve(lam, x + shift, pot.NEWTON_TOL, 3, b0)[0]
+        monkeypatch.setattr(pot, "NEWTON_MAX_ITER", 3)
+        b = pot._graph_solve(lam, x + shift, pot.NEWTON_TOL, b0)[0]
         assert np.max(np.abs(np.tanh(0.5 * b) + lam * b - x - shift)) <= pot.NEWTON_TOL
 
     def test_converged_points_do_not_move(self):
         lam, x = self.cases(31, 3.0)
-        b = pot._graph_solve(lam, x, pot.NEWTON_TOL, pot.NEWTON_MAX_ITER)[0]
+        b = pot._graph_solve(lam, x, pot.NEWTON_TOL, 0.0)[0]
         x2 = x.copy()
         x2[::2] += 0.5
-        again = pot._graph_solve(lam, x2, pot.NEWTON_TOL, pot.NEWTON_MAX_ITER, b)[0]
+        again = pot._graph_solve(lam, x2, pot.NEWTON_TOL, b)[0]
         assert np.array_equal(again[1::2], b[1::2])
 
     @settings(max_examples=300, deadline=None)
@@ -229,8 +231,8 @@ class TestWarmStart:
             "far above": math.copysign(abs(x) / lam * (1.0 + size) + size, x),
         }[start]
         hi = max(pot.NEWTON_TOL, pot._ULP4 * abs(x))
-        cold_b, cold_t = pot._graph_solve(lam, x, pot.NEWTON_TOL, pot.NEWTON_MAX_ITER)
-        b, t = pot._graph_solve(lam, x, pot.NEWTON_TOL, pot.NEWTON_MAX_ITER, b0)
+        cold_b, cold_t = pot._graph_solve(lam, x, pot.NEWTON_TOL, 0.0)
+        b, t = pot._graph_solve(lam, x, pot.NEWTON_TOL, b0)
         # both roots meet the stopping rule, the solve's own operations repeated here
         assert abs(lam * b + t - x) <= hi and abs(lam * cold_b + cold_t - x) <= hi
         # so tanh(b/2) + lam*b differs by at most 2*hi, plus each residual's rounding (below hi/2);
@@ -244,9 +246,9 @@ class TestWarmStart:
         x = np.outer([1.0, -1.0], np.concatenate([[0.0, 1.0 - 1e-6, 1.0, 1.0 + 1e-6], np.geomspace(1e-3, 1e6, 60)]))
         hi = np.maximum(pot.NEWTON_TOL, pot._ULP4 * np.abs(x))
         with np.errstate(all="raise", under="ignore"):
-            cold = pot._graph_solve(lam, x, pot.NEWTON_TOL, pot.NEWTON_MAX_ITER)[0]
-            for b0 in (None, cold, -cold, 1e3 * cold, np.full(x.shape, 1e300), np.full(x.shape, -1e300)):
-                b, t = pot._graph_solve(lam, x, pot.NEWTON_TOL, pot.NEWTON_MAX_ITER, b0)
+            cold = pot._graph_solve(lam, x, pot.NEWTON_TOL, 0.0)[0]
+            for b0 in (0.0, cold, -cold, 1e3 * cold, np.full(x.shape, 1e300), np.full(x.shape, -1e300)):
+                b, t = pot._graph_solve(lam, x, pot.NEWTON_TOL, b0)
                 assert np.all(np.abs(lam * b + t - x) <= hi)
             beta, slope = pot.yosida_pair(lam, x, b0=cold)
         assert np.all(np.isfinite(slope)) and np.all(slope <= 1.0 / lam)
@@ -280,7 +282,8 @@ def solve_recording_iterates(lam, x, b0):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(pot.np, "tanh", spy)
-        b, t = pot._graph_solve(lam, x, pot.NEWTON_TOL, FOLDED_UPDATE_CAP, b0)
+        mp.setattr(pot, "NEWTON_MAX_ITER", FOLDED_UPDATE_CAP)
+        b, t = pot._graph_solve(lam, x, pot.NEWTON_TOL, b0)
     return b, t, seen
 
 
@@ -293,9 +296,9 @@ class TestFoldedSolve:
         noise=st.floats(min_value=-1.0, max_value=1.0),
     )
     def test_converges_monotonically_and_is_odd(self, lam, x, start, noise):
-        root = float(pot._graph_solve(lam, x, pot.NEWTON_TOL, pot.NEWTON_MAX_ITER)[0])
+        root = float(pot._graph_solve(lam, x, pot.NEWTON_TOL, 0.0)[0])
         b0 = {
-            "cold": None,
+            "cold": 0.0,
             "+1e9": 1e9,
             "-1e9": -1e9,
             "+0": 0.0,
@@ -311,7 +314,9 @@ class TestFoldedSolve:
         # |b| never decreases after the first update
         assert all(later >= earlier for earlier, later in zip(iterates[1:], iterates[2:]))
         # odd bit for bit, signed zeros included
-        b_neg, t_neg = pot._graph_solve(lam, -x, pot.NEWTON_TOL, FOLDED_UPDATE_CAP, None if b0 is None else -b0)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pot, "NEWTON_MAX_ITER", FOLDED_UPDATE_CAP)
+            b_neg, t_neg = pot._graph_solve(lam, -x, pot.NEWTON_TOL, -b0)
         assert np.float64(b_neg).tobytes() == np.float64(-b).tobytes()
         assert np.float64(t_neg).tobytes() == np.float64(-t).tobytes()
 
@@ -403,7 +408,7 @@ class TestNoisePoint:
         monkeypatch.setattr(nz, "mix_modes", spy_mix)
         beta_u = pot.yosida_pair(lam, u)[0]
         a_u = stepper.implicit_operator(g, scfg.dt, u, beta_u)
-        stepper.step(g, lam, 2.0, spec, u, beta_u, a_u, np.random.default_rng(3).normal(size=8), np.zeros(4), scfg)
+        stepper.step(g, lam, 2.0, spec, u, beta_u, a_u, np.random.default_rng(3).normal(size=8), np.zeros(4), scfg.dt)
         assert len(mixed) == 1 and np.all(mixed[0] == 0.0)
 
 
