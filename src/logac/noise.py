@@ -108,11 +108,11 @@ def _philox4x64(ctr, key):
 def counter_normals(seed: int, purpose: int, index_a: int, index_b, n: int) -> np.ndarray:
     """n standard normals from each stream keyed (seed, purpose, index_a, b), b in index_b.
 
-    Returns index_b.shape + (n,).  numpy's Philox increments counter word 0
-    before each block of 4 outputs, so the k-th raw output (k = 0..n-1) is
-    word k % 4 of block counter (k // 4 + 1, purpose, index_a, b).  Each
-    variate is the inverse normal CDF of one 53-bit uniform, so the k-th
-    value is a pure function of the key and k.
+    Returns index_b.shape + (n,), C-ordered.  numpy's Philox increments
+    counter word 0 before each block of 4 outputs, so the k-th raw output
+    (k = 0..n-1) is word k % 4 of block counter (k // 4 + 1, purpose,
+    index_a, b).  Each variate is the inverse normal CDF of one 53-bit
+    uniform, so the k-th value is a pure function of the key and k.
     """
     b = np.asarray(index_b, dtype=np.uint64)
     blocks = -(-n // 4)
@@ -125,7 +125,7 @@ def counter_normals(seed: int, purpose: int, index_a: int, index_b, n: int) -> n
     key = np.array([[seed], [_KEY_SALT]], dtype=np.uint64)
     raw = _philox4x64(ctr.reshape(4, -1), key).reshape(4, b.size, blocks)
     raw = raw.transpose(1, 2, 0).reshape(b.size, 4 * blocks)[:, :n]
-    u = (raw >> np.uint64(11)).astype(np.float64) * 2.0**-53 + 2.0**-54
+    u = (raw >> np.uint64(11)).astype(np.float64, order="C") * 2.0**-53 + 2.0**-54
     return ndtri(u).reshape(b.shape + (n,))
 
 

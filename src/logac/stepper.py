@@ -13,22 +13,22 @@ deterministic scheme dissipate the regularized free energy for any dt.
 The nonlinear solve is a damped Newton iteration with a per-member exit:
 a batch member whose residual is within tolerance stops moving.  The
 Jacobian I - dt*lap + dt*diag(beta_lam'(w)) is SPD.  In 1-d it is
-tridiagonal and each Newton system is solved exactly, the whole batch in
-one LAPACK LDL^T call; in 2-d it goes to conjugate gradients
-preconditioned by the exact heat operator (I - dt*lap)^(-1), applied
-spectrally.  The caller carries beta_lam(u) and the implicit operator
-A(u) = u - dt*lap(u) + dt*beta_lam(u) from the step before, so the first
-residual is A(u) - rhs: only the Newton trials solve the resolvent and
-apply the Laplacian, and the accepted trial's A is the next step's.
-J_lam(u) is tanh(beta_lam(u)/2), never rebuilt from u.  Absent terms are
-zero arrays.
+tridiagonal and each Newton system is solved exactly, the whole batch by
+one LAPACK LDL^T factorization and back-substitution; in 2-d it goes to
+conjugate gradients preconditioned by the exact heat operator
+(I - dt*lap)^(-1), applied spectrally.  The caller carries beta_lam(u)
+and the implicit operator A(u) = u - dt*lap(u) + dt*beta_lam(u) from the
+step before, so the first residual is A(u) - rhs: only the Newton trials
+solve the resolvent and apply the Laplacian, and the accepted trial's A
+is the next step's.  J_lam(u) is tanh(beta_lam(u)/2), never rebuilt from
+u.  Absent terms are zero arrays.
 
 Fields may carry leading batch axes (replicates, coupled lanes) and
 everything here broadcasts over them.  This module holds one step; the
 time loop and the noise draws live in experiments._run_lanes, the engine
 of every path of the regularized equation, and the path statistics in
-the hooks the studies attach to it.  The heat oracle needs no Newton: its
-implicit Euler step is one _tridiag_solve with a zero diagonal.
+the hooks the studies attach to it.  The heat oracle needs no Newton: it
+factors I - dt*lap once per run (_tridiag_factor) and back-substitutes.
 """
 
 from __future__ import annotations
@@ -113,27 +113,29 @@ def _tridiag_stencil(n: int, k: float):
     return kd, e
 
 
-def _tridiag_solve(g: gr.Grid, dt: float, diag, b):
-    """Exact (I - dt*lap + dt*diag) x = b on a 1-d grid, every batch member at once.
+def _tridiag_factor(g: gr.Grid, dt: float, diag, shape):
+    """LDL^T of I - dt*lap + dt*diag on a 1-d grid for a batch of shape; returns solve(b), one dpttrs call.
 
-    The batch is laid out as one block-diagonal tridiagonal system with zero
-    couplings between blocks and solved by LAPACK's LDL^T solver dptsv,
-    which does not pivot, so each block's solution is that of the block
-    alone.  The Laplacian's part of both diagonals comes read-only, one
-    block's worth, from the _tridiag_stencil cache and is laid over fresh
-    arrays that dptsv may overwrite.  diag must be nonnegative; a system
-    that is not positive definite raises.
+    The batch is one block-diagonal system with zero couplings, which dpttrf
+    factors without pivoting, so each block's factor is its own.  The stencil
+    comes read-only from _tridiag_stencil, laid over fresh arrays that dpttrf
+    overwrites.  diag must be >= 0; a system not positive definite raises.
     """
     kd, e_block = _tridiag_stencil(g.cells[0], dt / (g.spacing[0] * g.spacing[0]))
-    d = np.multiply(diag, dt, out=np.empty(b.shape))
+    d = np.multiply(diag, dt, out=np.empty(shape))
     d += 1.0
     d += kd
-    e = np.empty(b.shape)
+    e = np.empty(shape)
     e[...] = e_block
-    _, _, x, info = lapack.dptsv(d.ravel(), e.ravel()[:-1], b.ravel(), overwrite_d=1, overwrite_e=1)
+    d, e, info = lapack.dpttrf(d.ravel(), e.ravel()[:-1], overwrite_d=1, overwrite_e=1)
     if info != 0:
-        raise RuntimeError(f"tridiagonal Newton system is not positive definite (dptsv info {info})")
-    return x.reshape(b.shape)
+        raise RuntimeError(f"tridiagonal Newton system is not positive definite (dpttrf info {info})")
+    return lambda b: lapack.dpttrs(d, e, b.ravel())[0].reshape(shape)
+
+
+def _tridiag_solve(g: gr.Grid, dt: float, diag, b):
+    """Exact (I - dt*lap + dt*diag) x = b on a 1-d grid: one factor and one solve, which is LAPACK's dptsv."""
+    return _tridiag_factor(g, dt, diag, b.shape)(b)
 
 
 def implicit_operator(g: gr.Grid, dt: float, w, bl):

@@ -616,15 +616,15 @@ class TestOracles:
     @pytest.mark.parametrize("exact_runs, order", [(1, -math.inf), (2, math.nan)], ids=["rises-from-0", "stays-0"])
     def test_error_rising_from_exactly_zero_fails(self, monkeypatch, exact_runs, order):
         # the first spatial runs land on the continuum solution itself, so their error is exactly 0:
-        # every heat step of those runs, told apart by their time steps, returns it
-        tridiag, exact_dts = st._tridiag_solve, (8e-4, 2e-4)[:exact_runs]
+        # the factor of each of those runs, told apart by their time steps, solves every heat step to it
+        factor, exact_dts = st._tridiag_factor, (8e-4, 2e-4)[:exact_runs]
 
-        def exact_first(g, dt, diag, b):
+        def exact_first(g, dt, diag, shape):
             if dt in exact_dts:
-                return 0.5 * math.exp(-np.pi**2 * 0.1) * np.cos(np.pi * g.cell_centers())
-            return tridiag(g, dt, diag, b)
+                return lambda b: 0.5 * math.exp(-np.pi**2 * 0.1) * np.cos(np.pi * g.cell_centers())
+            return factor(g, dt, diag, shape)
 
-        monkeypatch.setattr(st, "_tridiag_solve", exact_first)
+        monkeypatch.setattr(st, "_tridiag_factor", exact_first)
         rep = ex.heat_and_ode_oracles(small_config())
         row = report_row(rep, "heat_spatial_order", math.nan)
         assert np.array_equal(row.mean, order, equal_nan=True)

@@ -95,6 +95,14 @@ class TestIncrements:
             ref = ndtri((raw >> np.uint64(11)).astype(np.float64) * 2.0**-53 + 2.0**-54)
             assert np.array_equal(row, ref)
 
+    @pytest.mark.parametrize("replicates", [1, 2, 7])
+    def test_blocks_are_c_ordered(self, replicates):
+        # the engine hashes each block's buffer as it lies, so every mode count must come C-ordered
+        for modes in range(1, 18):
+            block = nz.sample_increment_block(1, replicates, 3, spec_sine(modes=modes), 1e-3)
+            assert block.shape == (replicates, modes)
+            assert block.flags.c_contiguous, modes
+
     def test_moments(self):
         # 1e5 draws of Normal(0, dt): mean and variance inside 4-sigma bands
         spec = nz.NoiseSpec(family="sine", modes=10, decay_exponent=2.0, amplitude=1.0)

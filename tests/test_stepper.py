@@ -449,6 +449,45 @@ class TestTridiagSolve:
             assert np.array_equal(st._tridiag_solve(g, dt, diag, b), x)
 
 
+class TestTridiagFactor:
+    @pytest.mark.parametrize("n, dt", [(16, 8e-4), (32, 2e-4), (64, 5e-5), (32, 4e-3), (32, 2e-3), (32, 1e-3)])
+    def test_heat_run_matches_per_step_solves(self, n, dt):
+        # the heat oracle's runs: one factor stepped five times is five fresh solves, bit for bit
+        g = gr.Grid(extent=(1.0,), cells=(n,))
+        u0 = 0.5 * np.cos(np.pi * g.cell_centers())
+        solve = st._tridiag_factor(g, dt, 0.0, u0.shape)
+        u = v = u0
+        for _ in range(5):
+            u, v = solve(u), st._tridiag_solve(g, dt, 0.0, v)
+            assert np.array_equal(u, v)
+        # a solve leaves its right side as it was
+        assert np.array_equal(u0, 0.5 * np.cos(np.pi * g.cell_centers()))
+
+    def test_batched_factor_matches_per_step_solves(self):
+        g = gr.Grid(extent=(1.0,), cells=(16,))
+        rng = np.random.default_rng(21)
+        diag = rng.uniform(0.0, 50.0, size=(3, 5, 16))
+        solve = st._tridiag_factor(g, 1e-2, diag, diag.shape)
+        for _ in range(4):
+            b = rng.normal(size=diag.shape)
+            x = solve(b)
+            assert x.shape == b.shape
+            assert np.array_equal(x, st._tridiag_solve(g, 1e-2, diag, b))
+
+    def test_negative_diagonal_raises_and_leaves_the_stencil_read_only(self):
+        g = gr.Grid(extent=(1.0,), cells=(16,))
+        kd, e = st._tridiag_stencil(16, 1e-2 / (g.spacing[0] * g.spacing[0]))
+        kept = kd.copy(), e.copy()
+        st._tridiag_factor(g, 1e-2, np.full((2, 16), 5.0), (2, 16))
+        diag = np.ones((2, 16))
+        diag[1, 7] = -1e3
+        with pytest.raises(RuntimeError, match="not positive definite"):
+            st._tridiag_factor(g, 1e-2, diag, diag.shape)
+        for arr, old in zip((kd, e), kept):
+            assert not arr.flags.writeable
+            assert np.array_equal(arr, old)
+
+
 class TestStep:
     @pytest.mark.parametrize("lam", [0.025], ids=["lambda"])
     def test_enters_no_python_frame_outside_the_package(self, lam):
