@@ -27,17 +27,14 @@ from . import noise as nz
 from . import potential as pot
 from . import stepper as st
 
+# dependence shifts the datum by each size (the u0 family), then the forcing (the g family)
 DEFAULT_PERTURBATION_SIZES = (0.1, 0.01, 0.001)
-
-# the u0-only family, then the g-only family
-_DEFAULT_PERTURBATIONS = [ex.Perturbation(u0_shift=d) for d in DEFAULT_PERTURBATION_SIZES]
-_DEFAULT_PERTURBATIONS += [ex.Perturbation(g_shift=d) for d in DEFAULT_PERTURBATION_SIZES]
 
 # every command but simulate is one study of the ensemble config
 STUDIES = {
     "uniform": ex.uniform_bounds_study,
     "cauchy": ex.cauchy_study,
-    "dependence": lambda e: ex.dependence_study(e, _DEFAULT_PERTURBATIONS),
+    "dependence": lambda e: ex.dependence_study(e, DEFAULT_PERTURBATION_SIZES),
     "strong": ex.strong_solution_study,
     "derivative": ex.derivative_study,
     "oracles": ex.heat_and_ode_oracles,

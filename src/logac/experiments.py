@@ -2,13 +2,13 @@
 
 Every path of the regularized equation, from a Monte Carlo ensemble down
 to the 0-d oracle or the simulate command, is integrated by _run_lanes:
-lanes (levels or perturbed data) x replicates, stepped in lockstep by
-stepper.step.  The engine is the time loop only.  Every study is a
-function of its EnsembleConfig that builds its own lanes and runs them
-with only the hooks it reads: _path_statistics for the per-lane path
-statistics, _lane_differences for the differences of coupled lane pairs,
-or a hook of its own; the first two fill arrays of shape (lanes or
-pairs, replicates).
+lanes (levels, or a datum and its shifts) x replicates, stepped in
+lockstep by stepper.step.  The engine is the time loop only.  Every
+study is a function of its EnsembleConfig that builds its own lanes and
+runs them with only the hooks it reads: _path_statistics for the
+per-lane path statistics, _lane_differences for the differences of
+coupled lane pairs, or a hook of its own; the first two fill arrays of
+shape (lanes or pairs, replicates).
 Each study is a pure function of (EnsembleConfig, seed): replicates are
 integrated as one vectorized batch in a fixed order, noise increments come
 from counter streams keyed (seed, replicate, step, mode), and coupled
@@ -62,14 +62,6 @@ class EnsembleConfig:
             raise ValueError(f"lambda levels must be strictly decreasing, got {self.lambda_levels}")
 
 
-@dataclass(frozen=True)
-class Perturbation:
-    """Constant shifts applied to the initial datum and/or the forcing."""
-
-    u0_shift: float = 0.0
-    g_shift: float = 0.0
-
-
 @dataclass
 class ReportRow:
     quantity: str
@@ -121,16 +113,17 @@ def _level_lanes(cfg: EnsembleConfig, levels) -> list[Lane]:
 
 
 def _gauge_slice(g: gr.Grid, n: int, u):
-    """(masked integral of G_n, masked integral of |G_n'|).
+    """(masked integral of G_n, masked integral of |G_n'|, count of samples outside).
 
-    G_n is evaluated only where |u| < 1; samples outside are left out.
+    G_n is evaluated only where |u| < 1; the samples outside are left out
+    of the integrals and counted.
     """
     inside = np.abs(u) < 1.0
     Gn, Gnp = pot.gauge_eval(n, np.where(inside, u, 0.0))
     axes = gr._grid_axes(g, u)
     ig = np.sum(np.where(inside, Gn, 0.0), axis=axes) * g.cell_volume
     igp = np.sum(np.where(inside, np.abs(Gnp), 0.0), axis=axes) * g.cell_volume
-    return ig, igp
+    return ig, igp, np.sum(~inside, axis=axes)
 
 
 def _run_lanes(
@@ -295,62 +288,59 @@ def cauchy_study(cfg: EnsembleConfig) -> EstimateReport:
     return report
 
 
-def dependence_study(cfg: EnsembleConfig, perturbations: list[Perturbation]) -> EstimateReport:
-    """Continuous-dependence ratio for coupled perturbed runs at the smallest level.
+def dependence_study(cfg: EnsembleConfig, sizes: tuple[float, ...]) -> EstimateReport:
+    """Continuous-dependence ratios of two families of coupled shifts at the smallest level.
 
-    LHS = sqrt(E sup_t ||u1-u2||_H^2) + sqrt(E int ||u1-u2||_V^2),
-    RHS = ||du0||_H + sqrt(int_0^T ||dg||_{V*}^2), both runs driven by the
-    same noise.  The unperturbed run and every perturbed one are lanes of a
-    single _run_lanes call, made once every perturbation has been checked.
-    The ratio must stay within +-50% of its geometric mean across the
-    perturbation sizes, separately for u0-only and g-only families.
+    For each size d the u0 family shifts the initial datum by d, the g family
+    the forcing.  LHS = sqrt(E sup_t ||u1-u2||_H^2) + sqrt(E int ||u1-u2||_V^2)
+    against the unperturbed lane 0; RHS = ||d||_H for u0, sqrt(T)*||d||_{V*} for g.
+    Lane 0, the u0 family and the g family run as lanes of one _run_lanes call
+    on the same noise, made once every datum shift has been checked.  Each
+    family's ratio must stay within +-50% of its geometric mean across the sizes.
     """
     lam = cfg.lambda_levels[-1]
     g = cfg.grid
-    lanes = _level_lanes(cfg, [lam])  # lane i > 0 carries perturbation i - 1
-    u0, g_field = lanes[0].u0, lanes[0].g
+    (base,) = _level_lanes(cfg, [lam])
+    for d in sizes:
+        if np.any(np.abs(base.u0 + d) >= 1.0):
+            raise ValueError(f"a datum shift of {d:g} pushes the initial datum out of (-1, 1)")
     t_total = cfg.stepper.n_steps * cfg.stepper.dt
-
-    rhs = []
-    for p in perturbations:
-        du0, dg_field = np.full(g.shape, float(p.u0_shift)), np.full(g.shape, float(p.g_shift))
-        u0_pert = u0 + du0
-        if np.any(np.abs(u0_pert) >= 1.0):
-            raise ValueError(f"perturbation {p} pushes the initial datum out of (-1, 1)")
-        lanes.append(Lane(lam, u0_pert, g_field + dg_field))
-        rhs.append(float(np.sqrt(gr.h_norm_sq(g, du0))) + float(np.sqrt(t_total * gr.vstar_norm_sq(g, dg_field))))
+    shifts = [np.full(g.shape, float(d)) for d in sizes]
+    lanes = [base] + [Lane(lam, base.u0 + s, base.g) for s in shifts]  # lane 0, then the u0 family
+    lanes += [Lane(lam, base.u0, base.g + s) for s in shifts]  # then the g family
+    rhs = [[float(np.sqrt(gr.h_norm_sq(g, s))) for s in shifts]]
+    rhs.append([float(np.sqrt(t_total * gr.vstar_norm_sq(g, s))) for s in shifts])
     hook, diffs = _lane_differences(g, cfg.stepper, cfg.replicates, [(0, i) for i in range(1, len(lanes))])
     out = _run_lanes(lanes, cfg.noise, cfg.stepper, g, cfg.potential.c, cfg.seed, hooks=(hook,))
 
     rows = []
-    families: dict[str, list[tuple[str, float]]] = {"u0": [], "g": []}  # (tag, ratio) per member
     report = EstimateReport(study="dependence", rows=rows)
-    sup, integral = diffs["sup_diff_h_sq"], diffs["int_diff_h_sq"] + diffs["int_diff_grad_sq"]
-    for p, rhs_p, sup_p, int_p in zip(perturbations, rhs, sup, integral):
-        lhs = float(np.sqrt(np.mean(sup_p))) + float(np.sqrt(np.mean(int_p)))
-        ratio = lhs / rhs_p if rhs_p > 0.0 else math.nan
-        tag = f"du0={p.u0_shift:g},dg={p.g_shift:g}"
-        rows += [_mc_row(f"dep_lhs[{tag}]", lam, lhs), _mc_row(f"dep_ratio[{tag}]", lam, ratio)]
-        if p.u0_shift != 0.0 and p.g_shift == 0.0:
-            families["u0"].append((tag, ratio))
-        elif p.g_shift != 0.0 and p.u0_shift == 0.0:
-            families["g"].append((tag, ratio))
-    report.metadata["ratio_families"] = {name: [r for _, r in members] for name, members in families.items()}
-    # one shared run: every perturbation was driven by the same increments
-    report.metadata["increments_digests"] = [out["increments_digest"]] * len(perturbations)
-    for name, members in families.items():
-        if len(members) < 2:
+    families = report.metadata["ratio_families"] = {}
+    # one shared run: every member was driven by the same increments
+    report.metadata["increments_digests"] = [out["increments_digest"]] * (len(lanes) - 1)
+    per_family = (2, len(sizes), cfg.replicates)
+    sup = diffs["sup_diff_h_sq"].reshape(per_family)
+    integral = (diffs["int_diff_h_sq"] + diffs["int_diff_grad_sq"]).reshape(per_family)
+    tags = {"u0": "du0={:g},dg=0", "g": "du0=0,dg={:g}"}
+    for (name, tag), rhs_f, sup_f, int_f in zip(tags.items(), rhs, sup, integral):
+        ratios = families[name] = []
+        for d, rhs_d, sup_d, int_d in zip(sizes, rhs_f, sup_f, int_f):
+            lhs = float(np.sqrt(np.mean(sup_d))) + float(np.sqrt(np.mean(int_d)))
+            ratios.append(lhs / rhs_d if rhs_d > 0.0 else math.nan)
+            member = tag.format(d)
+            rows += [_mc_row(f"dep_lhs[{member}]", lam, lhs), _mc_row(f"dep_ratio[{member}]", lam, ratios[-1])]
+        if len(ratios) < 2:
             continue
         # a ratio of 0 (its lhs lost to rounding) or nan (its rhs 0, as for g at T = 0) has no logarithm,
         # so the family has no geometric mean to measure against
-        unmeasured = [(tag, r) for tag, r in members if not r > 0.0]
-        for t, r in unmeasured:
+        unmeasured = [(d, r) for d, r in zip(sizes, ratios) if not r > 0.0]
+        for d, r in unmeasured:
             cause = "lost to rounding" if r == 0.0 else "its right side is 0"
-            report.failures.append(f"dependence ratio is {r:g} for {name} perturbation {t}: {cause}")
+            report.failures.append(f"dependence ratio is {r:g} for {name} perturbation {tag.format(d)}: {cause}")
         if unmeasured:
             continue
-        center = math.exp(sum(math.log(r) for _, r in members) / len(members))
-        for _, r in members:
+        center = math.exp(sum(math.log(r) for r in ratios) / len(ratios))
+        for r in ratios:
             if not (0.5 * center <= r <= 1.5 * center):
                 report.failures.append(
                     f"dependence ratio unstable for {name} perturbations: {r:.4g} departs more than 50% "
@@ -383,7 +373,7 @@ def derivative_study(cfg: EnsembleConfig) -> EstimateReport:
     with |u| >= 1); fails if either gauge statistic moves more than 30%
     when the level is halved.  One hook takes a _gauge_slice per state: it
     keeps the series of int G_n for the sup and, as _path_statistics does,
-    accumulates the excursion count and the left-endpoint int |G_n'| in place.
+    accumulates the slice's outside count and the left-endpoint int |G_n'| in place.
     """
     if cfg.noise.family != nz.POLY_FLAT:
         raise ValueError("derivative study requires the poly_flat noise family")
@@ -401,8 +391,8 @@ def derivative_study(cfg: EnsembleConfig) -> EstimateReport:
     acc = {q: np.zeros(shape) for q in ("int_gauge_prime", "excursion_count")}
 
     def gauge_hook(m, u, beta_u):
-        series[m], igp = _gauge_slice(cfg.grid, n, u)
-        acc["excursion_count"] += np.sum(np.abs(u) >= 1.0, axis=gr._grid_axes(cfg.grid, u))
+        series[m], igp, outside = _gauge_slice(cfg.grid, n, u)
+        acc["excursion_count"] += outside
         if m < scfg.n_steps:
             acc["int_gauge_prime"] += scfg.dt * igp
 

@@ -491,6 +491,14 @@ class TestMainEntry:
         assert len(proc.stderr.splitlines()) == 1
         assert not (tmp_path / "out" / "manifest.json").exists()
 
+    def test_module_entry_names_an_inadmissible_datum_shift(self, tmp_path):
+        # 0.95 + 0.1, the largest default size, leaves (-1, 1): the study refuses before any lane runs
+        path = write_config(tmp_path, {"u0": {"kind": "constant", "m0": 0.95}})
+        proc = run_module(tmp_path, "dependence", "--config", str(path))
+        assert proc.returncode == 2 and "Traceback" not in proc.stderr
+        assert proc.stderr == "dependence: a datum shift of 0.1 pushes the initial datum out of (-1, 1)\n"
+        assert not (tmp_path / "out" / "manifest.json").exists()
+
     def test_cauchy_on_identical_paths_fails_its_check(self, tmp_path):
         # the origin is a fixed point: every level runs the same path, so every coupled difference is 0
         payload = small_run_payload(tmp_path, noise={"modes": 0}, u0={"kind": "constant", "m0": 0.0})

@@ -36,7 +36,7 @@ def small_config(**overrides):
 
 
 def gauge_slices(lanes, spec, scfg, g, c, seed, order):
-    """(int G_n, int |G_n'|) at every state of one _run_lanes run, via a hook."""
+    """(int G_n, int |G_n'|, outside count) at every state of one _run_lanes run, via a hook."""
     slices = []
 
     def hook(m, u, beta_u):
@@ -299,66 +299,74 @@ class TestCauchyStudy:
 
 class TestDependenceStudy:
     def test_zero_perturbation_zero_lhs(self):
-        cfg = small_config()
-        rep = ex.dependence_study(cfg, [ex.Perturbation()])
-        lhs = [r for r in rep.rows if r.quantity.startswith("dep_lhs")][0]
-        ratio = [r for r in rep.rows if r.quantity.startswith("dep_ratio")][0]
-        assert lhs.mean == 0.0
-        assert math.isnan(ratio.mean)
+        # a size of 0 makes one member of each family, both tagged du0=0,dg=0
+        rep = ex.dependence_study(small_config(), (0.0,))
+        lhs = [r.mean for r in rep.rows if r.quantity == "dep_lhs[du0=0,dg=0]"]
+        ratio = [r.mean for r in rep.rows if r.quantity == "dep_ratio[du0=0,dg=0]"]
+        assert lhs == [0.0, 0.0]
+        assert len(ratio) == 2 and all(math.isnan(r) for r in ratio)
 
     def test_g_only_perturbation_moves_solution(self):
-        cfg = small_config()
-        rep = ex.dependence_study(cfg, [ex.Perturbation(g_shift=0.05)])
-        lhs = [r for r in rep.rows if r.quantity.startswith("dep_lhs")][0]
-        assert lhs.mean > 0.0
+        rep = ex.dependence_study(small_config(), (0.05,))
+        assert report_row(rep, "dep_lhs[du0=0,dg=0.05]", 0.05).mean > 0.0
         assert rep.metadata["ratio_families"]["g"][0] > 0.0
+        # the same size shifts the datum as well
+        assert report_row(rep, "dep_lhs[du0=0.05,dg=0]", 0.05).mean > 0.0
+        assert rep.metadata["ratio_families"]["u0"][0] > 0.0
 
     def test_coupled_runs_share_increment_stream(self):
-        cfg = small_config()
-        rep = ex.dependence_study(cfg, [ex.Perturbation(u0_shift=0.01), ex.Perturbation(g_shift=0.01)])
+        rep = ex.dependence_study(small_config(), (0.01,))
         digests = rep.metadata["increments_digests"]
+        assert len(digests) == 2
         assert len(set(digests)) == 1
 
     def test_ratio_stability_check_runs(self):
         cfg = small_config(stepper=st.StepperConfig(dt=1e-3, t_end=0.05))
-        rep = ex.dependence_study(cfg, [ex.Perturbation(u0_shift=d) for d in (0.05, 0.005)])
+        rep = ex.dependence_study(cfg, (0.05, 0.005))
         assert rep.failures == []
-        ratios = rep.metadata["ratio_families"]["u0"]
-        assert len(ratios) == 2
-        assert ratios[0] == pytest.approx(ratios[1], rel=0.25)
+        for name in ("u0", "g"):
+            ratios = rep.metadata["ratio_families"][name]
+            assert len(ratios) == 2
+            assert ratios[0] == pytest.approx(ratios[1], rel=0.25)
 
     def test_unstable_family_fails_by_name(self, monkeypatch):
-        # synthetic differences: lhs = sqrt(E sup ||d||_H^2) = 0.1 and 0.001 against ||du0||_H = 0.1 and 0.01
+        # synthetic differences: the u0 family's lhs = sqrt(E sup ||d||_H^2) = 0.1 and 0.001 against
+        # ||du0||_H = 0.1 and 0.01; the g family's lhs scales with its size, so its ratio is stable
         def lane_differences(g, scfg, reps, pairs):
-            zero = np.zeros((2, reps))
-            sup = np.repeat([[0.1**2], [0.001**2]], reps, axis=1)
+            zero = np.zeros((4, reps))
+            sup = np.repeat([[0.1**2], [0.001**2], [0.1**2], [0.01**2]], reps, axis=1)
             stats = {"sup_diff_h_sq": sup, "int_diff_h_sq": zero, "int_diff_grad_sq": zero}
             return (lambda m, u, beta_u: None), stats
 
         monkeypatch.setattr(ex, "_lane_differences", lane_differences)
-        rep = ex.dependence_study(small_config(), [ex.Perturbation(u0_shift=d) for d in (0.1, 0.01)])
+        rep = ex.dependence_study(small_config(), (0.1, 0.01))
         assert rep.metadata["ratio_families"]["u0"] == pytest.approx([1.0, 0.1], rel=1e-12)
+        g_ratios = rep.metadata["ratio_families"]["g"]
+        assert g_ratios[0] > 0.0 and g_ratios[0] == pytest.approx(g_ratios[1], rel=1e-12)
         assert rep.failures == [
             f"dependence ratio unstable for u0 perturbations: {r} departs more than 50% from the family center 0.3162"
             for r in ("1", "0.1")
         ]
 
     def test_perturbation_lost_to_rounding_fails_by_name(self):
-        # u0 + 1e-20 rounds to u0 at |u0| ~ 0.4, so its lhs and ratio are exactly 0 and the
-        # family has no geometric mean; the study names it and still returns its report
-        perturbations = [ex.Perturbation(u0_shift=1e-20), ex.Perturbation(u0_shift=0.01)]
-        rep = ex.dependence_study(small_config(replicates=4), perturbations)
-        assert rep.metadata["ratio_families"]["u0"][0] == 0.0
-        assert rep.metadata["ratio_families"]["u0"][1] > 0.0
+        # u0 + 1e-20 rounds to u0 at |u0| ~ 0.4, and so does u + dt*1e-20 for the forcing shift, so each
+        # family has a member whose lhs and ratio are exactly 0 and no geometric mean; the study names
+        # both and still returns its report
+        rep = ex.dependence_study(small_config(replicates=4), (1e-20, 0.01))
+        for name in ("u0", "g"):
+            assert rep.metadata["ratio_families"][name][0] == 0.0
+            assert rep.metadata["ratio_families"][name][1] > 0.0
         assert report_row(rep, "dep_lhs[du0=1e-20,dg=0]", 0.05).mean == 0.0
-        assert rep.failures == ["dependence ratio is 0 for u0 perturbation du0=1e-20,dg=0: lost to rounding"]
+        assert report_row(rep, "dep_lhs[du0=0,dg=1e-20]", 0.05).mean == 0.0
+        assert rep.failures == [
+            "dependence ratio is 0 for u0 perturbation du0=1e-20,dg=0: lost to rounding",
+            "dependence ratio is 0 for g perturbation du0=0,dg=1e-20: lost to rounding",
+        ]
 
     def test_zero_horizon_fails_the_g_family_by_name(self):
         # at t_end = 0 a g-only shift has rhs sqrt(T)*||dg||_V* = 0, so its ratio is nan and has no logarithm
         cfg = small_config(replicates=4, stepper=st.StepperConfig(dt=1e-3, t_end=0.0))
-        perturbations = [ex.Perturbation(u0_shift=d) for d in (0.01, 0.001)]
-        perturbations += [ex.Perturbation(g_shift=d) for d in (0.01, 0.001)]
-        rep = ex.dependence_study(cfg, perturbations)
+        rep = ex.dependence_study(cfg, (0.01, 0.001))
         assert all(math.isnan(r) for r in rep.metadata["ratio_families"]["g"])
         assert rep.failures == [
             f"dependence ratio is nan for g perturbation du0=0,dg={d:g}: its right side is 0" for d in (0.01, 0.001)
@@ -366,8 +374,7 @@ class TestDependenceStudy:
 
     def test_csv_reads_back(self):
         # quantity names hold commas, as in dep_ratio[du0=0.01,dg=0]
-        cfg = small_config()
-        rep = ex.dependence_study(cfg, [ex.Perturbation(u0_shift=0.01), ex.Perturbation(g_shift=0.01)])
+        rep = ex.dependence_study(small_config(), (0.01,))
         rows = list(csv.DictReader(io.StringIO(rep.to_csv_text())))
         assert any("," in r.quantity for r in rep.rows)
         assert len(rows) == len(rep.rows)
@@ -379,31 +386,27 @@ class TestDependenceStudy:
 
     def test_inadmissible_perturbation_rejected(self):
         cfg = small_config(u0=dg.U0Spec(kind="constant", m0=0.95))
-        with pytest.raises(ValueError, match="out of"):
-            ex.dependence_study(cfg, [ex.Perturbation(u0_shift=0.2)])
+        with pytest.raises(ValueError, match=r"^a datum shift of 0.2 pushes the initial datum out of \(-1, 1\)$"):
+            ex.dependence_study(cfg, (0.2,))
 
     @pytest.mark.parametrize("g_spec", [dg.GSpec(kind="zero"), dg.GSpec(kind="constant", value=0.3)])
     def test_one_run_matches_separate_two_lane_runs(self, g_spec):
         cfg = small_config(g=g_spec, u0=dg.U0Spec(kind="random_fourier", amplitude=0.5))
-        perturbations = [
-            ex.Perturbation(u0_shift=0.01),
-            ex.Perturbation(g_shift=0.02),
-            ex.Perturbation(u0_shift=-0.005, g_shift=-0.01),
-        ]
-        rep = ex.dependence_study(cfg, perturbations)
+        sizes = (0.02, -0.005)
+        rep = ex.dependence_study(cfg, sizes)
         lam = cfg.lambda_levels[-1]
         u0 = dg.make_u0_batch(cfg.u0, cfg.grid, cfg.seed, cfg.replicates)
         g_field = dg.make_g(cfg.g, cfg.grid)
-        for p in perturbations:
+        members = [(d, 0.0) for d in sizes] + [(0.0, d) for d in sizes]  # (du0, dg): the u0 family, the g family
+        for du0, dg_shift in members:
             # the unperturbed lane and one perturbed lane, integrated on their own
-            pert_g = g_field + np.full(cfg.grid.shape, p.g_shift)
-            lanes = [ex.Lane(lam, u0, g_field), ex.Lane(lam, u0 + p.u0_shift, pert_g)]
+            lanes = [ex.Lane(lam, u0, g_field), ex.Lane(lam, u0 + du0, g_field + dg_shift)]
             hook, diffs = ex._lane_differences(cfg.grid, cfg.stepper, cfg.replicates, [(0, 1)])
             ex._run_lanes(lanes, cfg.noise, cfg.stepper, cfg.grid, cfg.potential.c, cfg.seed, hooks=(hook,))
             (sup,), (integral,) = diffs["sup_diff_h_sq"], diffs["int_diff_h_sq"] + diffs["int_diff_grad_sq"]
             lhs = float(np.sqrt(np.mean(sup))) + float(np.sqrt(np.mean(integral)))
             assert lhs > 0.0
-            assert report_row(rep, f"dep_lhs[du0={p.u0_shift:g},dg={p.g_shift:g}]", lam).mean == lhs
+            assert report_row(rep, f"dep_lhs[du0={du0:g},dg={dg_shift:g}]", lam).mean == lhs
 
     def test_one_engine_run_of_one_plus_k_lanes(self, monkeypatch):
         lane_counts = []
@@ -414,19 +417,18 @@ class TestDependenceStudy:
             return run_lanes(lanes, *args, **kwargs)
 
         monkeypatch.setattr(ex, "_run_lanes", counting_run_lanes)
-        perturbations = [ex.Perturbation(u0_shift=d) for d in (0.01, 0.001)]
-        perturbations += [ex.Perturbation(g_shift=d) for d in (0.01, 0.001)]
-        rep = ex.dependence_study(small_config(), perturbations)
-        assert lane_counts == [1 + len(perturbations)]
+        sizes = (0.01, 0.001)
+        rep = ex.dependence_study(small_config(), sizes)
+        assert lane_counts == [1 + 2 * len(sizes)]  # lane 0, then a u0 and a g member per size
         assert len(set(rep.metadata["increments_digests"])) == 1
-        assert len(rep.metadata["increments_digests"]) == len(perturbations)
+        assert len(rep.metadata["increments_digests"]) == 2 * len(sizes)
 
     def test_reads_no_path_statistics(self, monkeypatch):
         def no_stats(*args, **kwargs):
             raise AssertionError("dependence attached the path statistics it never reads")
 
         monkeypatch.setattr(ex, "_path_statistics", no_stats)
-        rep = ex.dependence_study(small_config(), [ex.Perturbation(u0_shift=0.01), ex.Perturbation(g_shift=0.01)])
+        rep = ex.dependence_study(small_config(), (0.01,))
         assert rep.failures == []
 
     def test_every_perturbation_checked_before_integrating(self, monkeypatch):
@@ -435,8 +437,8 @@ class TestDependenceStudy:
 
         monkeypatch.setattr(ex, "_run_lanes", no_run)
         cfg = small_config(u0=dg.U0Spec(kind="constant", m0=0.95))
-        with pytest.raises(ValueError, match="out of"):
-            ex.dependence_study(cfg, [ex.Perturbation(u0_shift=0.01), ex.Perturbation(u0_shift=0.2)])
+        with pytest.raises(ValueError, match=r"^a datum shift of 0.2 pushes"):
+            ex.dependence_study(cfg, (0.01, 0.2))
 
 
 class TestInitialDatum:
@@ -561,18 +563,28 @@ class TestDerivativeStudy:
         quiet = nz.NoiseSpec(family="poly_flat", modes=0, decay_exponent=2.0, amplitude=0.0, flatness=3)
         lanes = [ex.Lane(0.05, np.zeros((1, 16)), np.zeros(16))]
         slices = gauge_slices(lanes, quiet, cfg, g, 2.0, 0, 2)
-        int_gauge = cfg.dt * sum(ig for ig, _ in slices[:-1])  # left-endpoint rule
-        int_gauge_prime = cfg.dt * sum(igp for _, igp in slices[:-1])
+        int_gauge = cfg.dt * sum(ig for ig, _, _ in slices[:-1])  # left-endpoint rule
+        int_gauge_prime = cfg.dt * sum(igp for _, igp, _ in slices[:-1])
         assert int_gauge[0, 0] == pytest.approx(measure(g) * 0.02, rel=1e-12)
         assert int_gauge_prime[0, 0] == pytest.approx(0.0, abs=1e-14)
+        assert all(outside[0, 0] == 0 for _, _, outside in slices)
+
+    def test_slice_counts_the_samples_it_leaves_out(self):
+        # samples with |u| >= 1 leave the integrals and are counted: replicate 0 holds 1.0 and -1.5
+        g = gr.Grid(extent=(1.0,), cells=(4,))
+        u = np.array([[[0.0, 1.0, -1.5, 0.0], [0.0, 0.5, -0.5, 0.0]]])  # (lanes, replicates, cells)
+        ig, igp, outside = ex._gauge_slice(g, 2, u)
+        assert outside.tolist() == [[2, 0]]
+        assert ig[0, 0] == 2 * 0.25  # G_2(0) = 1 at the two samples inside, on cells of 1/4
+        assert igp[0, 0] == 0.0  # G_2'(0) = 0
 
     def test_higher_order_dominates(self):
         # G_3 >= G_2 pointwise on (-1, 1), so every statistic is ordered
         cfg = self._cfg(2)  # same noise/flatness for both gauges
         lanes = [ex.Lane(0.05, dg.make_u0_batch(cfg.u0, cfg.grid, cfg.seed, cfg.replicates), np.zeros(cfg.grid.shape))]
         args = (lanes, cfg.noise, cfg.stepper, cfg.grid, cfg.potential.c, cfg.seed)
-        series2 = np.asarray([ig for ig, _ in gauge_slices(*args, 2)])
-        series3 = np.asarray([ig for ig, _ in gauge_slices(*args, 3)])
+        series2 = np.asarray([ig for ig, _, _ in gauge_slices(*args, 2)])
+        series3 = np.asarray([ig for ig, _, _ in gauge_slices(*args, 3)])
         assert np.all(series3 >= series2 - 1e-14)
 
     @pytest.mark.parametrize(
@@ -584,9 +596,11 @@ class TestDerivativeStudy:
         ids=["drift", "not-finite"],
     )
     def test_gauge_verdicts_fail_by_name(self, monkeypatch, lane_gauge, failure):
-        # synthetic slices: int G_n per lane as given, int |G_n'| = 0, so only the sup statistic can fail
+        # synthetic slices: int G_n per lane as given, int |G_n'| = 0 and no sample outside,
+        # so only the sup statistic can fail
         def gauge_slice(grid, n, u):
-            return np.broadcast_to(np.array(lane_gauge)[:, None], u.shape[:2]), np.zeros(u.shape[:2])
+            zero = np.zeros(u.shape[:2])
+            return np.broadcast_to(np.array(lane_gauge)[:, None], u.shape[:2]), zero, zero
 
         monkeypatch.setattr(ex, "_gauge_slice", gauge_slice)
         assert ex.derivative_study(self._cfg(2)).failures == [failure]

@@ -3,7 +3,8 @@
 Some of those names have no caller left in src (potential.yosida_eval,
 noise.resolvent); this test keeps a cleanup from deleting one and breaking
 `perfbench/run.py --trace 1`.  The dead-code guard allows those names and
-no other top-level definition without a reference in src.
+no other top-level definition (a function, a class or a module-level
+assignment) that src never reads.
 """
 
 import ast
@@ -28,13 +29,26 @@ def _names_used(node) -> Counter:
     """How often each identifier is read in node's subtree, as a name, an attribute or an imported name."""
     used = Counter()
     for n in ast.walk(node):
-        if isinstance(n, ast.Name):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
             used[n.id] += 1
-        elif isinstance(n, ast.Attribute):
+        elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
             used[n.attr] += 1
         elif isinstance(n, ast.alias):
             used[n.name] += 1
     return used
+
+
+def _defined_names(node) -> list[str]:
+    """The names a top-level statement defines: a function's or a class's, or each name an assignment binds."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, ast.AnnAssign):
+        targets = [node.target]
+    else:
+        return []
+    return [n.id for target in targets for n in ast.walk(target) if isinstance(n, ast.Name)]
 
 
 def test_every_top_level_definition_is_used():
@@ -43,11 +57,11 @@ def test_every_top_level_definition_is_used():
     trees = {path.stem: ast.parse(path.read_text()) for path in sorted((ROOT / "src" / "logac").glob("*.py"))}
     used = sum((_names_used(tree) for tree in trees.values()), Counter())
     unused = [
-        f"{module}.{node.name}"
+        f"{module}.{name}"
         for module, tree in trees.items()
         for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-        and used[node.name] == _names_used(node)[node.name]  # no reference outside its own definition
-        and (module, node.name) not in allowed
+        for name in _defined_names(node)
+        if used[name] == _names_used(node)[name]  # no read outside its own definition
+        and (module, name) not in allowed
     ]
     assert unused == []
