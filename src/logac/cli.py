@@ -200,8 +200,9 @@ def _run_simulate(cfg: RunConfig, out_dir: Path) -> dict:
             gr.save_field(snap_dir / f"step_{m:06d}.acf", e.grid, u[0, 0])
 
     stats_hook, stats = ex._path_statistics(e.grid, e.stepper, e.potential.c, (1, 1))
-    lane = ex.Lane(lam, dg.make_u0_batch(e.u0, e.grid, e.seed, 1), dg.make_g(e.g, e.grid))
-    out = ex._run_lanes([lane], e.noise, e.stepper, e.grid, e.potential.c, e.seed, hooks=(stats_hook, snapshot))
+    u0, g_field = dg.make_u0_batch(e.u0, e.grid, e.seed, 1), dg.make_g(e.g, e.grid)
+    hooks = (stats_hook, snapshot)
+    out = ex._run_lanes([lam], u0, g_field, e.noise, e.stepper, e.grid, e.potential.c, e.seed, hooks=hooks)
     gr.save_field(out_dir / "final.acf", e.grid, out["final"][0, 0])
     names = ("sup_h_sq", "sup_grad_sq", "int_grad_sq", "int_f1_sq", "int_beta_sq", "excursion_fraction")
     summary = {
@@ -241,7 +242,7 @@ def run(command: str, cfg: RunConfig) -> int:
             "timings": {"wall_time_s": time.perf_counter() - t0},
         }
         (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, default=float) + "\n")
-    except (ValueError, OSError) as err:  # a bad input, or an output_dir that cannot be made or written
+    except (ValueError, OSError, MemoryError) as err:  # a bad input or output_dir, or a run too large to allocate
         print(f"{command}: {err}", file=sys.stderr)
         return 2
     except (RuntimeError, FloatingPointError) as err:  # a solve did not converge, or a float overflowed or went invalid

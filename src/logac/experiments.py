@@ -2,13 +2,13 @@
 
 Every path of the regularized equation, from a Monte Carlo ensemble down
 to the 0-d oracle or the simulate command, is integrated by _run_lanes:
-lanes (levels, or a datum and its shifts) x replicates, stepped in
-lockstep by stepper.step.  The engine is the time loop only.  Every
-study is a function of its EnsembleConfig that builds its own lanes and
-runs them with only the hooks it reads: _path_statistics for the
-per-lane path statistics, _lane_differences for the differences of
-coupled lane pairs, or a hook of its own; the first two fill arrays of
-shape (lanes or pairs, replicates).
+one lane per level x replicates, stepped in lockstep by stepper.step from
+a datum and a forcing that broadcast over the lanes.  The engine is the
+time loop only.  Every study is a function of its EnsembleConfig that
+runs its levels on cfg's datum and forcing, or on a stack of a datum and
+its shifts, with only the hooks it reads: _path_statistics per lane,
+_lane_differences per coupled lane pair, or a hook of its own; the first
+two fill arrays of shape (lanes or pairs, replicates).
 Each study is a pure function of (EnsembleConfig, seed): replicates are
 integrated as one vectorized batch in a fixed order, noise increments come
 from counter streams keyed (seed, replicate, step, mode), and coupled
@@ -96,20 +96,9 @@ def _mc_row(quantity: str, lam: float, values) -> ReportRow:
     return ReportRow(quantity, lam, mean, se, mean - Z95 * se, mean + Z95 * se)
 
 
-@dataclass
-class Lane:
-    """One coupled integration lane: a Yosida level plus its data."""
-
-    lam: float
-    u0: np.ndarray  # (replicates, *grid shape)
-    g: np.ndarray  # grid shape, zero for no forcing
-
-
-def _level_lanes(cfg: EnsembleConfig, levels) -> list[Lane]:
-    """One lane per level, each from cfg's datum batch and forcing."""
-    u0 = dg.make_u0_batch(cfg.u0, cfg.grid, cfg.seed, cfg.replicates)
-    g_field = dg.make_g(cfg.g, cfg.grid)
-    return [Lane(lam, u0, g_field) for lam in levels]
+def _data(cfg: EnsembleConfig):
+    """cfg's datum batch, (replicates, *grid shape), and forcing field, which every level shares."""
+    return dg.make_u0_batch(cfg.u0, cfg.grid, cfg.seed, cfg.replicates), dg.make_g(cfg.g, cfg.grid)
 
 
 def _gauge_slice(g: gr.Grid, n: int, u):
@@ -127,7 +116,9 @@ def _gauge_slice(g: gr.Grid, n: int, u):
 
 
 def _run_lanes(
-    lanes: list[Lane],
+    levels,
+    u0,
+    g_force,
     spec: nz.NoiseSpec,
     scfg: st.StepperConfig,
     g: gr.Grid,
@@ -136,22 +127,23 @@ def _run_lanes(
     *,
     hooks=(),
 ) -> dict:
-    """Lockstep integration of several lanes on shared noise increments, with concave coefficient c.
+    """Lockstep integration of one lane per level on shared noise increments, with concave coefficient c.
 
     This is the time loop of every path of the regularized equation; a
-    single path is one lane of one replicate.  The engine computes no
+    single path is one lane of one replicate.  The datum u0 broadcasts to
+    (lanes, replicates, *grid shape) and the forcing g_force to (lanes, *grid
+    shape), so lanes that share one pass it once.  The engine computes no
     statistic: each hook(m, u, beta_u) sees the state batch after m steps,
     m = 0..n_steps, and beta_lam(u), before stepping.  It returns the last
     state batch ("final") and the sha256 of the increments ("increments_digest").
     """
-    reps = lanes[0].u0.shape[0]
-
-    u = np.stack([ln.u0 for ln in lanes], dtype=float)
+    shape = (len(levels),) + np.shape(u0)[-1 - g.dim :]  # (lanes, replicates, *grid shape)
+    u = np.array(np.broadcast_to(u0, shape), dtype=float, order="C")  # copied lane-innermost without "C"
     if not np.all(np.abs(u) < 1.0):  # a NaN datum fails too
         raise ValueError("lane initial data must satisfy ||u0||_inf < 1")
-    lam = np.array([ln.lam for ln in lanes]).reshape((len(lanes),) + (1,) * (1 + g.dim))
+    lam = np.array(levels, dtype=float).reshape(shape[:1] + (1,) * (1 + g.dim))
     beta_u = pot.yosida_pair(lam, u)[0]
-    g_force = np.stack([ln.g for ln in lanes])[:, None]
+    g_force = np.array(np.broadcast_to(g_force, shape[:1] + g.shape), dtype=float, order="C")[:, None]
 
     a_u = st.implicit_operator(g, scfg.dt, u, beta_u)
     hasher = hashlib.sha256()
@@ -163,7 +155,7 @@ def _run_lanes(
             break
         dw = None
         if spec.modes > 0:
-            dw = nz.sample_increment_block(seed, reps, m, spec, scfg.dt)
+            dw = nz.sample_increment_block(seed, shape[1], m, spec, scfg.dt)
             hasher.update(dw)
         u, beta_u, a_u = st.step(g, lam, c, spec, u, beta_u, a_u, dw, g_force, scfg.dt)
 
@@ -233,8 +225,8 @@ def _level_report(study: str, cfg: EnsembleConfig, quantities) -> EstimateReport
     Reports one _mc_row per (quantity, level) and each quantity's spread across levels.
     """
     hook, stats = _path_statistics(cfg.grid, cfg.stepper, cfg.potential.c, (len(cfg.lambda_levels), cfg.replicates))
-    lanes = _level_lanes(cfg, cfg.lambda_levels)
-    out = _run_lanes(lanes, cfg.noise, cfg.stepper, cfg.grid, cfg.potential.c, cfg.seed, hooks=(hook,))
+    levels = cfg.lambda_levels
+    out = _run_lanes(levels, *_data(cfg), cfg.noise, cfg.stepper, cfg.grid, cfg.potential.c, cfg.seed, hooks=(hook,))
     rows = []
     spreads = {}
     for q in quantities:
@@ -269,8 +261,7 @@ def cauchy_study(cfg: EnsembleConfig) -> EstimateReport:
     if len(levels) < 3:
         raise ValueError("cauchy study needs at least 3 lambda levels")
     hook, diffs = _lane_differences(cfg.grid, cfg.stepper, cfg.replicates, [(i, i + 1) for i in range(len(levels) - 1)])
-    lanes = _level_lanes(cfg, levels)
-    out = _run_lanes(lanes, cfg.noise, cfg.stepper, cfg.grid, cfg.potential.c, cfg.seed, hooks=(hook,))
+    out = _run_lanes(levels, *_data(cfg), cfg.noise, cfg.stepper, cfg.grid, cfg.potential.c, cfg.seed, hooks=(hook,))
     delta = diffs["sup_diff_h_sq"] + diffs["int_diff_grad_sq"]
     rows = [_mc_row("cauchy_delta", lam, row) for lam, row in zip(levels, delta)]
     deltas = [r.mean for r in rows]
@@ -294,30 +285,31 @@ def dependence_study(cfg: EnsembleConfig, sizes: tuple[float, ...]) -> EstimateR
     For each size d the u0 family shifts the initial datum by d, the g family
     the forcing.  LHS = sqrt(E sup_t ||u1-u2||_H^2) + sqrt(E int ||u1-u2||_V^2)
     against the unperturbed lane 0; RHS = ||d||_H for u0, sqrt(T)*||d||_{V*} for g.
-    Lane 0, the u0 family and the g family run as lanes of one _run_lanes call
-    on the same noise, made once every datum shift has been checked.  Each
+    Lane 0 and the u0 and g families run, their data and forcings stacked, as
+    one _run_lanes call on one noise once every datum shift is checked.  Each
     family's ratio must stay within +-50% of its geometric mean across the sizes.
     """
     lam = cfg.lambda_levels[-1]
     g = cfg.grid
-    (base,) = _level_lanes(cfg, [lam])
+    u0, g_field = _data(cfg)
     for d in sizes:
-        if np.any(np.abs(base.u0 + d) >= 1.0):
+        if np.any(np.abs(u0 + d) >= 1.0):
             raise ValueError(f"a datum shift of {d:g} pushes the initial datum out of (-1, 1)")
     t_total = cfg.stepper.n_steps * cfg.stepper.dt
     shifts = [np.full(g.shape, float(d)) for d in sizes]
-    lanes = [base] + [Lane(lam, base.u0 + s, base.g) for s in shifts]  # lane 0, then the u0 family
-    lanes += [Lane(lam, base.u0, base.g + s) for s in shifts]  # then the g family
+    data = np.stack([u0] + [u0 + s for s in shifts] + [u0] * len(sizes))  # lane 0, the u0 family, the g family
+    forcings = np.stack([g_field] * (1 + len(sizes)) + [g_field + s for s in shifts])
     rhs = [[float(np.sqrt(gr.h_norm_sq(g, s))) for s in shifts]]
     rhs.append([float(np.sqrt(t_total * gr.vstar_norm_sq(g, s))) for s in shifts])
-    hook, diffs = _lane_differences(g, cfg.stepper, cfg.replicates, [(0, i) for i in range(1, len(lanes))])
-    out = _run_lanes(lanes, cfg.noise, cfg.stepper, g, cfg.potential.c, cfg.seed, hooks=(hook,))
+    levels = [lam] * len(data)
+    hook, diffs = _lane_differences(g, cfg.stepper, cfg.replicates, [(0, i) for i in range(1, len(levels))])
+    out = _run_lanes(levels, data, forcings, cfg.noise, cfg.stepper, g, cfg.potential.c, cfg.seed, hooks=(hook,))
 
     rows = []
     report = EstimateReport(study="dependence", rows=rows)
     families = report.metadata["ratio_families"] = {}
     # one shared run: every member was driven by the same increments
-    report.metadata["increments_digests"] = [out["increments_digest"]] * (len(lanes) - 1)
+    report.metadata["increments_digests"] = [out["increments_digest"]] * (len(levels) - 1)
     per_family = (2, len(sizes), cfg.replicates)
     sup = diffs["sup_diff_h_sq"].reshape(per_family)
     integral = (diffs["int_diff_h_sq"] + diffs["int_diff_grad_sq"]).reshape(per_family)
@@ -382,8 +374,8 @@ def derivative_study(cfg: EnsembleConfig) -> EstimateReport:
         raise ValueError(f"derivative study needs gauge order n = flatness - 1 >= 2, got n={n}")
     lam_min = cfg.lambda_levels[-1]
     levels = [lam_min, 0.5 * lam_min]
-    lanes = _level_lanes(cfg, levels)
-    if np.max(np.abs(lanes[0].g)) > 1.0:
+    u0, g_field = _data(cfg)
+    if np.max(np.abs(g_field)) > 1.0:
         raise ValueError("derivative study requires ||g||_inf <= 1")
     scfg = cfg.stepper
     shape = (len(levels), cfg.replicates)
@@ -396,7 +388,7 @@ def derivative_study(cfg: EnsembleConfig) -> EstimateReport:
         if m < scfg.n_steps:
             acc["int_gauge_prime"] += scfg.dt * igp
 
-    out = _run_lanes(lanes, cfg.noise, scfg, cfg.grid, cfg.potential.c, cfg.seed, hooks=(gauge_hook,))
+    out = _run_lanes(levels, u0, g_field, cfg.noise, scfg, cfg.grid, cfg.potential.c, cfg.seed, hooks=(gauge_hook,))
     excursion_fraction = acc["excursion_count"] / ((scfg.n_steps + 1) * int(np.prod(cfg.grid.shape)))
 
     rows = []
@@ -574,8 +566,8 @@ def heat_and_ode_oracles(cfg: EnsembleConfig) -> EstimateReport:
     report.metadata["ode_reference"] = {"value": ref_val, "b_star": b_star, "newton_iters": iters}
 
     def ode_error(dt):
-        lane = Lane(lam, np.full((1,) + g0.shape, u_init), np.zeros(g0.shape))
-        out = _run_lanes([lane], quiet, st.StepperConfig(dt=dt, t_end=T0), g0, c, seed=0)
+        scfg = st.StepperConfig(dt=dt, t_end=T0)
+        out = _run_lanes([lam], np.full((1,) + g0.shape, u_init), 0.0, quiet, scfg, g0, c, seed=0)
         return abs(float(out["final"][0, 0, 0]) - ref_val)
 
     refinement("ode", lam, [(f"dt={dt:g}", ode_error(dt)) for dt in dts], "ode_orders", "0-d temporal", 0.8)

@@ -70,6 +70,8 @@ class StepperConfig:
             raise ValueError(f"t_end must be nonnegative and finite, got {self.t_end}")
         if self.t_end > 0.0 and self.dt > self.t_end * (1.0 + 1e-12):
             raise ValueError(f"dt={self.dt} exceeds t_end={self.t_end}")
+        if not self.t_end / self.dt < math.inf:
+            raise ValueError(f"t_end / dt must be a finite step count, got {self.t_end} / {self.dt}")
 
     @property
     def n_steps(self) -> int:

@@ -369,6 +369,7 @@ class TestMainEntry:
             ({"colour": "blue"}, "config has unknown top-level fields ['colour']"),
             ({"noise": 3}, "config section 'noise' must be an object"),
             ({"version": 2}, "unsupported config version 2"),
+            ({"stepper": {"dt": 1e-300, "t_end": 1e300}}, "config stepper: t_end / dt must be a finite step count"),
         ],
     )
     def test_malformed_value_exits_2(self, tmp_path, capsys, payload, named):
@@ -470,6 +471,15 @@ class TestMainEntry:
         err = capsys.readouterr().err
         assert err.startswith("oracles: ") and str(out) in err
         assert not (out / "manifest.json").exists()
+
+    @pytest.mark.parametrize("command, size", [("uniform", "284. PiB"), ("cauchy", "213. PiB")])
+    def test_run_too_large_to_allocate_exits_2(self, tmp_path, capsys, command, size):
+        # 10^16 replicates of the 4 default levels: the first statistics array exceeds every x86-64 user
+        # address space, so the allocation is refused before any memory is touched; a usage error, no manifest
+        payload = {"version": 1, "ensemble": {"replicates": 10**16}, "output_dir": str(tmp_path / "out")}
+        assert cli.main([command, "--config", str(write_config(tmp_path, payload))]) == 2
+        assert capsys.readouterr().err.startswith(f"{command}: Unable to allocate {size}")
+        assert not (tmp_path / "out" / "manifest.json").exists()
 
     def test_negative_snapshot_stride_flag_exits_2(self, tmp_path, capsys):
         assert cli.main(["simulate", "--out", str(tmp_path), "--snapshot-stride", "-1"]) == 2

@@ -35,14 +35,14 @@ def small_config(**overrides):
     return ex.EnsembleConfig(**base)
 
 
-def gauge_slices(lanes, spec, scfg, g, c, seed, order):
+def gauge_slices(levels, u0, g_force, spec, scfg, g, c, seed, order):
     """(int G_n, int |G_n'|, outside count) at every state of one _run_lanes run, via a hook."""
     slices = []
 
     def hook(m, u, beta_u):
         slices.append(ex._gauge_slice(g, order, u))
 
-    ex._run_lanes(lanes, spec, scfg, g, c, seed, hooks=(hook,))
+    ex._run_lanes(levels, u0, g_force, spec, scfg, g, c, seed, hooks=(hook,))
     return slices
 
 
@@ -158,13 +158,14 @@ class TestBatchIndependence:
         u0 = dg.make_u0_batch(cfg.u0, cfg.grid, cfg.seed, cfg.replicates)
 
         def run(batch):
-            lanes = [ex.Lane(lam, batch, np.zeros(cfg.grid.shape)) for lam in cfg.lambda_levels]
-            pairs = [(i, i + 1) for i in range(len(lanes) - 1)]
-            shape = (len(lanes), batch.shape[0])
+            levels = cfg.lambda_levels
+            pairs = [(i, i + 1) for i in range(len(levels) - 1)]
+            shape = (len(levels), batch.shape[0])
             stats_hook, stats = ex._path_statistics(cfg.grid, cfg.stepper, cfg.potential.c, shape)
             pairs_hook, diffs = ex._lane_differences(cfg.grid, cfg.stepper, batch.shape[0], pairs)
             hooks = (stats_hook, pairs_hook)
-            out = ex._run_lanes(lanes, cfg.noise, cfg.stepper, cfg.grid, cfg.potential.c, cfg.seed, hooks=hooks)
+            args = (cfg.noise, cfg.stepper, cfg.grid, cfg.potential.c, cfg.seed)
+            out = ex._run_lanes(levels, batch, np.zeros(cfg.grid.shape), *args, hooks=hooks)
             return out, stats, diffs
 
         (full, full_stats, full_diffs), (head, head_stats, head_diffs) = run(u0), run(u0[:k])
@@ -186,31 +187,50 @@ class TestLaneIndependence:
         spec = nz.NoiseSpec(family="sine", modes=6, decay_exponent=2.0, amplitude=0.8)
         params = pot.PotentialParams(c=2.0)
         rng = np.random.default_rng(41)
-        lanes = [
-            ex.Lane(lam, rng.uniform(-0.9, 0.9, size=(4, *cells)), np.full(cells, force))
-            for lam, force in ((0.2, 0.0), (0.02, 0.5), (0.003, -1.0))
-        ]
+        levels = np.array([0.2, 0.02, 0.003])
+        u0 = np.stack([rng.uniform(-0.9, 0.9, size=(4, *cells)) for _ in levels])
+        g_force = np.stack([np.full(cells, force) for force in (0.0, 0.5, -1.0)])
 
         pairs = [(0, 1), (2, 0), (1, 2), (0, 1)]  # reversed, repeated and non-adjacent
 
-        def run(batch, pairs):
-            stats_hook, stats = ex._path_statistics(g, scfg, params.c, (len(batch), 4))
+        def run(lanes, pairs):
+            stats_hook, stats = ex._path_statistics(g, scfg, params.c, (len(lanes), 4))
             pairs_hook, diffs = ex._lane_differences(g, scfg, 4, pairs)
-            out = ex._run_lanes(batch, spec, scfg, g, params.c, 9, hooks=(stats_hook, pairs_hook))
+            hooks = (stats_hook, pairs_hook)
+            out = ex._run_lanes(levels[lanes], u0[lanes], g_force[lanes], spec, scfg, g, params.c, 9, hooks=hooks)
             return out["final"], stats, diffs
 
-        final, stats, diffs = run(lanes, pairs)
-        for i, lane in enumerate(lanes):
-            alone, alone_stats, _ = run([lane], [])
+        final, stats, diffs = run([0, 1, 2], pairs)
+        for i in range(len(levels)):
+            alone, alone_stats, _ = run([i], [])
             assert np.array_equal(final[i], alone[0]), i
             for name, value in stats.items():
                 assert np.array_equal(value[i], alone_stats[name][0]), (i, name)
         assert all(value.shape == (len(pairs), 4) for value in diffs.values())
         for k, (i, j) in enumerate(pairs):
             # the pair's two lanes on their own, with that one pair
-            *_, pair_diffs = run([lanes[i], lanes[j]], [(0, 1)])
+            *_, pair_diffs = run([i, j], [(0, 1)])
             for name, value in diffs.items():
                 assert np.array_equal(value[k], pair_diffs[name][0]), (k, name)
+
+    def test_shared_datum_and_forcing_run_as_their_stacked_copies(self):
+        # a level run passes one (replicates, *grid) datum and one grid forcing for all its lanes; the
+        # engine builds from them the C-ordered state that stacking a copy per lane gives
+        cfg = small_config(g=dg.GSpec(kind="constant", value=0.3), u0=dg.U0Spec(kind="random_fourier", amplitude=0.5))
+        u0, g_field = dg.make_u0_batch(cfg.u0, cfg.grid, cfg.seed, cfg.replicates), dg.make_g(cfg.g, cfg.grid)
+        levels = cfg.lambda_levels
+        args = (cfg.noise, cfg.stepper, cfg.grid, cfg.potential.c, cfg.seed)
+        first_state = []
+
+        def hook(m, u, beta_u):
+            if m == 0:
+                first_state.append(u.flags.c_contiguous)
+
+        shared = ex._run_lanes(levels, u0, g_field, *args, hooks=(hook,))
+        stacked = ex._run_lanes(levels, np.stack([u0] * len(levels)), np.stack([g_field] * len(levels)), *args)
+        assert shared["final"].tobytes() == stacked["final"].tobytes()
+        assert shared["increments_digest"] == stacked["increments_digest"]
+        assert first_state == [True]
 
 
 class TestUniformStudy:
@@ -253,9 +273,9 @@ class TestCauchyStudy:
     def test_identical_levels_give_zero_delta(self):
         cfg = small_config()
         u0 = dg.make_u0_batch(cfg.u0, cfg.grid, cfg.seed, cfg.replicates)
-        lanes = [ex.Lane(0.1, u0, np.zeros(cfg.grid.shape)), ex.Lane(0.1, u0, np.zeros(cfg.grid.shape))]
         hook, diffs = ex._lane_differences(cfg.grid, cfg.stepper, cfg.replicates, [(0, 1)])
-        ex._run_lanes(lanes, cfg.noise, cfg.stepper, cfg.grid, cfg.potential.c, cfg.seed, hooks=(hook,))
+        args = (cfg.noise, cfg.stepper, cfg.grid, cfg.potential.c, cfg.seed)
+        ex._run_lanes([0.1, 0.1], u0, np.zeros(cfg.grid.shape), *args, hooks=(hook,))
         assert diffs["sup_diff_h_sq"].shape == (1, cfg.replicates)
         assert np.all(diffs["sup_diff_h_sq"] == 0.0)
         assert np.all(diffs["int_diff_grad_sq"] == 0.0)
@@ -400,9 +420,10 @@ class TestDependenceStudy:
         members = [(d, 0.0) for d in sizes] + [(0.0, d) for d in sizes]  # (du0, dg): the u0 family, the g family
         for du0, dg_shift in members:
             # the unperturbed lane and one perturbed lane, integrated on their own
-            lanes = [ex.Lane(lam, u0, g_field), ex.Lane(lam, u0 + du0, g_field + dg_shift)]
+            data, forcings = np.stack([u0, u0 + du0]), np.stack([g_field, g_field + dg_shift])
             hook, diffs = ex._lane_differences(cfg.grid, cfg.stepper, cfg.replicates, [(0, 1)])
-            ex._run_lanes(lanes, cfg.noise, cfg.stepper, cfg.grid, cfg.potential.c, cfg.seed, hooks=(hook,))
+            args = (cfg.noise, cfg.stepper, cfg.grid, cfg.potential.c, cfg.seed)
+            ex._run_lanes([lam, lam], data, forcings, *args, hooks=(hook,))
             (sup,), (integral,) = diffs["sup_diff_h_sq"], diffs["int_diff_h_sq"] + diffs["int_diff_grad_sq"]
             lhs = float(np.sqrt(np.mean(sup))) + float(np.sqrt(np.mean(integral)))
             assert lhs > 0.0
@@ -412,9 +433,9 @@ class TestDependenceStudy:
         lane_counts = []
         run_lanes = ex._run_lanes
 
-        def counting_run_lanes(lanes, *args, **kwargs):
-            lane_counts.append(len(lanes))
-            return run_lanes(lanes, *args, **kwargs)
+        def counting_run_lanes(levels, *args, **kwargs):
+            lane_counts.append(len(levels))
+            return run_lanes(levels, *args, **kwargs)
 
         monkeypatch.setattr(ex, "_run_lanes", counting_run_lanes)
         sizes = (0.01, 0.001)
@@ -486,11 +507,11 @@ class TestForcing:
         # relative floor 4*eps*max|rhs| still converges, with no floating-point error under the CLI's rule
         g = gr.Grid(extent=(1.0,), cells=(16,))
         scfg = st.StepperConfig(dt=1e-2, t_end=0.1)
-        lanes = [ex.Lane(lam=0.1, u0=np.zeros((2, 16)), g=np.full(16, 1e8))]
         quiet = nz.NoiseSpec(family="sine", modes=0, decay_exponent=2.0, amplitude=0.0)
         seen = []
         with np.errstate(all="raise", under="ignore"):
-            out = ex._run_lanes(lanes, quiet, scfg, g, 1.5, 7, hooks=[lambda m, u, b: seen.append(m)])
+            hooks = [lambda m, u, b: seen.append(m)]
+            out = ex._run_lanes([0.1], np.zeros((2, 16)), np.full(16, 1e8), quiet, scfg, g, 1.5, 7, hooks=hooks)
         assert seen == list(range(scfg.n_steps + 1))
         assert np.all(np.isfinite(out["final"])) and np.all(out["final"] > 0.0)
 
@@ -561,8 +582,7 @@ class TestDerivativeStudy:
         g = gr.Grid(extent=(1.0,), cells=(16,))
         cfg = st.StepperConfig(dt=1e-3, t_end=0.02)
         quiet = nz.NoiseSpec(family="poly_flat", modes=0, decay_exponent=2.0, amplitude=0.0, flatness=3)
-        lanes = [ex.Lane(0.05, np.zeros((1, 16)), np.zeros(16))]
-        slices = gauge_slices(lanes, quiet, cfg, g, 2.0, 0, 2)
+        slices = gauge_slices([0.05], np.zeros((1, 16)), np.zeros(16), quiet, cfg, g, 2.0, 0, 2)
         int_gauge = cfg.dt * sum(ig for ig, _, _ in slices[:-1])  # left-endpoint rule
         int_gauge_prime = cfg.dt * sum(igp for _, igp, _ in slices[:-1])
         assert int_gauge[0, 0] == pytest.approx(measure(g) * 0.02, rel=1e-12)
@@ -581,8 +601,8 @@ class TestDerivativeStudy:
     def test_higher_order_dominates(self):
         # G_3 >= G_2 pointwise on (-1, 1), so every statistic is ordered
         cfg = self._cfg(2)  # same noise/flatness for both gauges
-        lanes = [ex.Lane(0.05, dg.make_u0_batch(cfg.u0, cfg.grid, cfg.seed, cfg.replicates), np.zeros(cfg.grid.shape))]
-        args = (lanes, cfg.noise, cfg.stepper, cfg.grid, cfg.potential.c, cfg.seed)
+        u0 = dg.make_u0_batch(cfg.u0, cfg.grid, cfg.seed, cfg.replicates)
+        args = ([0.05], u0, np.zeros(cfg.grid.shape), cfg.noise, cfg.stepper, cfg.grid, cfg.potential.c, cfg.seed)
         series2 = np.asarray([ig for ig, _, _ in gauge_slices(*args, 2)])
         series3 = np.asarray([ig for ig, _, _ in gauge_slices(*args, 3)])
         assert np.all(series3 >= series2 - 1e-14)
@@ -671,8 +691,7 @@ class TestOracles:
         g = gr.Grid(extent=(1.0,), cells=(32,))
         cfg = st.StepperConfig(dt=1e-3, t_end=0.05)
         quiet = nz.NoiseSpec(family="sine", modes=0, decay_exponent=2.0, amplitude=0.0)
-        lane = ex.Lane(0.05, np.zeros((1, 32)), np.zeros(32))
-        out = ex._run_lanes([lane], quiet, cfg, g, 2.0, seed=0)
+        out = ex._run_lanes([0.05], np.zeros((1, 32)), np.zeros(32), quiet, cfg, g, 2.0, seed=0)
         assert np.all(out["final"] == 0.0)
         # the engine is the time loop only: every statistic comes from a hook
         assert out.keys() == {"final", "increments_digest"}

@@ -68,7 +68,7 @@ def carried(g, lam, w0, dt):
 def run_path(u0, lam, cfg, g, params, spec=QUIET, seed=0, hooks=()):
     """One lane of the engine and its path statistics; u0 is a (replicates, *grid) batch."""
     stats_hook, stats = ex._path_statistics(g, cfg, params.c, (1, u0.shape[0]))
-    out = ex._run_lanes([ex.Lane(lam, u0, np.zeros(g.shape))], spec, cfg, g, params.c, seed, hooks=(stats_hook, *hooks))
+    out = ex._run_lanes([lam], u0, np.zeros(g.shape), spec, cfg, g, params.c, seed, hooks=(stats_hook, *hooks))
     return {**out, "stats": stats}
 
 

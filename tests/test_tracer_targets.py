@@ -1,8 +1,8 @@
 """The benchmark's tracer (perfbench/spans.py) wraps functions by module attribute.
 
 Some of those names have no caller left in src (potential.yosida_eval,
-noise.resolvent); this test keeps a cleanup from deleting one and breaking
-`perfbench/run.py --trace 1`.  The dead-code guard allows those names and
+noise.resolvent, grid.norms); this test keeps a cleanup from deleting one
+and breaking `perfbench/run.py --trace 1`.  The dead-code guard allows those names and
 no other top-level definition (a function, a class or a module-level
 assignment) that src never reads.
 """
