@@ -132,17 +132,18 @@ def _run_lanes(
     This is the time loop of every path of the regularized equation; a
     single path is one lane of one replicate.  The datum u0 broadcasts to
     (lanes, replicates, *grid shape) and the forcing g_force to (lanes, *grid
-    shape), so lanes that share one pass it once.  The engine computes no
-    statistic: each hook(m, u, beta_u) sees the state batch after m steps,
-    m = 0..n_steps, and beta_lam(u), before stepping.  It returns the last
-    state batch ("final") and the sha256 of the increments ("increments_digest").
+    shape), so lanes that share one pass it once.  Only the datum takes its
+    beta_lam, A and beta_lam' here; each step returns the next state's.  The
+    engine computes no statistic: each hook(m, u, beta_u) sees the state batch
+    after m steps, m = 0..n_steps, and beta_lam(u), before stepping.  It returns
+    the last state batch ("final") and the sha256 of the increments ("increments_digest").
     """
     shape = (len(levels),) + np.shape(u0)[-1 - g.dim :]  # (lanes, replicates, *grid shape)
     u = np.array(np.broadcast_to(u0, shape), dtype=float, order="C")  # copied lane-innermost without "C"
     if not np.all(np.abs(u) < 1.0):  # a NaN datum fails too
         raise ValueError("lane initial data must satisfy ||u0||_inf < 1")
     lam = np.array(levels, dtype=float).reshape(shape[:1] + (1,) * (1 + g.dim))
-    beta_u = pot.yosida_pair(lam, u)[0]
+    beta_u, p_u = pot.yosida_pair(lam, u)
     g_force = np.array(np.broadcast_to(g_force, shape[:1] + g.shape), dtype=float, order="C")[:, None]
 
     a_u = st.implicit_operator(g, scfg.dt, u, beta_u)
@@ -157,7 +158,7 @@ def _run_lanes(
         if spec.modes > 0:
             dw = nz.sample_increment_block(seed, shape[1], m, spec, scfg.dt)
             hasher.update(dw)
-        u, beta_u, a_u = st.step(g, lam, c, spec, u, beta_u, a_u, dw, g_force, scfg.dt)
+        u, beta_u, a_u, p_u = st.step(g, lam, c, spec, u, beta_u, a_u, p_u, dw, g_force, scfg.dt)
 
     return {"final": u, "increments_digest": hasher.hexdigest()}
 

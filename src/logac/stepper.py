@@ -16,12 +16,13 @@ Jacobian I - dt*lap + dt*diag(beta_lam'(w)) is SPD.  In 1-d it is
 tridiagonal and each Newton system is solved exactly, the whole batch by
 one LAPACK LDL^T factorization and back-substitution; in 2-d it goes to
 conjugate gradients preconditioned by the exact heat operator
-(I - dt*lap)^(-1), applied spectrally.  The caller carries beta_lam(u)
-and the implicit operator A(u) = u - dt*lap(u) + dt*beta_lam(u) from the
-step before, so the first residual is A(u) - rhs: only the Newton trials
-solve the resolvent and apply the Laplacian, and the accepted trial's A
-is the next step's.  J_lam(u) is tanh(beta_lam(u)/2), never rebuilt from
-u.  Absent terms are zero arrays.
+(I - dt*lap)^(-1), applied spectrally.  The caller carries beta_lam(u),
+the implicit operator A(u) = u - dt*lap(u) + dt*beta_lam(u) and beta_lam'(u)
+from the step before, so the first residual is A(u) - rhs and its Newton
+slope is given: only the Newton trials solve the resolvent and apply the
+Laplacian, and the accepted trial's beta_lam, A and beta_lam' are the next
+step's.  J_lam(u) is tanh(beta_lam(u)/2), never rebuilt from u.  Absent
+terms are zero arrays.
 
 Fields may carry leading batch axes (replicates, coupled lanes) and
 everything here broadcasts over them.  This module holds one step; the
@@ -145,32 +146,32 @@ def implicit_operator(g: gr.Grid, dt: float, w, bl):
     return w - dt * gr.laplacian_neumann(g, w) + dt * bl
 
 
-def _monotone_solve(g: gr.Grid, lam, rhs, dt: float, w0, b0, a0):
-    """Solve A(w) = rhs by Newton from w0, b0 = beta_lam(w0), a0 = A(w0); A is implicit_operator.
+def _monotone_solve(g: gr.Grid, lam, rhs, dt: float, w0, b0, a0, p0):
+    """Solve A(w) = rhs by Newton from w0 and its b0 = beta_lam(w0), a0 = A(w0), p0 = beta_lam'(w0).
 
-    lam is a scalar or an array broadcastable against the batch axes.  The
-    first residual is a0 - rhs and its Newton system takes
-    beta_lam'(w0) from J_lam(w0) = tanh(b0/2), so only the Newton trials
-    solve the resolvent and apply the Laplacian.  A trial w - delta starts
-    its resolvent solve from beta_lam(w) - beta_lam'(w)*delta, which is
-    beta_lam(w) bit for bit where delta = 0.  Residuals are A - rhs
-    temporaries.  A member stops at residual max(NEWTON_TOL, 4*eps*max|rhs|):
-    as |w| <= max|rhs| (maximum principle), w - rhs alone rounds by up to
-    eps*max|rhs|.  Returns the final evaluation (w, beta_lam(w), A(w)) for
-    the caller to carry.
+    A is implicit_operator and lam a scalar or an array broadcastable against
+    the batch axes.  The first residual is a0 - rhs and its Newton system
+    takes p0, so only the Newton trials solve the resolvent and apply the
+    Laplacian.  A trial w - delta starts its resolvent solve from
+    beta_lam(w) - beta_lam'(w)*delta, which is beta_lam(w) bit for bit where
+    delta = 0.  Each evaluation forms its residual A - rhs once; an accepted
+    trial's is the next Newton right side.  A member stops at residual
+    max(NEWTON_TOL, 4*eps*max|rhs|): as |w| <= max|rhs| (maximum principle),
+    w - rhs alone rounds by up to eps*max|rhs|.  Returns the final evaluation
+    (w, beta_lam(w), A(w), beta_lam'(w)) for the caller to carry.
     """
     axes = gr._grid_axes(g, rhs)
     # ufunc reductions, not the ndarray methods, whose Python wrappers cost as much as the arithmetic on small fields
     tol = np.maximum(NEWTON_TOL, pot._ULP4 * np.maximum.reduce(np.abs(rhs), axis=axes))
 
-    w, bl, A = w0, b0, a0
-    blp = pot.yosida_slope(lam, np.tanh(0.5 * b0))
-    res = np.maximum.reduce(np.abs(A - rhs), axis=axes)
+    w, bl, A, blp = w0, b0, a0, p0
+    r = A - rhs
+    res = np.maximum.reduce(np.abs(r), axis=axes)
     for _ in range(NEWTON_MAX_ITER):
         done = res <= tol
         if np.logical_and.reduce(done, axis=None):
-            return w, bl, A
-        r = A - rhs
+            return w, bl, A, blp
+        del A  # r holds the residual, and the trials make their own A
         delta = _tridiag_solve(g, dt, blp, r) if g.dim == 1 else _pcg(g, dt, blp, r)
         # a converged member keeps its w, and its re-evaluated beta_lam and A, bit for bit, whatever its batch mates do
         delta[done] = 0.0
@@ -182,7 +183,8 @@ def _monotone_solve(g: gr.Grid, lam, rhs, dt: float, w0, b0, a0):
             w_try = w - delta
             bl_try, blp_try = pot.yosida_pair(lam, w_try, b0=bl)
             A_try = implicit_operator(g, dt, w_try, bl_try)
-            res_try = np.maximum.reduce(np.abs(A_try - rhs), axis=axes)
+            r_try = A_try - rhs
+            res_try = np.maximum.reduce(np.abs(r_try), axis=axes)
             bad = res_try > np.maximum(res, tol)
             if not np.logical_or.reduce(bad, axis=None):
                 break
@@ -193,15 +195,15 @@ def _monotone_solve(g: gr.Grid, lam, rhs, dt: float, w0, b0, a0):
             raise RuntimeError(
                 f"implicit step failed: backtracking exhausted, 12 dampings all raise residual {float(np.max(res)):.3e}"
             )
-        w, bl, A, blp, res = w_try, bl_try, A_try, blp_try, res_try
-        del bl_try  # bl alone holds beta_lam(w), so the next guess frees it
+        w, bl, A, blp, r, res = w_try, bl_try, A_try, blp_try, r_try, res_try
+        del bl_try, A_try  # bl alone holds beta_lam(w), so the next guess frees it, and A goes once r is read
     raise RuntimeError(
         f"implicit step failed: residual {float(np.max(res)):.3e} after {NEWTON_MAX_ITER} Newton iterations"
     )
 
 
-def step(g: gr.Grid, lam, c: float, spec: nz.NoiseSpec, u, beta_u, a_u, dw, g_force, dt: float):
-    """One scheme step of size dt from u; returns (u_next, beta_lam(u_next), A(u_next)).
+def step(g: gr.Grid, lam, c: float, spec: nz.NoiseSpec, u, beta_u, a_u, p_u, dw, g_force, dt: float):
+    """One scheme step of size dt from u; returns (u_next, beta_lam(u_next), A(u_next), beta_lam'(u_next)).
 
     The explicit part is the concave term 2c*u, the forcing field g_force
     and the noise sum_k h_k(J_lam(u)) dW_k; dw holds the mode increments,
@@ -209,11 +211,12 @@ def step(g: gr.Grid, lam, c: float, spec: nz.NoiseSpec, u, beta_u, a_u, dw, g_fo
     has no modes.  J_lam(u) = tanh(beta_u/2) from the beta_u = beta_lam(u)
     the previous step (or yosida_pair at the datum) returned, with no
     resolvent solve of its own (the noise is an exact 0.0 where it rounds
-    to +-1); a_u = implicit_operator(g, dt, u, beta_u) is carried alike.
+    to +-1); a_u = implicit_operator(g, dt, u, beta_u) and the first Newton
+    slope p_u = beta_lam'(u) are carried alike.
     """
     rhs = u + dt * (2.0 * c) * u
     if spec.modes > 0:
         # a temporary, freed before the solve, which holds the peak
         rhs += nz.mix_modes(spec, np.tanh(0.5 * beta_u), dw, g.dim)
     rhs += dt * g_force
-    return _monotone_solve(g, lam, rhs, dt, u, beta_u, a_u)
+    return _monotone_solve(g, lam, rhs, dt, u, beta_u, a_u, p_u)

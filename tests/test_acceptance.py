@@ -187,10 +187,10 @@ def test_criterion_05_gradient_flow_and_gateaux():
     slack = 10.0 * st.NEWTON_TOL * measure(g)
     e_prev = float(energy(g, params, lam, u0))
     worst_rise = -math.inf
-    beta_u = pot.yosida_pair(lam, u)[0]
+    beta_u, p_u = pot.yosida_pair(lam, u)
     a_u = st.implicit_operator(g, cfg.dt, u, beta_u)
     for _ in range(cfg.n_steps):
-        u, beta_u, a_u = st.step(g, lam, params.c, quiet, u, beta_u, a_u, None, np.zeros(64), cfg.dt)
+        u, beta_u, a_u, p_u = st.step(g, lam, params.c, quiet, u, beta_u, a_u, p_u, None, np.zeros(64), cfg.dt)
         e = float(energy(g, params, lam, u))
         worst_rise = max(worst_rise, e - e_prev)
         e_prev = e

@@ -268,6 +268,53 @@ class TestRunCommands:
         assert summary["lambda"] == 0.05
 
 
+# (key, payload, named): the id is key-named, and each key stays with its case, so an added case renames none
+MALFORMED = [
+    ("payload0", {"ensemble": {"replicates": None}}, "config ensemble"),
+    ("payload1", {"noise": {"modes": math.inf}}, "config noise"),
+    ("payload2", {"grid": {"cells": [None]}}, "config grid"),
+    ("payload3", {"snapshot_stride": None}, "config snapshot_stride"),
+    ("payload4", {"stepper": {"t_end": math.inf}}, "config stepper: t_end must be finite"),
+    ("payload5", {"stepper": {"t_end": math.nan}}, "config stepper: t_end must be finite"),
+    ("payload6", {"potential": {"c": None}}, "config potential"),
+    ("payload7", {"grid": {"cells": [16.7]}}, "config grid: cells"),
+    ("payload8", {"ensemble": {"seed": True}}, "config ensemble: seed"),
+    ("payload9", {"stepper": {"dt": True}}, "config stepper: dt"),
+    ("payload10", {"noise": {"modes": False}}, "config noise: modes"),
+    ("payload11", {"g": {"value": True}}, "config g: value"),
+    ("payload12", {"u0": {"amplitude": "0.3"}}, "config u0: amplitude"),
+    ("payload13", {"output_dir": 3}, "config output_dir"),
+    ("payload14", {"g": {"kind": "constant", "value": math.nan}}, "config g: value must be finite"),
+    ("payload15", {"grid": {"extent": [math.nan]}}, "config grid: extent[0] must be finite"),
+    ("payload16", {"u0": {"kind": "random_fourier", "amplitude": math.inf}}, "config u0: amplitude must be finite"),
+    ("payload17", {"noise": {"amplitude": math.inf}}, "config noise: amplitude must be finite"),
+    ("payload18", {"u0": {"kind": "sawtooth"}}, "config u0: u0 kind must be one of"),
+    ("payload19", {"u0": {"kind": "cosine", "amplitude": 1.0}}, "config u0: u0 amplitude must satisfy |amplitude| < 1"),
+    ("payload20", {"u0": {"kind": "cosine", "mode": 0}}, "config u0: u0 cosine mode must be >= 1"),
+    ("payload21", {"u0": {"kind": "smooth_bump", "width": 0.0}}, "config u0: u0 smooth_bump width must be positive"),
+    ("payload22", {"u0": {"kind": "random_fourier", "modes": 0}}, "config u0: u0 random_fourier modes must be >= 1"),
+    (
+        "payload23",
+        {"u0": {"kind": "random_fourier", "clamp": 1.0}},
+        "config u0: u0 random_fourier clamp must lie in (0, 1)",
+    ),
+    ("payload24", {"g": {"kind": "wave"}}, "config g: g kind must be one of"),
+    ("payload25", {"g": {"kind": "file"}}, "config g: g kind 'file' needs a path"),
+    ("payload26", {"noise": {"amplitude": -0.1}}, "config noise: noise amplitude must be >= 0"),
+    ("payload27", {"noise": {"family": "poly_flat", "flatness": 0}}, "config noise: noise flatness must be >= 1"),
+    ("payload28", {"grid": {"extent": [1.0, 1.0]}}, "config grid: extent and cells must have the same length"),
+    ("payload29", {"stepper": {"t_end": -0.1}}, "config stepper: t_end must be nonnegative and finite"),
+    ("payload30", {"colour": "blue"}, "config has unknown top-level fields ['colour']"),
+    ("payload31", {"noise": 3}, "config section 'noise' must be an object"),
+    ("payload32", {"version": 2}, "unsupported config version 2"),
+    (
+        "payload33",
+        {"stepper": {"dt": 1e-300, "t_end": 1e300}},
+        "config stepper: t_end / dt must be a finite step count",
+    ),
+]
+
+
 class TestMainEntry:
     def test_usage_error_exit_code(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -335,42 +382,8 @@ class TestMainEntry:
 
     @pytest.mark.parametrize(
         "payload, named",
-        [
-            ({"ensemble": {"replicates": None}}, "config ensemble"),
-            ({"noise": {"modes": math.inf}}, "config noise"),
-            ({"grid": {"cells": [None]}}, "config grid"),
-            ({"snapshot_stride": None}, "config snapshot_stride"),
-            ({"stepper": {"t_end": math.inf}}, "config stepper: t_end must be finite"),
-            ({"stepper": {"t_end": math.nan}}, "config stepper: t_end must be finite"),
-            ({"potential": {"c": None}}, "config potential"),
-            ({"grid": {"cells": [16.7]}}, "config grid: cells"),
-            ({"ensemble": {"seed": True}}, "config ensemble: seed"),
-            ({"stepper": {"dt": True}}, "config stepper: dt"),
-            ({"noise": {"modes": False}}, "config noise: modes"),
-            ({"g": {"value": True}}, "config g: value"),
-            ({"u0": {"amplitude": "0.3"}}, "config u0: amplitude"),
-            ({"output_dir": 3}, "config output_dir"),
-            ({"g": {"kind": "constant", "value": math.nan}}, "config g: value must be finite"),
-            ({"grid": {"extent": [math.nan]}}, "config grid: extent[0] must be finite"),
-            ({"u0": {"kind": "random_fourier", "amplitude": math.inf}}, "config u0: amplitude must be finite"),
-            ({"noise": {"amplitude": math.inf}}, "config noise: amplitude must be finite"),
-            ({"u0": {"kind": "sawtooth"}}, "config u0: u0 kind must be one of"),
-            ({"u0": {"kind": "cosine", "amplitude": 1.0}}, "config u0: u0 amplitude must satisfy |amplitude| < 1"),
-            ({"u0": {"kind": "cosine", "mode": 0}}, "config u0: u0 cosine mode must be >= 1"),
-            ({"u0": {"kind": "smooth_bump", "width": 0.0}}, "config u0: u0 smooth_bump width must be positive"),
-            ({"u0": {"kind": "random_fourier", "modes": 0}}, "config u0: u0 random_fourier modes must be >= 1"),
-            ({"u0": {"kind": "random_fourier", "clamp": 1.0}}, "config u0: u0 random_fourier clamp must lie in (0, 1)"),
-            ({"g": {"kind": "wave"}}, "config g: g kind must be one of"),
-            ({"g": {"kind": "file"}}, "config g: g kind 'file' needs a path"),
-            ({"noise": {"amplitude": -0.1}}, "config noise: noise amplitude must be >= 0"),
-            ({"noise": {"family": "poly_flat", "flatness": 0}}, "config noise: noise flatness must be >= 1"),
-            ({"grid": {"extent": [1.0, 1.0]}}, "config grid: extent and cells must have the same length"),
-            ({"stepper": {"t_end": -0.1}}, "config stepper: t_end must be nonnegative and finite"),
-            ({"colour": "blue"}, "config has unknown top-level fields ['colour']"),
-            ({"noise": 3}, "config section 'noise' must be an object"),
-            ({"version": 2}, "unsupported config version 2"),
-            ({"stepper": {"dt": 1e-300, "t_end": 1e300}}, "config stepper: t_end / dt must be a finite step count"),
-        ],
+        [case[1:] for case in MALFORMED],
+        ids=[f"{key}-{named}" for key, _, named in MALFORMED],
     )
     def test_malformed_value_exits_2(self, tmp_path, capsys, payload, named):
         # a value of another JSON type than its default's, a bool for a number, a

@@ -406,9 +406,10 @@ class TestNoisePoint:
             return mixed[-1]
 
         monkeypatch.setattr(nz, "mix_modes", spy_mix)
-        beta_u = pot.yosida_pair(lam, u)[0]
+        beta_u, p_u = pot.yosida_pair(lam, u)
         a_u = stepper.implicit_operator(g, scfg.dt, u, beta_u)
-        stepper.step(g, lam, 2.0, spec, u, beta_u, a_u, np.random.default_rng(3).normal(size=8), np.zeros(4), scfg.dt)
+        dw = np.random.default_rng(3).normal(size=8)
+        stepper.step(g, lam, 2.0, spec, u, beta_u, a_u, p_u, dw, np.zeros(4), scfg.dt)
         assert len(mixed) == 1 and np.all(mixed[0] == 0.0)
 
 

@@ -60,9 +60,9 @@ def solve(g, lam, rhs, dt):
 
 
 def carried(g, lam, w0, dt):
-    """(w0, beta_lam(w0), A(w0)): the state a solve starts from, as a step's caller carries it."""
-    b0 = pot.yosida_pair(lam, w0)[0]
-    return w0, b0, st.implicit_operator(g, dt, w0, b0)
+    """(w0, beta_lam(w0), A(w0), beta_lam'(w0)): the state a solve starts from, as a step's caller carries it."""
+    b0, p0 = pot.yosida_pair(lam, w0)
+    return w0, b0, st.implicit_operator(g, dt, w0, b0), p0
 
 
 def run_path(u0, lam, cfg, g, params, spec=QUIET, seed=0, hooks=()):
@@ -134,12 +134,12 @@ def weak_residual_check(record: TrajectoryRecord, v) -> float:
 def record_path(g, params, lam, spec, u0, cfg, increments):
     """Step u0 through the given per-step increments, keeping every state."""
     u, states, stoch, g_force = u0, [u0], np.zeros_like(u0), np.zeros(g.shape)
-    beta_u = pot.yosida_pair(lam, u0)[0]
+    beta_u, p_u = pot.yosida_pair(lam, u0)
     a_u = st.implicit_operator(g, cfg.dt, u, beta_u)
     for dw in increments:
         if spec.modes:
             stoch = stoch + nz.mix_modes(spec, pot.resolvent_map(lam, u), dw, g.dim)
-        u, beta_u, a_u = st.step(g, lam, params.c, spec, u, beta_u, a_u, dw, g_force, cfg.dt)
+        u, beta_u, a_u, p_u = st.step(g, lam, params.c, spec, u, beta_u, a_u, p_u, dw, g_force, cfg.dt)
         states.append(u)
     return TrajectoryRecord(g, params, lam, cfg.dt, np.asarray(states), stoch, g_force)
 
@@ -196,7 +196,8 @@ class TestImplicitSolve:
         assert np.array_equal(w[0], alone)
 
     def test_first_residual_takes_the_given_beta(self, monkeypatch):
-        # with b0 = beta_lam(w0) and a0 = A(w0) given, yosida_pair and the Laplacian run once per trial, never at w0
+        # with b0 = beta_lam(w0), a0 = A(w0) and p0 = beta_lam'(w0) given, yosida_pair and the Laplacian run
+        # once per trial, never at w0
         g = gr.Grid(extent=(1.0,), cells=(16,))
         rng = np.random.default_rng(5)
         lam = np.array([0.2, 0.01, 1e-3]).reshape(3, 1, 1)
@@ -222,11 +223,13 @@ class TestImplicitSolve:
         monkeypatch.setattr(pot, "yosida_pair", spy_pair)
         monkeypatch.setattr(st, "_tridiag_solve", spy_tridiag)
         monkeypatch.setattr(gr, "laplacian_neumann", spy_lap)
-        st._monotone_solve(g, lam, rhs, 1e-2, w0=u, b0=beta_u, a0=a_u)
+        st._monotone_solve(g, lam, rhs, 1e-2, w0=u, b0=beta_u, a0=a_u, p0=slope_u)
         assert len(points) == len(residuals) >= 1
         assert not any(np.array_equal(p, u) for p in points)
-        # the first Newton system carries beta_lam'(u), taken from J = tanh(beta_lam(u)/2) as yosida_pair takes it
+        # the first Newton system takes the carried beta_lam'(u), which is the slope at
+        # J = tanh(beta_lam(u)/2) bit for bit: tanh is odd and yosida_slope even in J, exactly
         assert np.array_equal(diags[0], slope_u)
+        assert np.array_equal(slope_u, pot.yosida_slope(lam, np.tanh(0.5 * beta_u)))
 
     @pytest.mark.parametrize("lam", [0.05], ids=["lambda"])
     def test_refused_member_halves_its_own_direction(self, monkeypatch, lam):
@@ -258,7 +261,7 @@ class TestImplicitSolve:
         for k, w_try in enumerate(trials):
             assert np.array_equal(w_try[0], start[0][0] - 2.0**-k * delta[0])
             assert np.array_equal(w_try[1], start[0][1] - delta[1])
-        # each member's (w, beta_lam, A) is that of its solve alone, bit for bit
+        # each member's (w, beta_lam, A, beta_lam') is that of its solve alone, bit for bit
         for i in range(2):
             scale = scales[i : i + 1]
             alone = st._monotone_solve(g, lam, rhs[i : i + 1], 1e-2, *(x[i : i + 1] for x in start))
@@ -289,8 +292,7 @@ class TestImplicitSolve:
         monkeypatch.setattr(st, "_tridiag_solve", overshoot)
         monkeypatch.setattr(pot, "yosida_pair", spy_pair)
         st._monotone_solve(g, lam, rhs, dt, *start)
-        beta, delta = start[1], deltas[0]
-        slope = pot.yosida_slope(lam, np.tanh(0.5 * beta))
+        beta, slope, delta = start[1], start[3], deltas[0]
         assert len(guesses) == 3
         want = beta - slope * delta
         for k, guess in enumerate(guesses):
@@ -336,7 +338,8 @@ class TestImplicitSolve:
 
 class TestCarriedOperator:
     # the A = w - dt*lap(w) + dt*beta_lam(w) a solve returns is carried into the next one as its
-    # first residual plus rhs, so it must be the operator of the returned (w, beta) to the bit
+    # first residual plus rhs, and beta_lam'(w) as its first Newton slope, so they must be the
+    # operator and the slope of the returned (w, beta) to the bit
     @pytest.mark.parametrize("cells", [(16,), (6, 8)], ids=["1d", "2d"])
     @pytest.mark.parametrize("levels", [(0.1, 0.005)], ids=["lambda"])
     def test_step_returns_the_operator_of_its_state(self, cells, levels):
@@ -346,23 +349,24 @@ class TestCarriedOperator:
         u = rng.uniform(-0.9, 0.9, size=(2, 3, *cells))
         lam = np.array(levels).reshape((2,) + (1,) * (1 + g.dim))
         c, spec = 2.0, nz.NoiseSpec(family="sine", modes=4, decay_exponent=2.0, amplitude=0.8)
-        beta_u = pot.yosida_pair(lam, u)[0]
+        beta_u, p_u = pot.yosida_pair(lam, u)
         a_u = st.implicit_operator(g, cfg.dt, u, beta_u)
         for m in range(cfg.n_steps):
             # one (replicates, modes) block, shared by both lanes, as the engine passes it
             dw = nz.sample_increment_block(3, 3, m, spec, cfg.dt)
-            u, beta_u, a_u = st.step(g, lam, c, spec, u, beta_u, a_u, dw, np.zeros(cells), cfg.dt)
+            u, beta_u, a_u, p_u = st.step(g, lam, c, spec, u, beta_u, a_u, p_u, dw, np.zeros(cells), cfg.dt)
             assert np.array_equal(a_u, st.implicit_operator(g, cfg.dt, u, beta_u))
+            assert np.array_equal(p_u, pot.yosida_slope(lam, np.tanh(0.5 * beta_u)))
 
     def test_solve_at_its_first_check_returns_what_it_was_given(self, monkeypatch):
         # rhs = A(w0) exactly: the first residual is 0, so no trial runs and no Laplacian is taken
         g = gr.Grid(extent=(1.0,), cells=(16,))
-        w0, b0, a0 = carried(g, 0.05, np.random.default_rng(2).uniform(-0.9, 0.9, size=(3, 16)), 1e-2)
+        w0, b0, a0, p0 = carried(g, 0.05, np.random.default_rng(2).uniform(-0.9, 0.9, size=(3, 16)), 1e-2)
         laps = []
         lap = gr.laplacian_neumann
         monkeypatch.setattr(gr, "laplacian_neumann", lambda *args: laps.append(1) or lap(*args))
-        w, bl, A = st._monotone_solve(g, 0.05, a0.copy(), 1e-2, w0, b0, a0)
-        assert w is w0 and bl is b0 and A is a0
+        w, bl, A, blp = st._monotone_solve(g, 0.05, a0.copy(), 1e-2, w0, b0, a0, p0)
+        assert w is w0 and bl is b0 and A is a0 and blp is p0
         assert laps == []
 
     @pytest.mark.parametrize("lam", [0.05], ids=["lambda"])
@@ -375,10 +379,11 @@ class TestCarriedOperator:
         newton, trials = [], []
         monkeypatch.setattr(st, "_tridiag_solve", lambda *args: newton.append(1) or 3.0 * tridiag(*args))
         monkeypatch.setattr(gr, "laplacian_neumann", lambda *args: trials.append(1) or lap(*args))
-        w, bl, A = st._monotone_solve(g, lam, rhs, 1e-2, *start)
+        w, bl, A, blp = st._monotone_solve(g, lam, rhs, 1e-2, *start)
         assert len(trials) == 2 * len(newton) > 0
         monkeypatch.setattr(gr, "laplacian_neumann", lap)
         assert np.array_equal(A, st.implicit_operator(g, 1e-2, w, bl))
+        assert np.array_equal(blp, pot.yosida_slope(lam, np.tanh(0.5 * bl)))
         assert np.abs(A - rhs).max() <= st.NEWTON_TOL
 
 
@@ -489,17 +494,18 @@ class TestTridiagFactor:
 
 
 class TestStep:
-    @pytest.mark.parametrize("lam", [0.025], ids=["lambda"])
-    def test_enters_no_python_frame_outside_the_package(self, lam):
+    @pytest.mark.parametrize("cells, lam", [(32, 0.025), (2, 0.025)], ids=["lambda", "oracle-0d"])
+    def test_enters_no_python_frame_outside_the_package(self, cells, lam):
         # on small fields numpy's Python-level wrappers (ndarray.max/all/any, clip, empty_like)
         # cost as much as the arithmetic, so a warmed noiseless step calls ufuncs and their
-        # reductions directly, and the graph solve keeps no errstate of its own
-        g = gr.Grid(extent=(1.0,), cells=(32,))
+        # reductions directly, and the graph solve keeps no errstate of its own; the second
+        # case is the 0-d oracle's (1, 1, 2) batch
+        g = gr.Grid(extent=(1.0,), cells=(cells,))
         cfg = st.StepperConfig(dt=1e-3, t_end=1e-3)
         u = 0.5 * np.cos(np.pi * g.cell_centers())[None, None]
-        c, beta_u = 2.0, pot.yosida_pair(lam, u)[0]
+        c, (beta_u, p_u) = 2.0, pot.yosida_pair(lam, u)
         a_u = st.implicit_operator(g, cfg.dt, u, beta_u)
-        args = (g, lam, c, QUIET, u, beta_u, a_u, None, np.zeros(u.shape), cfg.dt)
+        args = (g, lam, c, QUIET, u, beta_u, a_u, p_u, None, np.zeros(u.shape), cfg.dt)
         st.step(*args)  # fills the caches and cached properties
         package = os.path.dirname(st.__file__) + os.sep
         entered = []
@@ -520,7 +526,8 @@ class TestStep:
         g = gr.Grid(extent=(1.0,), cells=(16,))
         params = pot.PotentialParams(c=2.0)
         cfg = st.StepperConfig(dt=1e-3, t_end=0.01)
-        u, _, _ = st.step(g, 0.1, params.c, QUIET, np.zeros(16), np.zeros(16), np.zeros(16), None, np.zeros(16), cfg.dt)
+        zero, slope = np.zeros(16), pot.yosida_pair(0.1, np.zeros(16))[1]
+        u = st.step(g, 0.1, params.c, QUIET, zero, zero, zero, slope, None, zero, cfg.dt)[0]
         assert np.all(u == 0.0)
 
     def test_heat_limit(self):
@@ -565,10 +572,10 @@ class TestStep:
         cfg = st.StepperConfig(dt=1e-3, t_end=0.2)
         e_prev = energy(g, params, lam, u)
         slack = 10 * st.NEWTON_TOL * measure(g)
-        beta_u = pot.yosida_pair(lam, u)[0]
+        beta_u, p_u = pot.yosida_pair(lam, u)
         a_u = st.implicit_operator(g, cfg.dt, u, beta_u)
         for _ in range(cfg.n_steps):
-            u, beta_u, a_u = st.step(g, lam, params.c, QUIET, u, beta_u, a_u, None, np.zeros(64), cfg.dt)
+            u, beta_u, a_u, p_u = st.step(g, lam, params.c, QUIET, u, beta_u, a_u, p_u, None, np.zeros(64), cfg.dt)
             e = float(energy(g, params, lam, u))
             assert e <= e_prev + slack
             e_prev = e
